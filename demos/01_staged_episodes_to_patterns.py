@@ -11,12 +11,10 @@ from choicetrust import (
     ChoiceEpisode,
     concat_patterns,
     derive_matrix,
-    is_acyclic,
     omega,
     outdegrees,
     scan_runs,
     flatten,
-    union_matrix,
     validate_episode,
 )
 
@@ -48,13 +46,8 @@ for episode, matrix in zip(episodes, matrices):
     print(f"period {episode.period}: catalog {matrix.order}")
     for oid, row in zip(matrix.order, matrix.bits):
         print(f"  {oid}  {''.join(str(int(b)) for b in row)}")
-    print(f"  outdegrees: {outdegrees(matrix)}  acyclic: {is_acyclic(matrix)}")
+    print(f"  outdegrees: {outdegrees(matrix)}")
     print(f"  flattened:  {flatten(matrix).as_string()}")
-
-# ORing the periods together destroys the per-period story (it even creates
-# cycles), which is why the joint analysis concatenates instead.
-merged = union_matrix(matrices)
-print(f"\nunion of both periods: outdegrees {outdegrees(merged)}, acyclic: {is_acyclic(merged)}")
 
 joint = concat_patterns(matrices)
 print(f"\njoint pattern: {joint.as_string()}")

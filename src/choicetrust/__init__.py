@@ -57,6 +57,8 @@ from .pattern_runs import (
     RunCount,
     RunPattern,
     omega,
+    run_patterns,
+    run_totals,
     scan_runs,
     single_period_rationality_pattern,
 )
@@ -66,10 +68,7 @@ from .preference_graph import (
     concat_patterns,
     derive_matrix,
     flatten,
-    is_acyclic,
     outdegrees,
-    unflatten,
-    union_matrix,
 )
 from .rationality_outcomes import (
     Bin,
@@ -77,6 +76,8 @@ from .rationality_outcomes import (
     Degree,
     RankClass,
     TauPattern,
+    bar_degrees,
+    bar_frequency,
     bar_label,
     bin_frequencies,
     bin_pattern,
@@ -122,14 +123,13 @@ __all__ = [
     "outdegrees",
     "flatten",
     "concat_patterns",
-    "unflatten",
-    "union_matrix",
-    "is_acyclic",
     # run patterns
     "EPSILON",
     "RunCount",
     "RunPattern",
     "scan_runs",
+    "run_totals",
+    "run_patterns",
     "omega",
     "single_period_rationality_pattern",
     # rationality outcomes
@@ -148,6 +148,8 @@ __all__ = [
     "bin_pattern",
     "bin_table",
     "bin_frequencies",
+    "bar_frequency",
+    "bar_degrees",
     "membership",
     # trust scoring
     "Polarity",

@@ -53,6 +53,21 @@ def _fmt8(x: Fraction | float) -> str:
 # wire parsing
 
 
+def _read_text(path: str | Path) -> str:
+    """The file as UTF-8 text; undecodable bytes become a ParseError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(path), None, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(path), exc.lineno, f"invalid JSON ({exc.msg})") from None
+
+
 def _require(record: dict, key: str, kind: type, path: str, line: int | None) -> Any:
     if key not in record:
         raise ParseError(path, line, f"missing field {key!r}")
@@ -84,7 +99,7 @@ def load_episodes(path: str | Path) -> tuple[list[ChoiceEpisode], list[str]]:
     """Read a JSONL episode file; malformed lines become diagnostics, not aborts."""
     episodes: list[ChoiceEpisode] = []
     problems: list[str] = []
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         raw = raw.strip()
         if not raw:
@@ -122,10 +137,7 @@ def episodes_to_jsonl(episodes: Sequence[ChoiceEpisode]) -> str:
 
 def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
     """Read the reviews document; per-record problems become diagnostics."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"invalid JSON ({exc.msg})") from None
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise ParseError(str(path), None, "reviews document must be a JSON array")
     reviews: list[Review] = []
@@ -163,10 +175,7 @@ def reviews_to_json(reviews: Sequence[Review]) -> str:
 
 
 def load_ifs_list(path: str | Path) -> IfsList:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"invalid JSON ({exc.msg})") from None
+    doc = _read_json(path)
     if not isinstance(doc, list) or not all(isinstance(e, dict) for e in doc):
         raise ParseError(str(path), None, "graded list must be a JSON array of objects")
     elements = []
@@ -187,10 +196,7 @@ def ifs_list_to_json(lst: IfsList) -> str:
 
 
 def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"invalid JSON ({exc.msg})") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(str(path), None, "choice table must be a JSON object")
     ground = doc.get("ground_set")
@@ -203,7 +209,9 @@ def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
     for idx, record in enumerate(entries):
         if not isinstance(record, dict) or "set" not in record or "choice" not in record:
             raise ParseError(str(path), None, f"choice #{idx} needs 'set' and 'choice' fields")
-        choices[frozenset(record["set"])] = record["choice"]
+        choices[frozenset(_id_list(record, "set", str(path), None))] = _require(
+            record, "choice", str, str(path), None
+        )
     return ChoiceFunctionTable(ground_set=tuple(ground), choices=choices)
 
 
@@ -629,8 +637,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "check":
             _emit(cmd_check(args.table, fmt=args.format), args.out)
             return EXIT_OK
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        print(f"error: {where}", file=sys.stderr)
         return EXIT_FATAL
     except (ChoiceTrustError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

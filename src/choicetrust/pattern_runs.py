@@ -6,22 +6,33 @@ row's run total is the number of objects that row's object is preferred to
 in that period. A row of n zeros yields run total 0. Per object and period
 the totals collapse into the run pattern omega, where a zero total and
 absence from the period's catalog both normalize to the empty-run symbol.
+
+A row's run total is its row sum: the number of catalog objects with a
+strictly lower stage rank. Scoring uses that count (:func:`run_totals`,
+:func:`run_patterns`, :func:`omega`), which takes O(n) per period;
+:func:`scan_runs` over :func:`flatten` of :func:`derive_matrix` is the
+paper-literal scanner, kept as the reference tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .choice_model import ValidatedEpisode
 from .errors import DomainError, UnknownObjectError
-from .preference_graph import PatternVector, derive_matrix, flatten
+from .preference_graph import PatternVector
+# Unused here; bench/tracing.py wraps these two names on this module.
+from .preference_graph import derive_matrix, flatten
 
 __all__ = [
     "EPSILON",
     "RunCount",
     "RunPattern",
     "scan_runs",
+    "run_totals",
+    "run_patterns",
     "omega",
     "single_period_rationality_pattern",
 ]
@@ -118,16 +129,30 @@ def scan_runs(pattern: PatternVector) -> tuple[int, ...]:
     return tuple(totals)
 
 
-def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:
-    """Extract one object's run pattern across a period-sorted episode list.
+def run_totals(episode: ValidatedEpisode) -> tuple[int, ...]:
+    """Every object's run total in one period, catalog order, in O(n).
+
+    Equals ``scan_runs(flatten(derive_matrix(episode)))``: a row's runs total
+    its 1s, and row i has a 1 for each object ranked strictly below object i.
+    So a histogram of the stage ranks (0..3) gives every total.
+    """
+    histogram = [0, 0, 0, 0]
+    for rank in episode.ranks.values():
+        histogram[rank] += 1
+    below = list(accumulate(histogram[:3], initial=0))
+    return tuple(below[episode.ranks[oid]] for oid in episode.attainable)
+
+
+def run_patterns(episodes: Sequence[ValidatedEpisode], objects: Iterable[str]) -> tuple[RunPattern, ...]:
+    """Run patterns of several objects across a period-sorted episode list.
 
     Slot k holds the object's run total in period k with 0 normalized to the
     empty run; a period whose catalog lacks the object contributes the empty
-    run with its absence flag set.
+    run with its absence flag set. Each period's totals are counted once.
 
     Raises:
         DomainError: Episodes are not strictly sorted by period.
-        UnknownObjectError: The object is in no period's catalog.
+        UnknownObjectError: An object is in no period's catalog.
     """
     episodes = tuple(episodes)
     if not episodes:
@@ -136,23 +161,28 @@ def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:
     if any(b <= a for a, b in zip(periods, periods[1:])):
         raise DomainError(f"episodes must be strictly sorted by period, got {periods}")
 
-    slots: list[RunCount] = []
-    absent: list[bool] = []
-    seen = False
-    for episode in episodes:
-        if obj not in episode.ranks:
-            slots.append(EPSILON)
-            absent.append(True)
-            continue
-        seen = True
-        matrix = derive_matrix(episode)
-        totals = scan_runs(flatten(matrix))
-        count = totals[matrix.order.index(obj)]
-        slots.append(EPSILON if count == 0 else RunCount(count))
-        absent.append(False)
-    if not seen:
-        raise UnknownObjectError(f"object {obj!r} appears in no period's catalog")
-    return RunPattern(object=obj, slots=tuple(slots), absent_flags=tuple(absent))
+    totals = [dict(zip(e.attainable, run_totals(e))) for e in episodes]
+    patterns = []
+    for obj in objects:
+        counts = [period.get(obj) for period in totals]
+        if all(count is None for count in counts):
+            raise UnknownObjectError(f"object {obj!r} appears in no period's catalog")
+        patterns.append(
+            RunPattern(
+                object=obj,
+                slots=tuple(RunCount(count) if count else EPSILON for count in counts),
+                absent_flags=tuple(count is None for count in counts),
+            )
+        )
+    return tuple(patterns)
+
+
+def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:
+    """Extract one object's run pattern across a period-sorted episode list.
+
+    See :func:`run_patterns` for the slot rules and the errors raised.
+    """
+    return run_patterns(episodes, (obj,))[0]
 
 
 def single_period_rationality_pattern(n: int) -> tuple[int, ...]:

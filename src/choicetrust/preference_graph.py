@@ -4,6 +4,11 @@ Each validated episode induces an n-by-n binary relation: entry (i, j) is 1
 when object i survived to a strictly later stage than object j. The matrix
 flattens row-major into a 0/1 pattern vector; several periods concatenate
 into one joint vector, which is the object the run scanner works on.
+
+Scoring reads a period's pattern string from
+:meth:`PreferenceMatrix.as_string`; :func:`flatten` and
+:func:`concat_patterns` build the paper's 0/1 vectors for the run scanner,
+which tests use as the reference.
 """
 
 from __future__ import annotations
@@ -23,9 +28,6 @@ __all__ = [
     "outdegrees",
     "flatten",
     "concat_patterns",
-    "unflatten",
-    "union_matrix",
-    "is_acyclic",
 ]
 
 
@@ -52,6 +54,10 @@ class PreferenceMatrix:
     @property
     def n(self) -> int:
         return len(self.order)
+
+    def as_string(self) -> str:
+        """Row-major 0/1 string; equals ``flatten(self).as_string()``."""
+        return (self.bits + ord("0")).tobytes().decode("ascii")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceMatrix):
@@ -136,47 +142,3 @@ def concat_patterns(matrices: Sequence[PreferenceMatrix]) -> PatternVector:
     for m in matrices:
         bits.extend(int(b) for b in m.bits.reshape(-1))
     return PatternVector(bits=tuple(bits), n=matrices[0].n, periods=len(matrices))
-
-
-def unflatten(pattern: PatternVector, order: Sequence[str]) -> list[PreferenceMatrix]:
-    """Inverse of :func:`concat_patterns` given the catalog order."""
-    order = tuple(order)
-    if len(order) != pattern.n:
-        raise ShapeError(f"order has {len(order)} ids but pattern n is {pattern.n}")
-    n = pattern.n
-    out = []
-    for k in range(pattern.periods):
-        block = pattern.bits[k * n * n : (k + 1) * n * n]
-        out.append(PreferenceMatrix(order=order, bits=np.array(block).reshape(n, n)))
-    return out
-
-
-def union_matrix(matrices: Sequence[PreferenceMatrix]) -> PreferenceMatrix:
-    """Entrywise OR of several periods' matrices.
-
-    Lossy: merging periods this way drops which period each comparison came
-    from and the result may contain cycles, so it is kept for diagnostics
-    only; joint analysis goes through :func:`concat_patterns`.
-    """
-    _require_same_shape(matrices)
-    bits = matrices[0].bits.copy()
-    for m in matrices[1:]:
-        bits |= m.bits
-    return PreferenceMatrix(order=matrices[0].order, bits=bits)
-
-
-def is_acyclic(matrix: PreferenceMatrix) -> bool:
-    """True when the preference digraph has no directed cycle (Kahn's check)."""
-    n = matrix.n
-    indeg = matrix.bits.sum(axis=0).astype(int).tolist()
-    stack = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while stack:
-        i = stack.pop()
-        seen += 1
-        for j in range(n):
-            if matrix.bits[i, j]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    stack.append(j)
-    return seen == n

@@ -5,16 +5,24 @@ product of the per-period run alphabets {empty, 1, ..., n_k - 1}. Two-period
 patterns additionally bin by the signed difference of their run totals
 (second minus first, empty counting as 0), which partitions the product into
 2n - 1 bars whose frequencies form the degree-of-membership table.
+
+Scoring reads bar frequencies and degrees from their closed form
+(:func:`bar_frequency`, :func:`bar_degrees`). The enumerated outcome set
+(:func:`build_tau`, :func:`bin_table`, :func:`membership`) is the
+paper-literal reference: ``tau`` lists it, and tests check the closed form
+against it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .pattern_runs import EPSILON, RunCount
@@ -35,6 +43,8 @@ __all__ = [
     "bin_pattern",
     "bin_table",
     "bin_frequencies",
+    "bar_frequency",
+    "bar_degrees",
     "membership",
 ]
 
@@ -204,22 +214,13 @@ def count_tau_two_periods(n: int) -> int:
     return decreasing + nondecreasing
 
 
-def _as_two_period_patterns(patterns: Iterable[TauPattern]) -> list[TauPattern]:
-    out = list(patterns)
-    for p in out:
-        if p.periods != 2:
-            raise DomainError("bin tables are defined for two-period patterns only")
-    return out
-
-
 def bin_table(ns: Sequence[int]) -> BinTable:
     """Group a two-period outcome set into bars by signed difference."""
     ns = tuple(int(n) for n in ns)
     if len(ns) != 2:
         raise DomainError(f"bin tables need exactly 2 periods, got {len(ns)}")
-    patterns = _as_two_period_patterns(build_tau(ns))
     groups: dict[int, list[TauPattern]] = {}
-    for p in patterns:
+    for p in build_tau(ns):
         groups.setdefault(signed_difference(p.slots), []).append(p)
     bins = tuple(
         Bin(difference=d, label=bar_label(d), patterns=tuple(groups[d]))
@@ -233,6 +234,32 @@ def bin_frequencies(n: int) -> BinTable:
     return bin_table((n, n))
 
 
+def bar_frequency(ns: Sequence[int], d: int) -> int:
+    """Closed-form size of bar d of the two-period outcome set for ns=(a, b).
+
+    Patterns {x, x+d} need 0 <= x <= a-1 and 0 <= x+d <= b-1, so the bar
+    holds min(a-1, b-1-d) - max(0, -d) + 1 of them: 1 on the extreme bars
+    d = 1-a and d = b-1, and min(a, b) at most. Equals
+    ``bin_table(ns).by_difference(d).frequency``.
+    """
+    a, b = ns
+    if a < 2 or b < 2:
+        raise DomainError(f"need at least 2 objects per period, got {tuple(ns)}")
+    if not 1 - a <= d <= b - 1:
+        raise DomainError(f"no bar with difference {d} in this table")
+    return min(a - 1, b - 1 - d) - max(0, -d) + 1
+
+
+def _degree(frequency: int, lo: int, hi: int, variant: str) -> Degree:
+    if variant not in MEMBERSHIP_VARIANTS:
+        raise DomainError(f"membership variant must be one of {MEMBERSHIP_VARIANTS}, got {variant!r}")
+    if variant == "smoothed":
+        return Degree(value=Fraction(frequency, hi), degenerate=False)
+    if hi == lo:
+        return Degree(value=Fraction(1), degenerate=True)
+    return Degree(value=Fraction(frequency - lo, hi - lo), degenerate=False)
+
+
 def membership(bar: str | int, table: BinTable, variant: str = "minmax") -> Degree:
     """Degree of one bar from the frequency table.
 
@@ -241,12 +268,19 @@ def membership(bar: str | int, table: BinTable, variant: str = "minmax") -> Degr
     positive. A degenerate table (all frequencies equal) yields degree 1 with
     the flag set.
     """
-    if variant not in MEMBERSHIP_VARIANTS:
-        raise DomainError(f"membership variant must be one of {MEMBERSHIP_VARIANTS}, got {variant!r}")
     b = table.by_difference(bar) if isinstance(bar, int) else table.by_label(bar)
-    lo, hi = table.min_frequency, table.max_frequency
-    if variant == "smoothed":
-        return Degree(value=Fraction(b.frequency, hi), degenerate=False)
-    if hi == lo:
-        return Degree(value=Fraction(1), degenerate=True)
-    return Degree(value=Fraction(b.frequency - lo, hi - lo), degenerate=False)
+    return _degree(b.frequency, table.min_frequency, table.max_frequency, variant)
+
+
+@functools.lru_cache(maxsize=64)
+def bar_degrees(ns: tuple[int, int], variant: str = "minmax") -> Mapping[int, Degree]:
+    """Read-only map from each bar's difference d to its degree, for ns=(a, b).
+
+    Uses the rule of :func:`membership` on :func:`bar_frequency`, whose
+    minimum is 1 and maximum min(a, b), so no outcome set is enumerated.
+    Entry d equals ``membership(d, bin_table(ns), variant)``.
+    """
+    a, b = ns
+    return MappingProxyType(
+        {d: _degree(bar_frequency(ns, d), 1, min(a, b), variant) for d in range(1 - a, b)}
+    )

@@ -12,20 +12,23 @@ up the trust report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
 from .errors import ChoiceTrustError, DomainError, UnknownObjectError
-from .pattern_runs import RunCount, RunPattern, omega
+# omega, flatten, concat_patterns, bin_table and membership are not called here
+# (the closed forms replace them); bench/tracing.py wraps them on this module.
+from .pattern_runs import RunCount, RunPattern, omega, run_patterns
 from .preference_graph import concat_patterns, derive_matrix, flatten
 from .rationality_outcomes import (
-    BinTable,
     Degree,
     MEMBERSHIP_VARIANTS,
     RankClass,
+    bar_degrees,
     bar_label,
     bin_table,
     classify_rank,
@@ -61,7 +64,6 @@ _NOTE_REFERENCE_TABLE = (
     "reference trust table lists 0.33 for this pattern; that value is not "
     "derivable from the min-max rule and is recorded here only as an annotation"
 )
-_NOTE_DEGENERATE = "all bars share one frequency; membership degree defaults to 1.00000000"
 _NOTE_SMALL_CATALOG = "membership degree unavailable: a period offers fewer than two objects"
 
 
@@ -165,12 +167,20 @@ def binomial_rationality(n: int, r: int, p: Fraction | float | str) -> Fraction:
 
 @dataclass(frozen=True)
 class OverallRationality:
-    """Binomial distribution of rational-zone counts, plus the realized one."""
+    """Binomial distribution of rational-zone counts, plus the realized one.
+
+    ``cdf`` holds the exact prefix sums of ``pmf``, summed once, so
+    :meth:`at_most` and :meth:`at_least` are lookups.
+    """
 
     n: int
     p: Fraction
     realized_r: int | None
     pmf: tuple[Fraction, ...]
+    cdf: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cdf", tuple(accumulate(self.pmf)))
 
     @classmethod
     def from_parameters(
@@ -186,7 +196,7 @@ class OverallRationality:
         return self.pmf[r]
 
     def at_most(self, r: int) -> Fraction:
-        return sum(self.pmf[: max(0, min(r, self.n)) + 1], Fraction(0)) if r >= 0 else Fraction(0)
+        return self.cdf[min(r, self.n)] if r >= 0 else Fraction(0)
 
     def at_least(self, r: int) -> Fraction:
         return 1 - self.at_most(r - 1)
@@ -318,20 +328,17 @@ def _catalog_union(episodes: Sequence[ValidatedEpisode]) -> tuple[str, ...]:
 
 
 def _degree_and_notes(
-    d: int, table: BinTable | None, variant: str
+    d: int, ns: tuple[int, int] | None, variant: str
 ) -> tuple[str | None, Degree | None, tuple[str, ...]]:
-    if table is None:
+    if ns is None:
         return None, None, (_NOTE_SMALL_CATALOG,)
-    bar = bar_label(d)
-    degree = membership(bar, table, variant)
-    notes: list[str] = []
-    if degree.degenerate:
-        notes.append(_NOTE_DEGENERATE)
-    elif variant == "minmax" and degree.value == 0:
-        notes.append(_NOTE_MINMAX_FLOOR)
-        if table.ns == (4, 4):
-            notes.append(_NOTE_REFERENCE_TABLE)
-    return bar, degree, tuple(notes)
+    degree = bar_degrees(ns, variant)[d]
+    notes: tuple[str, ...] = ()
+    if variant == "minmax" and degree.value == 0:
+        notes = (_NOTE_MINMAX_FLOOR,)
+        if ns == (4, 4):
+            notes += (_NOTE_REFERENCE_TABLE,)
+    return bar_label(d), degree, notes
 
 
 def _assess_reviewer(
@@ -342,19 +349,18 @@ def _assess_reviewer(
 ) -> ReviewerSection:
     catalog = _catalog_union(episodes)
     matrices = [derive_matrix(ep) for ep in episodes]
-    period_patterns = tuple(flatten(m).as_string() for m in matrices)
+    period_patterns = tuple(m.as_string() for m in matrices)
     homogeneous = all(m.order == matrices[0].order for m in matrices)
-    joint = concat_patterns(matrices).as_string() if homogeneous and len(matrices) > 1 else None
+    joint = "".join(period_patterns) if homogeneous and len(matrices) > 1 else None
 
     two_period = len(episodes) == 2
-    table = None
+    ns = None
     if two_period and all(ep.n >= 2 for ep in episodes):
-        table = bin_table((episodes[0].n, episodes[1].n))
+        ns = (episodes[0].n, episodes[1].n)
 
     assessments = []
     rational_count = 0
-    for obj in catalog:
-        pattern = omega(episodes, obj)
+    for obj, pattern in zip(catalog, run_patterns(episodes, catalog)):
         rank = classify_rank(pattern.slots)
         review = review_for.get(obj)
 
@@ -365,7 +371,7 @@ def _assess_reviewer(
         if two_period:
             d = signed_difference(pattern.slots)
             obj_zone = _zone_of_difference(d)
-            bar, degree, notes = _degree_and_notes(d, table, params.membership_variant)
+            bar, degree, notes = _degree_and_notes(d, ns, params.membership_variant)
             counts_rational = d > 0 or (d == 0 and params.d0_zone == "rational")
             if counts_rational:
                 rational_count += 1
@@ -415,9 +421,9 @@ def build_report(
 ) -> TrustReport:
     """Run the full scoring pipeline over a batch of episodes and reviews.
 
-    Per reviewer, in order: build the outcome table for the periods seen,
-    derive every period's pattern vector, extract each object's run pattern,
-    place it on its bar, and read off the membership degree; then attach
+    Per reviewer, in order: derive every period's pattern vector, extract
+    each object's run pattern, place it on its bar, and read off the bar's
+    membership degree from the closed-form frequency table; then attach
     zones, review verdicts, and the binomial overall-rationality
     distribution. Record-level problems are collected and reported, never
     fatal for the rest of the batch.

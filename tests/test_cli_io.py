@@ -210,6 +210,35 @@ def test_main_missing_file_is_fatal(tmp_path):
     assert code == EXIT_FATAL
 
 
+def test_main_directory_as_input_is_one_line_error(fixtures_dir, tmp_path, capsys):
+    code = main(["score", str(tmp_path), str(fixtures_dir / REVIEWS)])
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path}: Is a directory\n"
+
+
+def test_main_non_utf8_input_names_the_file(fixtures_dir, tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"reviewer_id": "r\xff"}\n')
+    code = main(["score", str(path), str(fixtures_dir / REVIEWS)])
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"set": [["a"]], "choice": "a"}, {"set": "ab", "choice": "a"}, {"set": ["a"], "choice": ["a"]}],
+)
+def test_check_rejects_mistyped_choice_entries(tmp_path, capsys, entry):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"ground_set": ["a", "b"], "choices": [entry]}), encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_choice_table(path)
+    assert main(["check", str(path)]) == EXIT_FATAL
+    assert capsys.readouterr().err.startswith(f"error: {path}: field ")
+
+
 def test_reports_are_byte_identical_across_runs(fixtures_dir, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
