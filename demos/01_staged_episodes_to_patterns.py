@@ -45,7 +45,7 @@ matrices = [derive_matrix(e) for e in episodes]
 for episode, matrix in zip(episodes, matrices):
     print(f"period {episode.period}: catalog {matrix.order}")
     for oid, row in zip(matrix.order, matrix.bits):
-        print(f"  {oid}  {''.join(str(int(b)) for b in row)}")
+        print(f"  {oid}  {''.join(map(str, row))}")
     print(f"  outdegrees: {outdegrees(matrix)}")
     print(f"  flattened:  {flatten(matrix).as_string()}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -22,7 +23,7 @@ from .choice_model import ChoiceEpisode
 from .consistency import ChoiceFunctionTable, check_contraction, rationalizable
 from .errors import ChoiceTrustError, DomainError
 from .info_index import IfsElement, IfsList, choose_from_list, entropy
-from .rationality_outcomes import bin_table, build_tau, membership, signed_difference
+from .rationality_outcomes import bar_degrees, bar_frequency, bar_label, build_tau, signed_difference
 from .trust_scoring import (
     ReportError,
     Review,
@@ -33,6 +34,9 @@ from .trust_scoring import (
 EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
+
+# Largest outcome set `tau` lists; it holds n**t patterns.
+MAX_TAU_ROWS = 10**6
 
 _TOOL = f"choicetrust {__version__}"
 
@@ -152,7 +156,9 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
                     obj=_require(record, "object", str, str(path), None),
                     rating=_require(record, "rating", int, str(path), None),
                     comment_polarity=record.get("comment_polarity"),
-                    comment_text=record.get("comment_text", ""),
+                    comment_text=_require(record, "comment_text", str, str(path), None)
+                    if "comment_text" in record
+                    else "",
                 )
             )
         except (ChoiceTrustError, ValueError) as exc:
@@ -184,7 +190,7 @@ def load_ifs_list(path: str | Path) -> IfsList:
         if not isinstance(eid, str):
             raise ParseError(str(path), None, f"element #{idx} has no string 'id'")
         mu, nu = record.get("mu"), record.get("nu")
-        if not isinstance(mu, (int, float)) or not isinstance(nu, (int, float)):
+        if any(isinstance(g, bool) or not isinstance(g, (int, float)) for g in (mu, nu)):
             raise ParseError(str(path), None, f"element {eid!r} needs numeric 'mu' and 'nu'")
         elements.append(IfsElement(id=eid, mu=float(mu), nu=float(nu)))
     return IfsList(elements=tuple(elements))
@@ -447,13 +453,7 @@ def cmd_score(
     )
     if episode_problems or review_problems:
         extra = tuple(ReportError(reviewer_id=None, message=m) for m in episode_problems + review_problems)
-        report = TrustReport(
-            tool_version=report.tool_version,
-            parameters=report.parameters,
-            reviewers=report.reviewers,
-            flagged_reviews=report.flagged_reviews,
-            errors=report.errors + extra,
-        )
+        report = dataclasses.replace(report, errors=report.errors + extra)
     if not report.reviewers:
         raise ParseError(str(episodes_path), None, "no reviewer could be scored")
     output = _REPORT_RENDERERS[fmt](report)
@@ -463,16 +463,20 @@ def cmd_score(
 def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> list[dict]:
     if t < 1:
         raise DomainError(f"need at least one period, got t={t}")
-    patterns = build_tau([n] * t)
-    table = bin_table((n, n)) if t == 2 else None
+    if n < 2:
+        raise DomainError(f"need at least 2 objects per period, got {n}")
+    # n >= 2, so t >= bit_length(cap) already means n**t > cap; n**t is never built huge.
+    if t >= MAX_TAU_ROWS.bit_length() or n**t > MAX_TAU_ROWS:
+        raise DomainError(f"tau {n} {t} would list n**t > {MAX_TAU_ROWS} patterns")
+    degrees = bar_degrees((n, n), membership_variant) if t == 2 else None
     rows = []
-    for pat in patterns:
+    for pat in build_tau([n] * t):
         row: dict[str, Any] = {"pattern": pat.render(), "rank_class": pat.rank_class.value}
-        if table is not None:
-            b = table.by_difference(signed_difference(pat.slots))
-            row["bar"] = b.label
-            row["frequency"] = b.frequency
-            row["membership"] = _fmt8(membership(b.label, table, membership_variant).value)
+        if degrees is not None:
+            d = signed_difference(pat.slots)
+            row["bar"] = bar_label(d)
+            row["frequency"] = bar_frequency((n, n), d)
+            row["membership"] = _fmt8(degrees[d].value)
         rows.append(row)
     return rows
 

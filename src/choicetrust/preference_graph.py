@@ -5,8 +5,9 @@ when object i survived to a strictly later stage than object j. The matrix
 flattens row-major into a 0/1 pattern vector; several periods concatenate
 into one joint vector, which is the object the run scanner works on.
 
-Scoring reads a period's pattern string from
-:meth:`PreferenceMatrix.as_string`; :func:`flatten` and
+A matrix is a tuple of n rows, each a tuple of n ints in {0, 1}; every
+consumer reads those rows directly. Scoring reads a period's pattern string
+from :meth:`PreferenceMatrix.as_string`; :func:`flatten` and
 :func:`concat_patterns` build the paper's 0/1 vectors for the run scanner,
 which tests use as the reference.
 """
@@ -15,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .choice_model import ValidatedEpisode
 from .errors import ShapeError
@@ -36,20 +35,18 @@ class PreferenceMatrix:
     """Binary strict-preference relation over a fixed catalog order."""
 
     order: tuple[str, ...]
-    bits: np.ndarray
+    bits: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.bits, dtype=np.uint8).copy()
         n = len(self.order)
-        if arr.shape != (n, n):
-            raise ShapeError(f"expected a {n}x{n} matrix, got shape {arr.shape}")
-        if not np.isin(arr, (0, 1)).all():
+        if len(self.bits) != n or any(len(row) != n for row in self.bits):
+            raise ShapeError(f"expected a {n}x{n} matrix: {n} rows of {n} entries each")
+        if any(b not in (0, 1) for row in self.bits for b in row):
             raise ShapeError("matrix entries must be 0 or 1")
-        if arr.trace() != 0:
+        if any(self.bits[i][i] for i in range(n)):
             raise ShapeError("matrix diagonal must be zero")
-        arr.flags.writeable = False
         object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "bits", arr)
+        object.__setattr__(self, "bits", tuple(tuple(int(b) for b in row) for row in self.bits))
 
     @property
     def n(self) -> int:
@@ -57,12 +54,7 @@ class PreferenceMatrix:
 
     def as_string(self) -> str:
         """Row-major 0/1 string; equals ``flatten(self).as_string()``."""
-        return (self.bits + ord("0")).tobytes().decode("ascii")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PreferenceMatrix):
-            return NotImplemented
-        return self.order == other.order and bool(np.array_equal(self.bits, other.bits))
+        return "".join(str(b) for row in self.bits for b in row)
 
 
 @dataclass(frozen=True)
@@ -101,20 +93,20 @@ def derive_matrix(episode: ValidatedEpisode) -> PreferenceMatrix:
     Entry (i, j) is 1 exactly when i's stage rank strictly exceeds j's; ties
     leave both directions 0, so the matrix stays antisymmetric.
     """
-    ranks = np.array([episode.ranks[oid] for oid in episode.attainable])
-    bits = (ranks[:, None] > ranks[None, :]).astype(np.uint8)
+    ranks = [episode.ranks[oid] for oid in episode.attainable]
+    bits = tuple(tuple(int(r_i > r_j) for r_j in ranks) for r_i in ranks)
     return PreferenceMatrix(order=episode.attainable, bits=bits)
 
 
 def outdegrees(matrix: PreferenceMatrix) -> tuple[int, ...]:
     """Row sums in catalog order: how many objects each one is preferred to."""
-    return tuple(int(s) for s in matrix.bits.sum(axis=1))
+    return tuple(sum(row) for row in matrix.bits)
 
 
 def flatten(matrix: PreferenceMatrix) -> PatternVector:
     """Row-major flattening of a single matrix."""
     return PatternVector(
-        bits=tuple(int(b) for b in matrix.bits.reshape(-1)),
+        bits=tuple(b for row in matrix.bits for b in row),
         n=matrix.n,
         periods=1,
     )
@@ -138,7 +130,5 @@ def concat_patterns(matrices: Sequence[PreferenceMatrix]) -> PatternVector:
     the input the run scanner expects.
     """
     _require_same_shape(matrices)
-    bits: list[int] = []
-    for m in matrices:
-        bits.extend(int(b) for b in m.bits.reshape(-1))
-    return PatternVector(bits=tuple(bits), n=matrices[0].n, periods=len(matrices))
+    bits = tuple(b for m in matrices for row in m.bits for b in row)
+    return PatternVector(bits=bits, n=matrices[0].n, periods=len(matrices))

@@ -6,11 +6,11 @@ patterns additionally bin by the signed difference of their run totals
 (second minus first, empty counting as 0), which partitions the product into
 2n - 1 bars whose frequencies form the degree-of-membership table.
 
-Scoring reads bar frequencies and degrees from their closed form
+Scoring and ``tau`` read bar frequencies and degrees from their closed form
 (:func:`bar_frequency`, :func:`bar_degrees`). The enumerated outcome set
 (:func:`build_tau`, :func:`bin_table`, :func:`membership`) is the
-paper-literal reference: ``tau`` lists it, and tests check the closed form
-against it.
+paper-literal reference: ``tau`` lists its patterns, and tests check the
+closed form against it.
 """
 
 from __future__ import annotations

@@ -2,8 +2,6 @@
 
 import random
 
-import numpy as np
-
 from choicetrust import ChoiceEpisode, PreferenceMatrix, ValidatedEpisode, validate_episode
 
 
@@ -35,11 +33,11 @@ def chain_matrix(pref_order, catalog) -> PreferenceMatrix:
     """Strict-chain preference matrix for any n, in the given catalog order."""
     position = {oid: i for i, oid in enumerate(pref_order)}
     n = len(catalog)
-    bits = np.zeros((n, n), dtype=np.uint8)
+    bits = [[0] * n for _ in range(n)]
     for i, a in enumerate(catalog):
         for j, b in enumerate(catalog):
             if i != j and position[a] < position[b]:
-                bits[i, j] = 1
+                bits[i][j] = 1
     return PreferenceMatrix(order=tuple(catalog), bits=bits)
 
 
@@ -58,6 +56,5 @@ def random_staged_episode(rng: random.Random, ids, period=1, reviewer="r") -> Va
 
 
 def random_matrix(rng: random.Random, n: int) -> PreferenceMatrix:
-    bits = np.array([[rng.randint(0, 1) if i != j else 0 for j in range(n)] for i in range(n)],
-                    dtype=np.uint8)
+    bits = [[rng.randint(0, 1) if i != j else 0 for j in range(n)] for i in range(n)]
     return PreferenceMatrix(order=tuple(f"o{i}" for i in range(n)), bits=bits)

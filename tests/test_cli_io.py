@@ -1,7 +1,13 @@
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import choicetrust
+from choicetrust import DomainError, cli_io
 from choicetrust.cli_io import (
     EXIT_FATAL,
     EXIT_OK,
@@ -147,6 +153,38 @@ def test_cmd_tau_rejects_bad_arguments():
         tau_rows(4, 0)
 
 
+# sha256 of the listings as printed when tau read its bar columns from the
+# enumerated bin_table and membership.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["4", "2"], "e89527d3823d29192f8e921600a2245ae2aba43628f11b9e1b52520ee93ad869"),
+        (["3", "3", "--format", "json"], "d92f55f846a557f092c396eec0cb37c21a02843d54bd356ee29eccf8ce696c31"),
+        (
+            ["6", "2", "--membership", "smoothed", "--format", "json"],
+            "d1fb5ea235ceb8e362798c63db39b9ab674af8b199f2ddb62e97f014d762020c",
+        ),
+    ],
+)
+def test_main_tau_listing_is_unchanged(capsys, argv, digest):
+    assert main(["tau", *argv]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_tau_refuses_outcome_sets_above_the_cap(monkeypatch, capsys):
+    monkeypatch.setattr(cli_io, "MAX_TAU_ROWS", 16)
+    assert len(tau_rows(4, 2)) == 16
+    for n, t in ((17, 1), (2, 5)):
+        with pytest.raises(DomainError):
+            tau_rows(n, t)
+    monkeypatch.undo()
+    for n, t in ((1001, 2), (2, 20), (2, 10**9)):
+        assert main(["tau", str(n), str(t)]) == EXIT_FATAL
+        assert capsys.readouterr().err == f"error: tau {n} {t} would list n**t > 1000000 patterns\n"
+    assert main(["tau", "1", str(10**9)]) == EXIT_FATAL
+    assert capsys.readouterr().err == "error: need at least 2 objects per period, got 1\n"
+
+
 def test_cmd_info_index_canonical(fixtures_dir):
     out = cmd_info_index(fixtures_dir / "ifs_list.json")
     assert "H=1.00000000" in out
@@ -165,6 +203,14 @@ def test_cmd_info_index_invalid_grades_name_element(tmp_path, capsys):
     code = main(["info-index", str(path)])
     assert code == EXIT_FATAL
     assert "oops" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grades", [{"mu": True, "nu": 0}, {"mu": 0.2, "nu": False}])
+def test_cmd_info_index_rejects_boolean_grades(tmp_path, capsys, grades):
+    path = tmp_path / "bools.json"
+    path.write_text(json.dumps([{"id": "a", **grades}]), encoding="utf-8")
+    assert main(["info-index", str(path)]) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {path}: element 'a' needs numeric 'mu' and 'nu'\n"
 
 
 def test_cmd_check_chain_and_violation(fixtures_dir):
@@ -247,3 +293,51 @@ def test_reports_are_byte_identical_across_runs(fixtures_dir, tmp_path):
             ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(out)]
         ) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("text", [{"x": [1]}, 7, None])
+def test_score_rejects_non_string_comment_text(fixtures_dir, tmp_path, text):
+    records = json.loads((fixtures_dir / REVIEWS).read_text(encoding="utf-8"))
+    records[0]["comment_text"] = text
+    reviews = tmp_path / "reviews.json"
+    reviews.write_text(json.dumps(records), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["score", str(fixtures_dir / EPISODES), str(reviews), "--out", str(out)]) == EXIT_PARTIAL
+    errors = json.loads(out.read_text(encoding="utf-8"))["errors"]
+    assert [e["message"] for e in errors] == [
+        f"{reviews}: review #0: {reviews}: field 'comment_text' must be str, got {text!r}"
+    ]
+
+
+# Runs `main` with every import of numpy raising ImportError, then checks
+# that nothing loaded numpy.
+_WITHOUT_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockNumpy())
+from choicetrust.cli_io import main
+code = main(sys.argv[1:])
+assert "numpy" not in sys.modules
+raise SystemExit(code)
+"""
+
+
+def test_score_runs_without_numpy(fixtures_dir, tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(out)]
+    src = Path(choicetrust.__file__).parents[1]
+    child = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (EXIT_OK, "")
+    expected, _ = cmd_score(fixtures_dir / EPISODES, fixtures_dir / REVIEWS)
+    assert out.read_text(encoding="utf-8") == expected

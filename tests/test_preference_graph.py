@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from choicetrust import (
@@ -48,7 +47,7 @@ def test_outdegrees_canonical(canonical_matrices):
 
 
 def test_outdegrees_zero_matrix():
-    m = PreferenceMatrix(order=("a", "b", "c", "d"), bits=np.zeros((4, 4), dtype=int))
+    m = PreferenceMatrix(order=("a", "b", "c", "d"), bits=[[0] * 4 for _ in range(4)])
     assert outdegrees(m) == (0, 0, 0, 0)
 
 
@@ -58,7 +57,7 @@ def test_flatten_canonical(canonical_matrices):
 
 
 def test_flatten_one_by_one():
-    m = PreferenceMatrix(order=("a",), bits=np.zeros((1, 1), dtype=int))
+    m = PreferenceMatrix(order=("a",), bits=[[0]])
     assert flatten(m).as_string() == "0"
 
 
@@ -73,7 +72,7 @@ def test_concat_single_equals_flatten(canonical_matrices):
 
 
 def test_concat_zero_matrices():
-    z = PreferenceMatrix(order=tuple("abcd"), bits=np.zeros((4, 4), dtype=int))
+    z = PreferenceMatrix(order=tuple("abcd"), bits=[[0] * 4 for _ in range(4)])
     assert concat_patterns([z, z]).as_string() == "0" * 32
 
 
@@ -99,11 +98,11 @@ def test_derived_matrices_are_transitive_and_acyclic():
         ids = [f"o{i}" for i in range(rng.randint(1, 6))]
         m = derive_matrix(random_staged_episode(rng, ids))
         # transitive with a zero diagonal, hence acyclic
-        assert not m.bits.diagonal().any()
+        assert not any(m.bits[i][i] for i in range(m.n))
         n = m.n
         for i, j, k in itertools.product(range(n), repeat=3):
-            if m.bits[i, j] and m.bits[j, k]:
-                assert m.bits[i, k]
+            if m.bits[i][j] and m.bits[j][k]:
+                assert m.bits[i][k]
 
 
 def test_outdegree_sum_counts_strict_pairs():
@@ -134,3 +133,17 @@ def test_pattern_vector_rejects_bad_shape():
         PatternVector(bits=(0, 1, 0), n=2, periods=1)
     with pytest.raises(ShapeError):
         PatternVector(bits=(0, 2, 0, 0), n=2, periods=1)
+
+
+@pytest.mark.parametrize(
+    "bits, message",
+    [
+        ([[0, 1], [0, 0], [0, 0]], "expected a 2x2 matrix"),
+        ([[0, 1, 0], [0, 0]], "expected a 2x2 matrix"),
+        ([[0, 2], [0, 0]], "entries must be 0 or 1"),
+        ([[1, 0], [0, 0]], "diagonal must be zero"),
+    ],
+)
+def test_preference_matrix_rejects_malformed_bits(bits, message):
+    with pytest.raises(ShapeError, match=message):
+        PreferenceMatrix(order=("a", "b"), bits=bits)
