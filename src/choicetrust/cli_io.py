@@ -13,6 +13,8 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import reprlib
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,15 +40,19 @@ EXIT_PARTIAL = 2
 # Largest outcome set `tau` lists; it holds n**t patterns.
 MAX_TAU_ROWS = 10**6
 
+# Longest `score --p` text, and largest power of ten its exponent may name. The
+# exact binomial summary computes with p's numerator and denominator, so this
+# bounds their size.
+MAX_P_DIGITS = 40
+
 _TOOL = f"choicetrust {__version__}"
 
 
 class ParseError(ChoiceTrustError):
-    def __init__(self, path: str, line: int | None, message: str) -> None:
-        where = f"{path}:{line}" if line is not None else path
+    """Malformed input; the message starts with where it sits."""
+
+    def __init__(self, where: str | Path, message: str) -> None:
         super().__init__(f"{where}: {message}")
-        self.path = path
-        self.line = line
 
 
 def _fmt8(x: Fraction | float) -> str:
@@ -62,40 +68,70 @@ def _read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(str(path), None, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise ParseError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _read_json(path: str | Path) -> Any:
+def _decode(text: str, path: str | Path, line: int | None = None) -> Any:
+    """The JSON value in `text`, from `path`, or from its `line` for a JSONL record.
+
+    Every decoding fault is a ParseError; in a whole document a syntax error
+    names the line it sits on.
+    """
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(str(path), exc.lineno, f"invalid JSON ({exc.msg})") from None
+        line, problem = line or exc.lineno, exc.msg
+    except ValueError:  # an integer literal over sys.get_int_max_str_digits()
+        problem = "integer literal too long"
+    except RecursionError:
+        problem = "nested too deeply"
+    raise ParseError(path if line is None else f"{path}:{line}", f"invalid JSON ({problem})")
 
 
-def _require(record: dict, key: str, kind: type, path: str, line: int | None) -> Any:
-    if key not in record:
-        raise ParseError(path, line, f"missing field {key!r}")
-    value = record[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
-        raise ParseError(path, line, f"field {key!r} must be {kind.__name__}, got {value!r}")
+def _shape(value: Any, kind: type[dict] | type[list], where: str | Path, noun: str) -> Any:
+    """`value` if it is a JSON object (`dict`) or array (`list`), as `kind` says."""
+    if not isinstance(value, kind):
+        raise ParseError(where, f"{noun} must be a JSON {'object' if kind is dict else 'array'}")
     return value
 
 
-def _id_list(record: dict, key: str, path: str, line: int | None) -> tuple[str, ...]:
-    value = _require(record, key, list, path, line)
-    if not all(isinstance(v, str) for v in value):
-        raise ParseError(path, line, f"field {key!r} must be a list of object-id strings")
-    return tuple(value)
+# Each field kind of the wire formats, by the name error messages give it.
+_KINDS = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    # `float` takes every JSON number up to the largest finite double.
+    "number": lambda v: isinstance(v, float)
+    or isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+    "a list": lambda v: isinstance(v, list),
+    "a list of id strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+}
+_REQUIRED = object()
 
 
-def parse_episode_record(record: dict, path: str = "<memory>", line: int | None = None) -> ChoiceEpisode:
+def _field(record: dict, key: str, kind: str, where: str | Path, default: Any = _REQUIRED) -> Any:
+    """`record[key]`, checked to be of the wire type `kind`.
+
+    An absent field takes `default` and is an error without one; a field
+    whose default is None may also be given as null.
+    """
+    value = record.get(key, default)
+    if value is _REQUIRED:
+        raise ParseError(where, f"missing field {key!r}")
+    if value is not default and not _KINDS[kind](value):
+        raise ParseError(where, f"field {key!r} must be {kind}, got {reprlib.repr(value)}")
+    return value
+
+
+def parse_episode_record(record: Any, path: str | Path = "<memory>", line: int | None = None) -> ChoiceEpisode:
+    where = path if line is None else f"{path}:{line}"
+    record = _shape(record, dict, where, "episode record")
     return ChoiceEpisode(
-        reviewer_id=_require(record, "reviewer_id", str, path, line),
-        period=_require(record, "period", int, path, line),
-        attainable=_id_list(record, "catalog", path, line),
-        wishlist=_id_list(record, "wishlist", path, line),
-        cart=_id_list(record, "cart", path, line),
-        final=_id_list(record, "final", path, line),
+        reviewer_id=_field(record, "reviewer_id", "str", where),
+        period=_field(record, "period", "int", where),
+        attainable=_field(record, "catalog", "a list of id strings", where),
+        wishlist=_field(record, "wishlist", "a list of id strings", where),
+        cart=_field(record, "cart", "a list of id strings", where),
+        final=_field(record, "final", "a list of id strings", where),
     )
 
 
@@ -103,131 +139,92 @@ def load_episodes(path: str | Path) -> tuple[list[ChoiceEpisode], list[str]]:
     """Read a JSONL episode file; malformed lines become diagnostics, not aborts."""
     episodes: list[ChoiceEpisode] = []
     problems: list[str] = []
-    text = _read_text(path)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        raw = raw.strip()
-        if not raw:
+    # Lines end at "\n" only: splitlines() would also split at a U+2028 inside a string.
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        if not raw.strip():
             continue
         try:
-            record = json.loads(raw)
-            if not isinstance(record, dict):
-                raise ParseError(str(path), lineno, "episode record must be a JSON object")
-            episodes.append(parse_episode_record(record, str(path), lineno))
-        except json.JSONDecodeError as exc:
-            problems.append(f"{path}:{lineno}: invalid JSON ({exc.msg})")
-        except ChoiceTrustError as exc:
+            episodes.append(parse_episode_record(_decode(raw, path, lineno), path, lineno))
+        except ParseError as exc:
             problems.append(str(exc))
+        except ChoiceTrustError as exc:
+            problems.append(f"{path}:{lineno}: {exc}")
     return episodes, problems
-
-
-def episodes_to_jsonl(episodes: Sequence[ChoiceEpisode]) -> str:
-    lines = []
-    for e in episodes:
-        lines.append(
-            json.dumps(
-                {
-                    "reviewer_id": e.reviewer_id,
-                    "period": e.period,
-                    "catalog": list(e.attainable),
-                    "wishlist": list(e.wishlist),
-                    "cart": list(e.cart),
-                    "final": list(e.final),
-                },
-                ensure_ascii=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
     """Read the reviews document; per-record problems become diagnostics."""
-    doc = _read_json(path)
-    if not isinstance(doc, list):
-        raise ParseError(str(path), None, "reviews document must be a JSON array")
+    doc = _shape(_decode(_read_text(path), path), list, path, "reviews document")
     reviews: list[Review] = []
     problems: list[str] = []
     for idx, record in enumerate(doc):
+        where = f"{path}: review #{idx}"
         try:
-            if not isinstance(record, dict):
-                raise ParseError(str(path), None, f"review #{idx} must be a JSON object")
+            record = _shape(record, dict, where, "review")
             reviews.append(
                 Review.make(
-                    reviewer_id=_require(record, "reviewer_id", str, str(path), None),
-                    obj=_require(record, "object", str, str(path), None),
-                    rating=_require(record, "rating", int, str(path), None),
-                    comment_polarity=record.get("comment_polarity"),
-                    comment_text=_require(record, "comment_text", str, str(path), None)
-                    if "comment_text" in record
-                    else "",
+                    reviewer_id=_field(record, "reviewer_id", "str", where),
+                    obj=_field(record, "object", "str", where),
+                    rating=_field(record, "rating", "int", where),
+                    comment_polarity=_field(record, "comment_polarity", "str", where, None),
+                    comment_text=_field(record, "comment_text", "str", where, ""),
                 )
             )
+        except ParseError as exc:
+            problems.append(str(exc))
         except (ChoiceTrustError, ValueError) as exc:
-            problems.append(f"{path}: review #{idx}: {exc}")
+            problems.append(f"{where}: {exc}")
     return reviews, problems
 
 
-def reviews_to_json(reviews: Sequence[Review]) -> str:
-    doc = [
-        {
-            "reviewer_id": r.reviewer_id,
-            "object": r.object,
-            "rating": r.rating,
-            "comment_polarity": r.comment_polarity.value,
-            "comment_text": r.comment_text,
-        }
-        for r in reviews
-    ]
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
-
-
 def load_ifs_list(path: str | Path) -> IfsList:
-    doc = _read_json(path)
-    if not isinstance(doc, list) or not all(isinstance(e, dict) for e in doc):
-        raise ParseError(str(path), None, "graded list must be a JSON array of objects")
+    doc = _shape(_decode(_read_text(path), path), list, path, "graded list")
     elements = []
     for idx, record in enumerate(doc):
-        eid = record.get("id")
-        if not isinstance(eid, str):
-            raise ParseError(str(path), None, f"element #{idx} has no string 'id'")
-        mu, nu = record.get("mu"), record.get("nu")
-        if any(isinstance(g, bool) or not isinstance(g, (int, float)) for g in (mu, nu)):
-            raise ParseError(str(path), None, f"element {eid!r} needs numeric 'mu' and 'nu'")
-        elements.append(IfsElement(id=eid, mu=float(mu), nu=float(nu)))
+        where = f"{path}: element #{idx}"
+        record = _shape(record, dict, where, "element")
+        elements.append(
+            IfsElement(
+                id=_field(record, "id", "str", where),
+                mu=float(_field(record, "mu", "number", where)),
+                nu=float(_field(record, "nu", "number", where)),
+            )
+        )
     return IfsList(elements=tuple(elements))
 
 
-def ifs_list_to_json(lst: IfsList) -> str:
-    doc = [{"id": e.id, "mu": e.mu, "nu": e.nu} for e in lst.elements]
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
-
-
 def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError(str(path), None, "choice table must be a JSON object")
-    ground = doc.get("ground_set")
-    entries = doc.get("choices")
-    if not isinstance(ground, list) or not all(isinstance(g, str) for g in ground):
-        raise ParseError(str(path), None, "'ground_set' must be a list of id strings")
-    if not isinstance(entries, list):
-        raise ParseError(str(path), None, "'choices' must be a list of {set, choice} records")
-    choices = {}
-    for idx, record in enumerate(entries):
-        if not isinstance(record, dict) or "set" not in record or "choice" not in record:
-            raise ParseError(str(path), None, f"choice #{idx} needs 'set' and 'choice' fields")
-        choices[frozenset(_id_list(record, "set", str(path), None))] = _require(
-            record, "choice", str, str(path), None
+    doc = _shape(_decode(_read_text(path), path), dict, path, "choice table")
+    ground = _field(doc, "ground_set", "a list of id strings", path)
+    choices: dict[frozenset[str], str] = {}
+    for idx, record in enumerate(_field(doc, "choices", "a list", path)):
+        where = f"{path}: choice #{idx}"
+        record = _shape(record, dict, where, "choice")
+        ids = _field(record, "set", "a list of id strings", where)
+        key = frozenset(ids)
+        if len(key) != len(ids):
+            raise ParseError(where, f"'set' repeats an id: {reprlib.repr(ids)}")
+        if key in choices:
+            raise ParseError(where, f"'set' {reprlib.repr(ids)} is already listed")
+        choices[key] = _field(record, "choice", "str", where)
+    return ChoiceFunctionTable(ground_set=ground, choices=choices)
+
+
+_P_FORM = re.compile(r"[+-]?(?:\d+/\d*[1-9]\d*|(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?)")
+
+
+def _parse_p(text: str) -> Fraction:
+    """`score --p` as an exact fraction in [0, 1]: a decimal such as 0.25 or 1e-3, or a/b."""
+    form = _P_FORM.fullmatch(text.strip()) if len(text) <= MAX_P_DIGITS else None
+    if form is None or form[1] and abs(int(form[1])) > MAX_P_DIGITS:
+        raise DomainError(
+            f"--p must be a decimal such as 0.25 or 1e-3, or a fraction such as 1/2, of at most "
+            f"{MAX_P_DIGITS} characters with |exponent| <= {MAX_P_DIGITS}, got {reprlib.repr(text)}"
         )
-    return ChoiceFunctionTable(ground_set=tuple(ground), choices=choices)
-
-
-def choice_table_to_json(table: ChoiceFunctionTable) -> str:
-    entries = [
-        {"set": sorted(key), "choice": table.choices[key]}
-        for key in sorted(table.choices, key=lambda s: (len(s), tuple(sorted(s))))
-    ]
-    doc = {"ground_set": list(table.ground_set), "choices": entries}
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    p = Fraction(form[0])
+    if not 0 <= p <= 1:
+        raise DomainError(f"--p must be within [0, 1], got {text!r}")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +432,27 @@ def cmd_score(
     *,
     membership_variant: str = "minmax",
     d0_zone: str = "rational",
-    p: str | Fraction = Fraction(1, 2),
+    p: Fraction = Fraction(1, 2),
     fmt: str = "json",
 ) -> tuple[str, int]:
     """Full pipeline on an episode file plus a reviews document."""
     episodes, episode_problems = load_episodes(episodes_path)
     if not episodes and not episode_problems:
-        raise ParseError(str(episodes_path), None, "episode file contains no records")
+        raise ParseError(episodes_path, "episode file contains no records")
     reviews, review_problems = load_reviews(reviews_path)
     report = build_report(
         episodes,
         reviews,
         membership_variant=membership_variant,
         d0_zone=d0_zone,
-        p=Fraction(p),
+        p=p,
         tool_version=_TOOL,
     )
     if episode_problems or review_problems:
         extra = tuple(ReportError(reviewer_id=None, message=m) for m in episode_problems + review_problems)
         report = dataclasses.replace(report, errors=report.errors + extra)
     if not report.reviewers:
-        raise ParseError(str(episodes_path), None, "no reviewer could be scored")
+        raise ParseError(episodes_path, "no reviewer could be scored")
     output = _REPORT_RENDERERS[fmt](report)
     return output, EXIT_PARTIAL if report.has_errors else EXIT_OK
 
@@ -505,7 +502,7 @@ def cmd_tau(n: int, t: int, *, membership_variant: str = "minmax", fmt: str = "t
 def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
     lst = load_ifs_list(list_path)
     if not lst.elements:
-        raise ParseError(str(list_path), None, "graded list is empty")
+        raise ParseError(list_path, "graded list is empty")
     chosen = choose_from_list(lst)
     rows = [
         {"id": e.id, "mu": e.mu, "nu": e.nu, "H": _fmt8(entropy(e)), "chosen": e is chosen}
@@ -627,7 +624,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 args.reviews,
                 membership_variant=args.membership,
                 d0_zone=args.d0_zone,
-                p=args.p,
+                p=_parse_p(args.p),
                 fmt=args.format,
             )
             _emit(output, args.out)

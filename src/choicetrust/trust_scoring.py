@@ -125,16 +125,13 @@ class Review:
         comment_polarity: Polarity | str | None = None,
         comment_text: str = "",
     ) -> "Review":
-        polarity = (
-            polarity_from_rating(int(rating))
-            if comment_polarity is None
-            else Polarity(comment_polarity)
-        )
+        if comment_polarity is None:
+            comment_polarity = polarity_from_rating(int(rating))
         return cls(
             reviewer_id=reviewer_id,
             object=obj,
             rating=rating,
-            comment_polarity=polarity,
+            comment_polarity=comment_polarity,
             comment_text=comment_text,
         )
 

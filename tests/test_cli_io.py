@@ -1,69 +1,77 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import choicetrust
-from choicetrust import DomainError, cli_io
+from choicetrust import ChoiceEpisode, DomainError, IfsElement, IfsList, Polarity, Review, cli_io
 from choicetrust.cli_io import (
     EXIT_FATAL,
     EXIT_OK,
     EXIT_PARTIAL,
     ParseError,
-    choice_table_to_json,
     cmd_check,
     cmd_info_index,
     cmd_score,
     cmd_tau,
-    episodes_to_jsonl,
-    ifs_list_to_json,
     load_choice_table,
     load_episodes,
     load_ifs_list,
     load_reviews,
     main,
-    reviews_to_json,
     tau_rows,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
 EPISODES = "episodes_canonical.jsonl"
 REVIEWS = "reviews_canonical.json"
 
 
-def test_episode_roundtrip(fixtures_dir, tmp_path):
+def test_episode_roundtrip(fixtures_dir):
     episodes, problems = load_episodes(fixtures_dir / EPISODES)
-    assert not problems and len(episodes) == 2
-    out = tmp_path / "eps.jsonl"
-    out.write_text(episodes_to_jsonl(episodes), encoding="utf-8")
-    again, problems = load_episodes(out)
-    assert not problems and again == episodes
+    assert problems == []
+    assert episodes == [
+        ChoiceEpisode("rev-1", 1, ("M", "N", "V", "Z"), ("M", "N", "V"), ("M", "N"), ("M",)),
+        ChoiceEpisode("rev-1", 2, ("M", "N", "V", "Z"), ("Z", "V", "N"), ("Z", "V"), ("Z",)),
+    ]
 
 
-def test_reviews_roundtrip(fixtures_dir, tmp_path):
+def test_reviews_roundtrip(fixtures_dir):
     reviews, problems = load_reviews(fixtures_dir / REVIEWS)
-    assert not problems and len(reviews) == 4
-    out = tmp_path / "reviews.json"
-    out.write_text(reviews_to_json(reviews), encoding="utf-8")
-    again, problems = load_reviews(out)
-    assert not problems and again == reviews
+    assert problems == []
+    assert reviews == [
+        Review("rev-1", "M", 1, Polarity.NEGATIVE, "Bad product"),
+        Review("rev-1", "N", 2, Polarity.NEGATIVE, "Not so good product"),
+        Review("rev-1", "V", 3, Polarity.POSITIVE, "Relatively good product"),
+        Review("rev-1", "Z", 5, Polarity.POSITIVE, "Premium product"),
+    ]
 
 
-def test_ifs_roundtrip(fixtures_dir, tmp_path):
-    lst = load_ifs_list(fixtures_dir / "ifs_list.json")
-    out = tmp_path / "ifs.json"
-    out.write_text(ifs_list_to_json(lst), encoding="utf-8")
-    assert load_ifs_list(out) == lst
+def test_ifs_roundtrip(fixtures_dir):
+    assert load_ifs_list(fixtures_dir / "ifs_list.json") == IfsList(
+        (IfsElement("a", 0.5, 0.5), IfsElement("b", 0.9, 0.1))
+    )
 
 
-def test_choice_table_roundtrip(fixtures_dir, tmp_path):
+def test_choice_table_roundtrip(fixtures_dir):
     table = load_choice_table(fixtures_dir / "choice_table_chain.json")
-    out = tmp_path / "table.json"
-    out.write_text(choice_table_to_json(table), encoding="utf-8")
-    again = load_choice_table(out)
-    assert again.ground_set == table.ground_set and again.choices == table.choices
+    assert table.ground_set == ("M", "N", "V", "Z")
+    chosen = {
+        "M": "M", "N": "N", "V": "V", "Z": "Z",
+        "MN": "M", "MV": "M", "MZ": "M", "NV": "N", "NZ": "N", "VZ": "V",
+        "MNV": "M", "MNZ": "M", "MVZ": "M", "NVZ": "N", "MNVZ": "M",
+    }
+    assert table.choices == {frozenset(ids): choice for ids, choice in chosen.items()}
 
 
 def test_episode_parse_error_carries_line_number(tmp_path):
@@ -76,6 +84,62 @@ def test_episode_parse_error_carries_line_number(tmp_path):
     episodes, problems = load_episodes(path)
     assert len(episodes) == 1
     assert len(problems) == 1 and ":2:" in problems[0] and "wishlist" in problems[0]
+
+
+def test_episode_problems_name_their_line(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    record = {"reviewer_id": "r", "period": 0, "catalog": ["M"], "wishlist": ["M"], "cart": ["M"], "final": ["M"]}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert load_episodes(path) == ([], [f"{path}:1: period must be a positive integer, got 0"])
+
+
+def test_load_episodes_splits_lines_at_newlines_only(fixtures_dir, tmp_path):
+    # U+2028 is a line boundary to str.splitlines() but may stand raw inside a JSON string.
+    lines = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["reviewer_id"] = "rev\u20281"
+    path = tmp_path / "episodes.jsonl"
+    text = json.dumps(first, ensure_ascii=False) + "\n" + lines[1] + "\nnot json\n"
+    path.write_text(text, encoding="utf-8")
+    episodes, problems = load_episodes(path)
+    assert [e.reviewer_id for e in episodes] == ["rev\u20281", "rev-1"]
+    assert problems == [f"{path}:3: invalid JSON (Expecting value)"]
+
+
+def test_score_reports_an_overlong_integer_at_its_line(fixtures_dir, tmp_path):
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(
+        (fixtures_dir / EPISODES).read_text(encoding="utf-8") + '{"period": ' + "1" * 5000 + "}\n",
+        encoding="utf-8",
+    )
+    output, code = cmd_score(path, fixtures_dir / REVIEWS)
+    assert code == EXIT_PARTIAL
+    assert [e["message"] for e in json.loads(output)["errors"]] == [
+        f"{path}:3: invalid JSON (integer literal too long)"
+    ]
+
+
+@pytest.mark.parametrize("document", ["reviews", "graded list", "choice table"])
+def test_main_rejects_deeply_nested_json_in_one_line(fixtures_dir, tmp_path, capsys, document):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    argv = {
+        "reviews": ["score", str(fixtures_dir / EPISODES), str(deep)],
+        "graded list": ["info-index", str(deep)],
+        "choice table": ["check", str(deep)],
+    }[document]
+    assert main(argv) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {deep}: invalid JSON (nested too deeply)\n"
+
+
+def test_score_keeps_scoring_past_a_deeply_nested_episode_line(fixtures_dir, tmp_path):
+    path = tmp_path / "episodes.jsonl"
+    path.write_text((fixtures_dir / EPISODES).read_text(encoding="utf-8") + "[" * 200_000 + "\n", encoding="utf-8")
+    output, code = cmd_score(path, fixtures_dir / REVIEWS)
+    assert code == EXIT_PARTIAL
+    assert [e["message"] for e in json.loads(output)["errors"]] == [
+        f"{path}:3: invalid JSON (nested too deeply)"
+    ]
 
 
 def test_cmd_score_canonical(fixtures_dir):
@@ -210,7 +274,19 @@ def test_cmd_info_index_rejects_boolean_grades(tmp_path, capsys, grades):
     path = tmp_path / "bools.json"
     path.write_text(json.dumps([{"id": "a", **grades}]), encoding="utf-8")
     assert main(["info-index", str(path)]) == EXIT_FATAL
-    assert capsys.readouterr().err == f"error: {path}: element 'a' needs numeric 'mu' and 'nu'\n"
+    field = next(key for key, grade in grades.items() if isinstance(grade, bool))
+    assert capsys.readouterr().err == (
+        f"error: {path}: element #0: field {field!r} must be number, got {grades[field]!r}\n"
+    )
+
+
+def test_cmd_info_index_rejects_grades_beyond_float_range(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('[{"id": "a", "mu": 1' + "0" * 400 + ', "nu": 0}]', encoding="utf-8")
+    assert main(["info-index", str(path)]) == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: element #0: field 'mu' must be number, got 1000")
+    assert err.count("\n") == 1
 
 
 def test_cmd_check_chain_and_violation(fixtures_dir):
@@ -282,7 +358,25 @@ def test_check_rejects_mistyped_choice_entries(tmp_path, capsys, entry):
     with pytest.raises(ParseError):
         load_choice_table(path)
     assert main(["check", str(path)]) == EXIT_FATAL
-    assert capsys.readouterr().err.startswith(f"error: {path}: field ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: choice #0: field ")
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        (
+            [{"set": ["a", "b"], "choice": "a"}, {"set": ["b", "a"], "choice": "b"}],
+            "choice #3: 'set' ['b', 'a'] is already listed",
+        ),
+        ([{"set": ["a", "a"], "choice": "a"}], "choice #2: 'set' repeats an id: ['a', 'a']"),
+    ],
+)
+def test_check_rejects_repeated_sets_and_ids(tmp_path, capsys, entries, message):
+    singles = [{"set": ["a"], "choice": "a"}, {"set": ["b"], "choice": "b"}]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"ground_set": ["a", "b"], "choices": singles + entries}), encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_reports_are_byte_identical_across_runs(fixtures_dir, tmp_path):
@@ -305,8 +399,101 @@ def test_score_rejects_non_string_comment_text(fixtures_dir, tmp_path, text):
     assert main(["score", str(fixtures_dir / EPISODES), str(reviews), "--out", str(out)]) == EXIT_PARTIAL
     errors = json.loads(out.read_text(encoding="utf-8"))["errors"]
     assert [e["message"] for e in errors] == [
-        f"{reviews}: review #0: {reviews}: field 'comment_text' must be str, got {text!r}"
+        f"{reviews}: review #0: field 'comment_text' must be str, got {text!r}"
     ]
+
+
+def test_score_names_a_non_object_review_once(fixtures_dir, tmp_path):
+    reviews = tmp_path / "reviews.json"
+    reviews.write_text(json.dumps([7]), encoding="utf-8")
+    output, code = cmd_score(fixtures_dir / EPISODES, reviews)
+    assert code == EXIT_PARTIAL
+    assert [e["message"] for e in json.loads(output)["errors"]] == [
+        f"{reviews}: review #0: review must be a JSON object"
+    ]
+
+
+@pytest.mark.parametrize(
+    "p", ["1e-999999", "1e999999", "1e-99999999999", "1e99999999999", "nan", "inf", "1/0", "-0.5", "2"]
+)
+def test_score_rejects_bad_p_at_once(fixtures_dir, capsys, p):
+    start = time.perf_counter()
+    code = main(["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--p", p])
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_FATAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: --p ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p", ["0.5", "1/2", "0.25", "1e-3", "3/7", "0.3"])
+def test_score_reads_p_exactly(fixtures_dir, tmp_path, p):
+    out = tmp_path / "report.json"
+    argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--p", p, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    expected, _ = cmd_score(fixtures_dir / EPISODES, fixtures_dir / REVIEWS, p=Fraction(p))
+    assert out.read_text(encoding="utf-8") == expected
+
+
+# Arbitrary JSON values, and valid records with fields dropped or replaced by them.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_VALID_RECORDS = {
+    "episodes": {"reviewer_id": "rev-1", "period": 1, "catalog": ["M", "N"], "wishlist": ["M"],
+                 "cart": ["M"], "final": ["M"]},
+    "reviews": {"reviewer_id": "rev-1", "object": "M", "rating": 1, "comment_polarity": "negative",
+                "comment_text": "Bad product"},
+    "graded list": {"id": "a", "mu": 0.5, "nu": 0.5},
+    "choice table": {"set": ["a", "b"], "choice": "a"},
+}
+
+
+@st.composite
+def _near_valid(draw, document):
+    record = dict(_VALID_RECORDS[document])
+    for key in draw(st.sets(st.sampled_from(sorted(record)), min_size=1, max_size=2)):
+        if draw(st.booleans()):
+            del record[key]
+        else:
+            record[key] = draw(_JSON)
+    return record
+
+
+@st.composite
+def _document(draw, document):
+    """Text of one input document: any JSON value, or records mostly near-valid."""
+    if draw(st.booleans()):
+        return json.dumps(draw(_JSON))
+    records = draw(st.lists(_near_valid(document) | _JSON, max_size=3))
+    if document == "episodes":
+        return "".join(json.dumps(r) + "\n" for r in records)
+    if document == "choice table":
+        singles = [{"set": ["a"], "choice": "a"}, {"set": ["b"], "choice": "b"}]
+        return json.dumps({"ground_set": ["a", "b"], "choices": singles + records})
+    return json.dumps(records)
+
+
+@settings(max_examples=250, deadline=None)
+@given(document=st.sampled_from(sorted(_VALID_RECORDS)), data=st.data())
+def test_main_ends_in_a_report_or_a_one_line_error(document, data):
+    text = data.draw(_document(document))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv = {
+            "episodes": ["score", str(path), str(FIXTURES / REVIEWS)],
+            "reviews": ["score", str(FIXTURES / EPISODES), str(path)],
+            "graded list": ["info-index", str(path)],
+            "choice table": ["check", str(path)],
+        }[document]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(Path(tmp) / "report")])
+    assert code in (EXIT_OK, EXIT_FATAL, EXIT_PARTIAL)
+    if code == EXIT_FATAL:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 # Runs `main` with every import of numpy raising ImportError, then checks
