@@ -18,15 +18,23 @@ import reprlib
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import __version__
 from .choice_model import ChoiceEpisode
 from .consistency import ChoiceFunctionTable, check_contraction, rationalizable
-from .errors import ChoiceTrustError, DomainError
+from .errors import ChoiceTrustError, DomainError, GradeError
 from .info_index import IfsElement, IfsList, choose_from_list, entropy
-from .rationality_outcomes import bar_degrees, bar_frequency, bar_label, build_tau, signed_difference
+from .rationality_outcomes import (
+    MEMBERSHIP_VARIANTS,
+    bar_degrees,
+    bar_frequency,
+    bar_label,
+    build_tau,
+    signed_difference,
+)
 from .trust_scoring import (
+    D0_ZONE_CHOICES,
     ReportError,
     Review,
     TrustReport,
@@ -183,13 +191,16 @@ def load_ifs_list(path: str | Path) -> IfsList:
     for idx, record in enumerate(doc):
         where = f"{path}: element #{idx}"
         record = _shape(record, dict, where, "element")
-        elements.append(
-            IfsElement(
-                id=_field(record, "id", "str", where),
-                mu=float(_field(record, "mu", "number", where)),
-                nu=float(_field(record, "nu", "number", where)),
+        try:
+            elements.append(
+                IfsElement(
+                    id=_field(record, "id", "str", where),
+                    mu=float(_field(record, "mu", "number", where)),
+                    nu=float(_field(record, "nu", "number", where)),
+                )
             )
-        )
+        except GradeError as exc:
+            raise ParseError(where, str(exc)) from None
     return IfsList(elements=tuple(elements))
 
 
@@ -207,7 +218,10 @@ def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
         if key in choices:
             raise ParseError(where, f"'set' {reprlib.repr(ids)} is already listed")
         choices[key] = _field(record, "choice", "str", where)
-    return ChoiceFunctionTable(ground_set=ground, choices=choices)
+    try:
+        return ChoiceFunctionTable(ground_set=ground, choices=choices)
+    except DomainError as exc:
+        raise ParseError(path, str(exc)) from None
 
 
 _P_FORM = re.compile(r"[+-]?(?:\d+/\d*[1-9]\d*|(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?)")
@@ -306,8 +320,27 @@ def report_to_dict(report: TrustReport) -> dict:
     }
 
 
+def _json(doc: Any) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+
+
+def _csv(fields: Sequence[str], rows: Iterable[dict]) -> str:
+    """A CSV table of `fields` over `rows`, which may hold other keys too.
+
+    A bool is written true/false and None as an empty cell.
+    """
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n", extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(
+        {key: str(value).lower() if isinstance(value, bool) else value for key, value in row.items()}
+        for row in rows
+    )
+    return buf.getvalue()
+
+
 def report_to_json(report: TrustReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, ensure_ascii=True) + "\n"
+    return _json(report_to_dict(report))
 
 
 _CSV_COLUMNS = [
@@ -317,54 +350,22 @@ _CSV_COLUMNS = [
 ]
 
 
-def report_to_csv(report: TrustReport) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    doc = report_to_dict(report)
+def _report_rows(doc: dict) -> Iterator[dict]:
+    """The report's CSV records, one per assessment, binomial row, flagged review and error."""
     for section in doc["reviewers"]:
+        rid = section["reviewer_id"]
         for a in section["assessments"]:
-            writer.writerow(
-                {
-                    "record": "assessment",
-                    "reviewer_id": section["reviewer_id"],
-                    "object": a["object"],
-                    "pattern": a["pattern"],
-                    "rank_class": a["rank_class"],
-                    "bar": a["bar"] or "",
-                    "zone": a["zone"] or "",
-                    "degree": a["degree"] or "",
-                    "polarity_match": "" if a["polarity_match"] is None else str(a["polarity_match"]).lower(),
-                    "narrative": a["narrative"] or "",
-                    "rating": "" if a["rating"] is None else a["rating"],
-                    "comment_polarity": a["comment_polarity"] or "",
-                    "annotations": " | ".join(a["annotations"]),
-                }
-            )
+            yield {**a, "record": "assessment", "reviewer_id": rid, "annotations": " | ".join(a["annotations"])}
         for row in section["overall_rationality"]["distribution"]:
-            writer.writerow(
-                {
-                    "record": "overall",
-                    "reviewer_id": section["reviewer_id"],
-                    "r": row["r"],
-                    "probability": row["probability"],
-                    "at_most": row["at_most"],
-                    "at_least": row["at_least"],
-                }
-            )
+            yield {**row, "record": "overall", "reviewer_id": rid}
     for f in doc["flagged_reviews"]:
-        writer.writerow(
-            {
-                "record": "flagged_review",
-                "reviewer_id": f["reviewer_id"],
-                "object": f["object"],
-                "rating": f["rating"],
-                "reason": f["reason"],
-            }
-        )
+        yield {**f, "record": "flagged_review"}
     for e in doc["errors"]:
-        writer.writerow({"record": "error", "reviewer_id": e["reviewer_id"] or "", "message": e["message"]})
-    return buf.getvalue()
+        yield {**e, "record": "error"}
+
+
+def report_to_csv(report: TrustReport) -> str:
+    return _csv(_CSV_COLUMNS, _report_rows(report_to_dict(report)))
 
 
 def report_to_text(report: TrustReport) -> str:
@@ -452,7 +453,13 @@ def cmd_score(
         extra = tuple(ReportError(reviewer_id=None, message=m) for m in episode_problems + review_problems)
         report = dataclasses.replace(report, errors=report.errors + extra)
     if not report.reviewers:
-        raise ParseError(episodes_path, "no reviewer could be scored")
+        # Every episode is then in report.errors, as a parse or validation problem.
+        count, first = len(report.errors), report.errors[0]
+        who = "" if first.reviewer_id is None else f"reviewer {first.reviewer_id!r}: "
+        raise ParseError(
+            episodes_path,
+            f"no reviewer could be scored ({count} problem{'' if count == 1 else 's'}; first: {who}{first.message})",
+        )
     output = _REPORT_RENDERERS[fmt](report)
     return output, EXIT_PARTIAL if report.has_errors else EXIT_OK
 
@@ -481,14 +488,9 @@ def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> list[dict]:
 def cmd_tau(n: int, t: int, *, membership_variant: str = "minmax", fmt: str = "text") -> str:
     rows = tau_rows(n, t, membership_variant)
     if fmt == "json":
-        return json.dumps({"n": n, "t": t, "rows": rows}, indent=2, ensure_ascii=True) + "\n"
+        return _json({"n": n, "t": t, "rows": rows})
     if fmt == "csv":
-        buf = io.StringIO()
-        fields = list(rows[0].keys())
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        return buf.getvalue()
+        return _csv(list(rows[0]), rows)
     width = max(len(r["pattern"]) for r in rows) + 2
     lines = [f"rationality outcome set: n={n} t={t} size={len(rows)}"]
     for r in rows:
@@ -509,13 +511,9 @@ def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
         for e in lst.elements
     ]
     if fmt == "json":
-        return json.dumps({"chosen": chosen.id, "elements": rows}, indent=2, ensure_ascii=True) + "\n"
+        return _json({"chosen": chosen.id, "elements": rows})
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["id", "mu", "nu", "H", "chosen"], lineterminator="\n")
-        writer.writeheader()
-        writer.writerows({**r, "chosen": str(r["chosen"]).lower()} for r in rows)
-        return buf.getvalue()
+        return _csv(["id", "mu", "nu", "H", "chosen"], rows)
     lines = [f"{r['id']:<12}mu={r['mu']:<8}nu={r['nu']:<8}H={r['H']}" for r in rows]
     lines.append(f"chosen: {chosen.id}")
     return "\n".join(lines) + "\n"
@@ -525,62 +523,32 @@ def cmd_check(table_path: str | Path, *, fmt: str = "text") -> str:
     table = load_choice_table(table_path)
     result = check_contraction(table)
     order = rationalizable(table)
+    ranking = " > ".join(order) if order else "none"
+    violations = [dataclasses.asdict(v) for v in result.violations]
     if fmt == "json":
-        doc = {
-            "contraction_consistent": result.consistent,
-            "violations": [
-                {
-                    "small": list(v.small),
-                    "large": list(v.large),
-                    "chosen_large": v.chosen_large,
-                    "chosen_small": v.chosen_small,
-                }
-                for v in result.violations
-            ],
-            "rationalizing_order": list(order) if order else None,
-        }
-        return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        fields = ["record", "consistent", "small", "large", "chosen_large", "chosen_small", "order"]
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(
+        return _json(
             {
-                "record": "verdict",
-                "consistent": str(result.consistent).lower(),
-                "order": " > ".join(order) if order else "none",
+                "contraction_consistent": result.consistent,
+                "violations": violations,
+                "rationalizing_order": list(order) if order else None,
             }
         )
-        for v in result.violations:
-            writer.writerow(
-                {
-                    "record": "violation",
-                    "small": " ".join(v.small),
-                    "large": " ".join(v.large),
-                    "chosen_large": v.chosen_large,
-                    "chosen_small": v.chosen_small,
-                }
-            )
-        return buf.getvalue()
+    if fmt == "csv":
+        rows = [{"record": "verdict", "consistent": result.consistent, "order": ranking}]
+        rows += (
+            {**v, "record": "violation", "small": " ".join(v["small"]), "large": " ".join(v["large"])}
+            for v in violations
+        )
+        return _csv(["record", "consistent", "small", "large", "chosen_large", "chosen_small", "order"], rows)
     lines = [f"contraction: {'consistent' if result.consistent else 'VIOLATIONS'}"]
     for v in result.violations:
         lines.append("  " + v.describe())
-    lines.append(
-        "rationalizing order: " + (" > ".join(order) if order else "none")
-    )
+    lines.append("rationalizing order: " + ranking)
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -594,15 +562,15 @@ def _build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", parents=[common], help="score reviewers from episode and review files")
     score.add_argument("episodes", help="JSONL episode file")
     score.add_argument("reviews", help="JSON reviews document")
-    score.add_argument("--membership", choices=("minmax", "smoothed"), default="minmax")
-    score.add_argument("--d0-zone", choices=("rational", "irrational"), default="rational")
+    score.add_argument("--membership", choices=MEMBERSHIP_VARIANTS, default="minmax")
+    score.add_argument("--d0-zone", choices=D0_ZONE_CHOICES, default="rational")
     score.add_argument("--p", default="1/2", help="rational-zone probability (e.g. 0.5 or 1/2)")
     score.add_argument("--format", choices=("json", "csv", "text"), default="json")
 
     tau = sub.add_parser("tau", parents=[common], help="list the rationality outcome set")
     tau.add_argument("n", type=int)
     tau.add_argument("t", type=int)
-    tau.add_argument("--membership", choices=("minmax", "smoothed"), default="minmax")
+    tau.add_argument("--membership", choices=MEMBERSHIP_VARIANTS, default="minmax")
     tau.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     info = sub.add_parser("info-index", parents=[common], help="choose from a graded list by information index")
@@ -618,6 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        code = EXIT_OK
         if args.command == "score":
             output, code = cmd_score(
                 args.episodes,
@@ -627,17 +596,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                 p=_parse_p(args.p),
                 fmt=args.format,
             )
-            _emit(output, args.out)
-            return code
-        if args.command == "tau":
-            _emit(cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format), args.out)
-            return EXIT_OK
-        if args.command == "info-index":
-            _emit(cmd_info_index(args.list, fmt=args.format), args.out)
-            return EXIT_OK
-        if args.command == "check":
-            _emit(cmd_check(args.table, fmt=args.format), args.out)
-            return EXIT_OK
+        elif args.command == "tau":
+            output = cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format)
+        elif args.command == "info-index":
+            output = cmd_info_index(args.list, fmt=args.format)
+        else:
+            output = cmd_check(args.table, fmt=args.format)
+        if args.out:
+            Path(args.out).write_text(output, encoding="utf-8")
+        else:
+            sys.stdout.write(output)
+        return code
     except OSError as exc:
         where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         print(f"error: {where}", file=sys.stderr)
@@ -645,7 +614,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ChoiceTrustError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -90,11 +90,6 @@ class ChoiceFunctionTable:
         self.ground_set = ground
         self.choices = table
 
-    @classmethod
-    def from_order(cls, order: Sequence[str]) -> "ChoiceFunctionTable":
-        """Table induced by maximizing a best-first total order."""
-        return induced_table(order)
-
     def choice(self, subset: Sequence[str]) -> str:
         return self.choices[frozenset(subset)]
 

@@ -217,21 +217,44 @@ def test_cmd_tau_rejects_bad_arguments():
         tau_rows(4, 0)
 
 
-# sha256 of the listings as printed when tau read its bar columns from the
-# enumerated bin_table and membership.
+# sha256 of each command's stdout, taken before the four commands shared one
+# JSON and one CSV writer; the tau listings date from when tau read its bar
+# columns from the enumerated bin_table and membership.
+_E, _R = str(FIXTURES / EPISODES), str(FIXTURES / REVIEWS)
+_IFS = str(FIXTURES / "ifs_list.json")
+_CHAIN, _VIOLATING = str(FIXTURES / "choice_table_chain.json"), str(FIXTURES / "choice_table_violating.json")
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (["4", "2"], "e89527d3823d29192f8e921600a2245ae2aba43628f11b9e1b52520ee93ad869"),
-        (["3", "3", "--format", "json"], "d92f55f846a557f092c396eec0cb37c21a02843d54bd356ee29eccf8ce696c31"),
+        (["tau", "4", "2"], "e89527d3823d29192f8e921600a2245ae2aba43628f11b9e1b52520ee93ad869"),
+        (["tau", "3", "3", "--format", "json"], "d92f55f846a557f092c396eec0cb37c21a02843d54bd356ee29eccf8ce696c31"),
         (
-            ["6", "2", "--membership", "smoothed", "--format", "json"],
+            ["tau", "6", "2", "--membership", "smoothed", "--format", "json"],
             "d1fb5ea235ceb8e362798c63db39b9ab674af8b199f2ddb62e97f014d762020c",
         ),
+        (["tau", "4", "2", "--format", "csv"], "a086ede251002489b95c8528ec415faddc6dab5220920634044e5e09aa6c9a79"),
+        (["score", _E, _R, "--format", "json"], "7060c1581479ad077f67bbfef5a2966e773565d5ec05e6f63eb726a62f9ce629"),
+        (["score", _E, _R, "--format", "csv"], "10bdad39f4e4882f4078fa2a0a66ab5e210ca8fd8ffabf1286b3fccf95d0cde7"),
+        (["score", _E, _R, "--format", "text"], "d3970a5c5ec0cf9464744ae9af0076d82049f515bae86ce1f69f2f9fb018cce2"),
+        (
+            ["score", _E, _R, "--membership", "smoothed", "--d0-zone", "irrational", "--p", "0.3", "--format", "csv"],
+            "607709964524a8e952b8582fc6e3f1b941c3a0aab751e271474e6c59f7eb55f4",
+        ),
+        (["info-index", _IFS, "--format", "json"], "519c5b665457c1fbd9779383353ff9bddcb76534da95889a9dd92e947d70d627"),
+        (["info-index", _IFS, "--format", "csv"], "29508743df9248f56a74f92dfcc9ce25fc69a4129b785cf3e34ec720f2f48506"),
+        (["info-index", _IFS, "--format", "text"], "a64ca00de86614fc21b634e1146538aaf850415e1f81dc131251c4062bc8a27e"),
+        (["check", _CHAIN, "--format", "json"], "50361923f6d3d0b9623732e15198a092f3d1835fd846616f760af9ce639b3b98"),
+        (["check", _CHAIN, "--format", "csv"], "5097ae5ddf9b69cdab9db810a11636487c0b68f62a844a2332f83533f0aa07d1"),
+        (["check", _CHAIN, "--format", "text"], "7d3d63c2e50f6f6a1f09b17576fea8222ef3073b2c459eab1fb35a50ca5d5c3b"),
+        (["check", _VIOLATING, "--format", "json"], "7a396d2960311d401277311f29faf8e5583dca3e8a6a373aea0e659c2da75906"),
+        (["check", _VIOLATING, "--format", "csv"], "56c732ff11598777bbc50eaacda14556956c7378c884f0c36ebc36fac30e4e03"),
+        (["check", _VIOLATING, "--format", "text"], "52f60b723c134f76ae9dc94db15571c36b908e06be5f38c2b375a27f7c05119a"),
     ],
 )
-def test_main_tau_listing_is_unchanged(capsys, argv, digest):
-    assert main(["tau", *argv]) == EXIT_OK
+def test_main_output_is_unchanged(capsys, argv, digest):
+    assert main(argv) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
@@ -379,6 +402,40 @@ def test_check_rejects_repeated_sets_and_ids(tmp_path, capsys, entries, message)
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "command, document, message",
+    [
+        (
+            "info-index",
+            [{"id": "a", "mu": 0.2, "nu": 0.1}, {"id": "oops", "mu": 0.7, "nu": 0.5}],
+            "element #1: element 'oops': mu + nu = 1.2 exceeds 1",
+        ),
+        (
+            "check",
+            {"ground_set": ["a", "b"], "choices": [{"set": ["a"], "choice": "a"}]},
+            "choice table is missing subsets: {b}, {a,b}",
+        ),
+        (
+            "check",
+            {
+                "ground_set": ["a", "b"],
+                "choices": [
+                    {"set": ["a"], "choice": "b"},
+                    {"set": ["b"], "choice": "b"},
+                    {"set": ["a", "b"], "choice": "a"},
+                ],
+            },
+            "chosen element 'b' is not a member of {a}",
+        ),
+    ],
+)
+def test_domain_errors_name_the_file(tmp_path, capsys, command, document, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main([command, str(path)]) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_reports_are_byte_identical_across_runs(fixtures_dir, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
@@ -411,6 +468,25 @@ def test_score_names_a_non_object_review_once(fixtures_dir, tmp_path):
     assert [e["message"] for e in json.loads(output)["errors"]] == [
         f"{reviews}: review #0: review must be a JSON object"
     ]
+
+
+@pytest.mark.parametrize(
+    "lines, summary",
+    [
+        (["not json"], "1 problem; first: {path}:1: invalid JSON (Expecting value)"),
+        (
+            [json.dumps({"reviewer_id": "r", "period": 1, "catalog": ["a"], "wishlist": ["b"], "cart": [], "final": []})],
+            "1 problem; first: reviewer 'r': item 'b' appears in stage 'wishlist' but not in the enclosing stage",
+        ),
+        (["[]", "not json"], "2 problems; first: {path}:1: episode record must be a JSON object"),
+    ],
+)
+def test_score_says_why_no_reviewer_could_be_scored(fixtures_dir, tmp_path, capsys, lines, summary):
+    path = tmp_path / "episodes.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert main(["score", str(path), str(fixtures_dir / REVIEWS)]) == EXIT_FATAL
+    summary = summary.format(path=path)
+    assert capsys.readouterr().err == f"error: {path}: no reviewer could be scored ({summary})\n"
 
 
 @pytest.mark.parametrize(
