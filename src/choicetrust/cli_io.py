@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -35,6 +36,7 @@ from .rationality_outcomes import (
 )
 from .trust_scoring import (
     D0_ZONE_CHOICES,
+    OverallRationality,
     ReportError,
     Review,
     TrustReport,
@@ -103,15 +105,34 @@ def _shape(value: Any, kind: type[dict] | type[list], where: str | Path, noun: s
     return value
 
 
+# Ids are printed in reports and error lines, so no id may hold a control
+# character (C0, DEL, C1), a line or paragraph separator, or a lone surrogate,
+# which UTF-8 cannot encode.
+_NOT_IN_ID = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
+
+
+def _is_id(value: Any) -> bool:
+    return isinstance(value, str) and _NOT_IN_ID.search(value) is None
+
+
+def _is_id_list(value: Any) -> bool:
+    # Its strings are all ids exactly when their concatenation is one.
+    try:
+        return isinstance(value, list) and _is_id("".join(value))
+    except TypeError:  # an entry is not a string
+        return False
+
+
 # Each field kind of the wire formats, by the name error messages give it.
 _KINDS = {
     "str": lambda v: isinstance(v, str),
+    "id": _is_id,
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     # `float` takes every JSON number up to the largest finite double.
     "number": lambda v: isinstance(v, float)
     or isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
     "a list": lambda v: isinstance(v, list),
-    "a list of id strings": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    "a list of id strings": _is_id_list,
 }
 _REQUIRED = object()
 
@@ -134,7 +155,7 @@ def parse_episode_record(record: Any, path: str | Path = "<memory>", line: int |
     where = path if line is None else f"{path}:{line}"
     record = _shape(record, dict, where, "episode record")
     return ChoiceEpisode(
-        reviewer_id=_field(record, "reviewer_id", "str", where),
+        reviewer_id=_field(record, "reviewer_id", "id", where),
         period=_field(record, "period", "int", where),
         attainable=_field(record, "catalog", "a list of id strings", where),
         wishlist=_field(record, "wishlist", "a list of id strings", where),
@@ -171,8 +192,8 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
             record = _shape(record, dict, where, "review")
             reviews.append(
                 Review.make(
-                    reviewer_id=_field(record, "reviewer_id", "str", where),
-                    obj=_field(record, "object", "str", where),
+                    reviewer_id=_field(record, "reviewer_id", "id", where),
+                    obj=_field(record, "object", "id", where),
                     rating=_field(record, "rating", "int", where),
                     comment_polarity=_field(record, "comment_polarity", "str", where, None),
                     comment_text=_field(record, "comment_text", "str", where, ""),
@@ -187,21 +208,22 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
 
 def load_ifs_list(path: str | Path) -> IfsList:
     doc = _shape(_decode(_read_text(path), path), list, path, "graded list")
-    elements = []
+    elements: dict[str, IfsElement] = {}
     for idx, record in enumerate(doc):
         where = f"{path}: element #{idx}"
         record = _shape(record, dict, where, "element")
+        oid = _field(record, "id", "id", where)
+        if oid in elements:
+            raise ParseError(where, f"id {oid!r} is already listed")
         try:
-            elements.append(
-                IfsElement(
-                    id=_field(record, "id", "str", where),
-                    mu=float(_field(record, "mu", "number", where)),
-                    nu=float(_field(record, "nu", "number", where)),
-                )
+            elements[oid] = IfsElement(
+                id=oid,
+                mu=float(_field(record, "mu", "number", where)),
+                nu=float(_field(record, "nu", "number", where)),
             )
         except GradeError as exc:
             raise ParseError(where, str(exc)) from None
-    return IfsList(elements=tuple(elements))
+    return IfsList(elements=tuple(elements.values()))
 
 
 def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
@@ -217,7 +239,7 @@ def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
             raise ParseError(where, f"'set' repeats an id: {reprlib.repr(ids)}")
         if key in choices:
             raise ParseError(where, f"'set' {reprlib.repr(ids)} is already listed")
-        choices[key] = _field(record, "choice", "str", where)
+        choices[key] = _field(record, "choice", "id", where)
     try:
         return ChoiceFunctionTable(ground_set=ground, choices=choices)
     except DomainError as exc:
@@ -245,7 +267,23 @@ def _parse_p(text: str) -> Fraction:
 # report rendering
 
 
+@functools.lru_cache(maxsize=256)
+def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str], ...]:
+    """(r, probability, at_most, at_least) of Binomial(n, p), formatted once per (n, p)."""
+    overall = OverallRationality.from_parameters(n, p)
+    return tuple(
+        (r, _fmt8(overall.prob(r)), _fmt8(overall.at_most(r)), _fmt8(overall.at_least(r)))
+        for r in range(n + 1)
+    )
+
+
 def report_to_dict(report: TrustReport) -> dict:
+    """The report as plain JSON values.
+
+    Each section's distribution rows are those of Binomial(n, p), as
+    ``OverallRationality.from_parameters`` builds it; they are formatted once
+    per (n, p), and every call returns fresh dicts.
+    """
     reviewers = []
     for section in report.reviewers:
         assessments = []
@@ -273,13 +311,8 @@ def report_to_dict(report: TrustReport) -> dict:
             )
         overall = section.overall
         distribution = [
-            {
-                "r": r,
-                "probability": _fmt8(overall.prob(r)),
-                "at_most": _fmt8(overall.at_most(r)),
-                "at_least": _fmt8(overall.at_least(r)),
-            }
-            for r in range(overall.n + 1)
+            {"r": r, "probability": prob, "at_most": at_most, "at_least": at_least}
+            for r, prob, at_most, at_least in _distribution_cells(overall.n, overall.p)
         ]
         reviewers.append(
             {

@@ -6,10 +6,12 @@ flattens row-major into a 0/1 pattern vector; several periods concatenate
 into one joint vector, which is the object the run scanner works on.
 
 A matrix is a tuple of n rows, each a tuple of n ints in {0, 1}; every
-consumer reads those rows directly. Scoring reads a period's pattern string
-from :meth:`PreferenceMatrix.as_string`; :func:`flatten` and
-:func:`concat_patterns` build the paper's 0/1 vectors for the run scanner,
-which tests use as the reference.
+consumer reads those rows directly. Scoring builds none of these: it writes
+a period's pattern string straight from the stage ranks
+(:func:`choicetrust.trust_scoring.period_string`). The matrices,
+:func:`flatten` and :func:`concat_patterns` are the paper's constructs,
+kept for tests, demos and the reference pipeline that scoring is checked
+against.
 """
 
 from __future__ import annotations

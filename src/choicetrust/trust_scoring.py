@@ -11,6 +11,7 @@ up the trust report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -20,8 +21,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
 from .errors import ChoiceTrustError, DomainError, UnknownObjectError
-# omega, flatten, concat_patterns, bin_table and membership are not called here
-# (the closed forms replace them); bench/tracing.py wraps them on this module.
+# derive_matrix, flatten, concat_patterns, omega, bin_table and membership are
+# not called here (stage ranks and the closed forms replace them);
+# bench/tracing.py wraps them on this module.
 from .pattern_runs import RunCount, RunPattern, omega, run_patterns
 from .preference_graph import concat_patterns, derive_matrix, flatten
 from .rationality_outcomes import (
@@ -50,6 +52,7 @@ __all__ = [
     "OverallRationality",
     "zone",
     "binomial_rationality",
+    "period_string",
     "match_review",
     "build_report",
 ]
@@ -162,30 +165,39 @@ def binomial_rationality(n: int, r: int, p: Fraction | float | str) -> Fraction:
     return math.comb(n, r) * prob**r * (1 - prob) ** (n - r)
 
 
+@functools.lru_cache(maxsize=256)
+def _binomial(n: int, p: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The exact pmf of Binomial(n, p) and its prefix sums, built once per (n, p)."""
+    pmf = tuple(binomial_rationality(n, r, p) for r in range(n + 1))
+    return pmf, tuple(accumulate(pmf))
+
+
 @dataclass(frozen=True)
 class OverallRationality:
     """Binomial distribution of rational-zone counts, plus the realized one.
 
-    ``cdf`` holds the exact prefix sums of ``pmf``, summed once, so
-    :meth:`at_most` and :meth:`at_least` are lookups.
+    ``cdf`` holds the exact prefix sums of ``pmf``, so :meth:`at_most` and
+    :meth:`at_least` are lookups. It is summed from ``pmf`` unless given;
+    :meth:`from_parameters` takes both from a cache keyed by ``(n, p)``.
     """
 
     n: int
     p: Fraction
     realized_r: int | None
     pmf: tuple[Fraction, ...]
-    cdf: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    cdf: tuple[Fraction, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cdf", tuple(accumulate(self.pmf)))
+        if self.cdf is None:
+            object.__setattr__(self, "cdf", tuple(accumulate(self.pmf)))
 
     @classmethod
     def from_parameters(
         cls, n: int, p: Fraction | float | str, realized_r: int | None = None
     ) -> "OverallRationality":
         prob = Fraction(p)
-        pmf = tuple(binomial_rationality(n, r, prob) for r in range(n + 1))
-        return cls(n=n, p=prob, realized_r=realized_r, pmf=pmf)
+        pmf, cdf = _binomial(n, prob)
+        return cls(n=n, p=prob, realized_r=realized_r, pmf=pmf, cdf=cdf)
 
     def prob(self, r: int) -> Fraction:
         if not 0 <= r <= self.n:
@@ -203,6 +215,18 @@ class OverallRationality:
 
     def above(self, r: int) -> Fraction:
         return self.at_least(r + 1)
+
+
+def period_string(episode: ValidatedEpisode) -> str:
+    """The period's preference matrix as a row-major 0/1 string, from stage ranks.
+
+    Entry (i, j) is 1 exactly when rank_i > rank_j, and ranks take only the
+    values 0..3, so the matrix has at most four distinct rows; each is built
+    once. Equals ``derive_matrix(episode).as_string()``.
+    """
+    ranks = [episode.ranks[oid] for oid in episode.attainable]
+    rows = ["".join("1" if r > q else "0" for q in ranks) for r in range(4)]
+    return "".join([rows[r] for r in ranks])
 
 
 def match_review(review: Review, slots: Sequence[RunCount]) -> tuple[bool, NarrativeCode]:
@@ -345,10 +369,9 @@ def _assess_reviewer(
     params: ReportParameters,
 ) -> ReviewerSection:
     catalog = _catalog_union(episodes)
-    matrices = [derive_matrix(ep) for ep in episodes]
-    period_patterns = tuple(m.as_string() for m in matrices)
-    homogeneous = all(m.order == matrices[0].order for m in matrices)
-    joint = "".join(period_patterns) if homogeneous and len(matrices) > 1 else None
+    period_patterns = tuple(period_string(ep) for ep in episodes)
+    homogeneous = all(ep.attainable == episodes[0].attainable for ep in episodes)
+    joint = "".join(period_patterns) if homogeneous and len(episodes) > 1 else None
 
     two_period = len(episodes) == 2
     ns = None
@@ -418,12 +441,14 @@ def build_report(
 ) -> TrustReport:
     """Run the full scoring pipeline over a batch of episodes and reviews.
 
-    Per reviewer, in order: derive every period's pattern vector, extract
-    each object's run pattern, place it on its bar, and read off the bar's
-    membership degree from the closed-form frequency table; then attach
-    zones, review verdicts, and the binomial overall-rationality
-    distribution. Record-level problems are collected and reported, never
-    fatal for the rest of the batch.
+    Per reviewer, in order: write every period's pattern string from its
+    stage ranks, count each object's run pattern from a stage-rank
+    histogram, place it on its bar, and read off the bar's membership degree
+    from the closed-form frequency table; then attach zones, review
+    verdicts, and the binomial overall-rationality distribution, which is
+    built once per (n, p). No preference matrix or pattern vector is built.
+    Record-level problems are collected and reported, never fatal for the
+    rest of the batch.
     """
     params = ReportParameters(membership_variant=membership_variant, d0_zone=d0_zone, p=p)
 

@@ -94,15 +94,16 @@ def test_episode_problems_name_their_line(tmp_path):
 
 
 def test_load_episodes_splits_lines_at_newlines_only(fixtures_dir, tmp_path):
-    # U+2028 is a line boundary to str.splitlines() but may stand raw inside a JSON string.
+    # U+2028 is a line boundary to str.splitlines() but may stand raw inside a JSON string
+    # (here a field the reader ignores: ids may not hold it).
     lines = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()
     first = json.loads(lines[0])
-    first["reviewer_id"] = "rev\u20281"
+    first["note"] = "rev\u20281"
     path = tmp_path / "episodes.jsonl"
     text = json.dumps(first, ensure_ascii=False) + "\n" + lines[1] + "\nnot json\n"
     path.write_text(text, encoding="utf-8")
     episodes, problems = load_episodes(path)
-    assert [e.reviewer_id for e in episodes] == ["rev\u20281", "rev-1"]
+    assert [e.period for e in episodes] == [1, 2]
     assert problems == [f"{path}:3: invalid JSON (Expecting value)"]
 
 
@@ -427,6 +428,17 @@ def test_check_rejects_repeated_sets_and_ids(tmp_path, capsys, entries, message)
             },
             "chosen element 'b' is not a member of {a}",
         ),
+        (
+            "info-index",
+            [{"id": "a", "mu": 0.2, "nu": 0.1}, {"id": "a", "mu": 0.5, "nu": 0.1}],
+            "element #1: id 'a' is already listed",
+        ),
+        ("info-index", [{"id": "a\rb", "mu": 0.2, "nu": 0.1}], "element #0: field 'id' must be id, got 'a\\rb'"),
+        (
+            "check",
+            {"ground_set": ["a", "x\ny"], "choices": [{"set": ["a"], "choice": "a"}]},
+            "field 'ground_set' must be a list of id strings, got ['a', 'x\\ny']",
+        ),
     ],
 )
 def test_domain_errors_name_the_file(tmp_path, capsys, command, document, message):
@@ -434,6 +446,38 @@ def test_domain_errors_name_the_file(tmp_path, capsys, command, document, messag
     path.write_text(json.dumps(document), encoding="utf-8")
     assert main([command, str(path)]) == EXIT_FATAL
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("bad", ["\n", "\r", "\x00", "\x1e", "\x7f", "\x85", "\u2028", "\u2029", "\ud800"])
+@pytest.mark.parametrize("field", ["reviewer_id", "catalog"])
+def test_score_rejects_an_episode_id_that_breaks_a_line(fixtures_dir, tmp_path, field, bad):
+    first, second = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()
+    record = json.loads(first)
+    if field == "reviewer_id":
+        record["reviewer_id"] = f"rev{bad}1"
+    else:
+        record["catalog"].append(f"x{bad}y")
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(record) + "\n" + second + "\n", encoding="utf-8")
+    output, code = cmd_score(path, fixtures_dir / REVIEWS, fmt="text")
+    assert code == EXIT_PARTIAL
+    assert output.splitlines() == output.split("\n")[:-1]
+    assert output.split("\n")[-2].startswith(f"  [-] {path}:1: field {field!r} must be ")
+    assert "periods [2]" in output
+
+
+@pytest.mark.parametrize("field", ["reviewer_id", "object"])
+def test_score_rejects_a_review_id_that_breaks_a_line(fixtures_dir, tmp_path, field):
+    records = json.loads((fixtures_dir / REVIEWS).read_text(encoding="utf-8"))
+    records[0][field] += "\u2028"
+    reviews = tmp_path / "reviews.json"
+    reviews.write_text(json.dumps(records), encoding="utf-8")
+    output, code = cmd_score(fixtures_dir / EPISODES, reviews, fmt="text")
+    assert code == EXIT_PARTIAL
+    assert output.splitlines() == output.split("\n")[:-1]
+    assert output.split("\n")[-2] == (
+        f"  [-] {reviews}: review #0: field {field!r} must be id, got {records[0][field]!r}"
+    )
 
 
 def test_reports_are_byte_identical_across_runs(fixtures_dir, tmp_path):
@@ -516,6 +560,11 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
+# Ids from all of Unicode, with the characters that can break a line mixed in.
+_ID = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from("\n\r\x0b\x1e\x7f\x85\u2028\u2029\ud800"),
+    max_size=4,
+)
 _VALID_RECORDS = {
     "episodes": {"reviewer_id": "rev-1", "period": 1, "catalog": ["M", "N"], "wishlist": ["M"],
                  "cart": ["M"], "final": ["M"]},
@@ -533,7 +582,7 @@ def _near_valid(draw, document):
         if draw(st.booleans()):
             del record[key]
         else:
-            record[key] = draw(_JSON)
+            record[key] = draw(_JSON | _ID | st.lists(_ID, max_size=3))
     return record
 
 
@@ -546,14 +595,15 @@ def _document(draw, document):
     if document == "episodes":
         return "".join(json.dumps(r) + "\n" for r in records)
     if document == "choice table":
-        singles = [{"set": ["a"], "choice": "a"}, {"set": ["b"], "choice": "b"}]
-        return json.dumps({"ground_set": ["a", "b"], "choices": singles + records})
+        ground = draw(st.just(["a", "b"]) | st.lists(_ID, min_size=1, max_size=3, unique=True))
+        singles = [{"set": [x], "choice": x} for x in ground]
+        return json.dumps({"ground_set": ground, "choices": singles + records})
     return json.dumps(records)
 
 
 @settings(max_examples=250, deadline=None)
-@given(document=st.sampled_from(sorted(_VALID_RECORDS)), data=st.data())
-def test_main_ends_in_a_report_or_a_one_line_error(document, data):
+@given(document=st.sampled_from(sorted(_VALID_RECORDS)), fmt=st.sampled_from(["json", "csv", "text"]), data=st.data())
+def test_main_ends_in_a_report_or_a_one_line_error(document, fmt, data):
     text = data.draw(_document(document))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
@@ -564,12 +614,17 @@ def test_main_ends_in_a_report_or_a_one_line_error(document, data):
             "graded list": ["info-index", str(path)],
             "choice table": ["check", str(path)],
         }[document]
+        report = Path(tmp) / "report"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", str(Path(tmp) / "report")])
+            code = main([*argv, "--format", fmt, "--out", str(report)])
+        output = report.read_text(encoding="utf-8") if code != EXIT_FATAL else ""
     assert code in (EXIT_OK, EXIT_FATAL, EXIT_PARTIAL)
     if code == EXIT_FATAL:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        # Every line of the report ends at a "\n", and nothing else breaks one.
+        assert output.endswith("\n") and output.splitlines() == output.split("\n")[:-1]
 
 
 # Runs `main` with every import of numpy raising ImportError, then checks

@@ -2,32 +2,41 @@
 
 The oracles are the constructs as the paper states them: the stop/run
 scanner over flattened 0/1 matrices, the enumerated two-period bar table,
-and exact prefix sums of the binomial pmf.
+and exact prefix sums of the binomial pmf. The last property holds whole
+reports against the reference pipeline in `reference_report.py`.
 """
 
+import json
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from choicetrust import (
     EPSILON,
+    ChoiceEpisode,
     OverallRationality,
+    Review,
     RunCount,
+    ShapeError,
     bar_degrees,
     bar_frequency,
     bin_table,
+    build_report,
     concat_patterns,
     derive_matrix,
     flatten,
     membership,
     omega,
+    period_string,
     run_patterns,
     run_totals,
     scan_runs,
 )
+from choicetrust.cli_io import _distribution_cells, report_to_dict, report_to_json
 
 from helpers import episode
+from reference_report import reference_distribution, reference_overall, reference_report
 
 IDS = tuple(f"o{i}" for i in range(12))
 
@@ -117,3 +126,109 @@ def test_cached_cdf_equals_exact_prefix_sums(n, p):
         prefix = sum(overall.pmf[: r + 1], Fraction(0)) if r >= 0 else Fraction(0)
         assert overall.at_most(r) == prefix
         assert overall.at_least(r) == sum(overall.pmf[max(r, 0) :], Fraction(0))
+    # The pmf and the report's rows come from caches keyed by (n, p).
+    assert overall.pmf == reference_overall(n, p, None).pmf
+    assert OverallRationality.from_parameters(n, p).pmf is overall.pmf
+    rows = [dict(zip(("r", "probability", "at_most", "at_least"), cells)) for cells in _distribution_cells(n, p)]
+    assert rows == reference_distribution(overall)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40), st.data())
+def test_period_string_equals_matrix_string(n, data):
+    catalog = [f"o{i}" for i in range(n)]
+    ep = data.draw(staged_episodes(catalog))
+    assert period_string(ep) == derive_matrix(ep).as_string()
+
+
+@st.composite
+def period_catalogs(draw):
+    """One to three catalogs: repeats of the first, reorderings of it, or fresh ones."""
+    first = draw(catalogs())
+    more = st.sampled_from([first, first[::-1]]) | catalogs()
+    return [first] + draw(st.lists(more, max_size=2))
+
+
+@settings(deadline=None)
+@given(period_catalogs(), st.data())
+def test_joint_pattern_gate_equals_matrix_order_gate(catalog_list, data):
+    eps = [data.draw(staged_episodes(c, k)) for k, c in enumerate(catalog_list, start=1)]
+    (section,) = build_report(eps).reviewers
+    try:
+        joint = concat_patterns([derive_matrix(ep) for ep in eps]).as_string()
+    except ShapeError:  # the matrices disagree on catalog order
+        joint = None
+    assert section.joint_pattern == (joint if len(eps) > 1 else None)
+
+
+def test_mutating_a_report_dict_leaves_later_reports_unchanged(canonical_episodes, canonical_reviews):
+    report = build_report(canonical_episodes, canonical_reviews)
+    before = report_to_json(report)
+    for section in report_to_dict(report)["reviewers"]:
+        for row in section["overall_rationality"]["distribution"]:
+            row["probability"] = "mutated"
+    assert report_to_json(report) == before
+
+
+REVIEWERS = ("r1", "r2", "r3")
+
+
+@st.composite
+def raw_episode(draw, reviewer, period, catalog):
+    """An unvalidated episode over `catalog`; about one in ten has an empty final stage."""
+    if draw(st.integers(0, 9)) == 0:
+        return ChoiceEpisode(reviewer, period, tuple(catalog), (), (), ())
+    ep = draw(staged_episodes(catalog, period))
+    return ChoiceEpisode(reviewer, period, ep.attainable, ep.wishlist, ep.cart, ep.final)
+
+
+@st.composite
+def batches(draw):
+    """Episodes of one to three reviewers, in any order, and reviews that may miss or repeat."""
+    episodes = []
+    for reviewer in draw(st.lists(st.sampled_from(REVIEWERS), min_size=1, max_size=3, unique=True)):
+        shared = draw(catalogs())
+        periods = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=draw(st.booleans())))
+        for period in periods:
+            catalog = shared if draw(st.integers(0, 2)) else draw(catalogs())
+            episodes.append(draw(raw_episode(reviewer, period, catalog)))
+    reviews = st.builds(
+        Review.make,
+        st.sampled_from(REVIEWERS + ("r4",)),
+        st.sampled_from(IDS),
+        st.integers(1, 5),
+        st.sampled_from([None, "positive", "neutral", "negative"]),
+    )
+    return draw(st.permutations(episodes)), draw(st.lists(reviews, max_size=8))
+
+
+# Catalog sizes (4, 5): object o0 falls from the top run total to the empty
+# run, so it sits on an extreme bar, whose min-max degree is 0.
+_EXTREME_BAR = (
+    [
+        ChoiceEpisode("r1", 1, ("o0", "o1", "o2", "o3"), ("o0",), ("o0",), ("o0",)),
+        ChoiceEpisode("r1", 2, ("o0", "o1", "o2", "o3", "o4"), ("o1",), ("o1",), ("o1",)),
+    ],
+    [],
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(_EXTREME_BAR, "minmax", "rational", Fraction(1, 2))
+@given(
+    batches(),
+    st.sampled_from(["minmax", "smoothed"]),
+    st.sampled_from(["rational", "irrational"]),
+    st.sampled_from([Fraction(1, 2), Fraction(0), Fraction(1), Fraction(3, 10), Fraction(2, 7)]),
+)
+def test_report_equals_the_paper_pipeline(batch, variant, d0_zone, p):
+    episodes, reviews = batch
+    params = {"membership_variant": variant, "d0_zone": d0_zone, "p": p}
+    fast = build_report(episodes, reviews, **params)
+    reference = reference_report(episodes, reviews, **params)
+    rendered = report_to_json(fast)
+    assert rendered == report_to_json(reference)
+    assert fast == reference
+    assert [s["overall_rationality"]["distribution"] for s in json.loads(rendered)["reviewers"]] == [
+        reference_distribution(s.overall) for s in reference.reviewers
+    ]
