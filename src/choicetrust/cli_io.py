@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import re
 import reprlib
 import sys
@@ -353,8 +354,73 @@ def report_to_dict(report: TrustReport) -> dict:
     }
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
 def _json(doc: Any) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=True) + "\n"
+    """``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` for a document whose
+    keys are strings, written without the pure-Python encoder that ``indent``
+    selects.
+
+    Strings go through the C escaper. Each scalar is one chunk: its
+    separator, key and value together.
+    """
+    chunks: list[str] = []
+    _json_chunks(doc, "", "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _json_chunks(value: Any, lead: str, newline: str, chunks: list[str]) -> None:
+    """Append `lead` and then `value`, nested at the indent that `newline` ends in.
+
+    Types are tested as ``json.dumps`` tests them: a bool before an int, a
+    tuple as a list, a str, int or float subclass as its value.
+    """
+    if isinstance(value, str):
+        chunks.append(lead + _escape(value))
+    elif value is None:
+        chunks.append(lead + "null")
+    elif value is True:
+        chunks.append(lead + "true")
+    elif value is False:
+        chunks.append(lead + "false")
+    elif isinstance(value, int):
+        chunks.append(lead + int.__repr__(value))
+    elif isinstance(value, float):
+        chunks.append(lead + _float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append(lead + "[]")
+            return
+        inner = newline + "  "
+        lead += "[" + inner
+        for item in value:
+            _json_chunks(item, lead, inner, chunks)
+            lead = "," + inner
+        chunks.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append(lead + "{}")
+            return
+        inner = newline + "  "
+        lead += "{" + inner
+        for key, item in value.items():
+            _json_chunks(item, lead + _escape(key) + ": ", inner, chunks)
+            lead = "," + inner
+        chunks.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
 
 
 def _csv(fields: Sequence[str], rows: Iterable[dict]) -> str:

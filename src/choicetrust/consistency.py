@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DomainError, IncompleteTableError
+from .errors import DomainError, IncompleteTableError, render_set
 from .pattern_runs import RunCount
 
 __all__ = [
@@ -41,7 +41,7 @@ class ContractionViolation:
 
     def describe(self) -> str:
         return (
-            f"{{{','.join(self.small)}}} within {{{','.join(self.large)}}}: "
+            f"{render_set(self.small)} within {render_set(self.large)}: "
             f"large set chose {self.chosen_large!r} (still available) but "
             f"small set chose {self.chosen_small!r}"
         )
@@ -82,10 +82,10 @@ class ChoiceFunctionTable:
         for key, chosen in table.items():
             if chosen not in key:
                 raise DomainError(
-                    f"chosen element {chosen!r} is not a member of {{{','.join(sorted(key))}}}"
+                    f"chosen element {chosen!r} is not a member of {render_set(sorted(key))}"
                 )
             if not key <= set(ground):
-                raise DomainError(f"subset {{{','.join(sorted(key))}}} is not within the ground set")
+                raise DomainError(f"subset {render_set(sorted(key))} is not within the ground set")
 
         self.ground_set = ground
         self.choices = table

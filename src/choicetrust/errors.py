@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
+# An id holding one of these would make a rendered set ambiguous.
+_SET_SYNTAX = frozenset(",{} '\"")
+
+
+def render_set(ids: Iterable[str]) -> str:
+    """A set of ids for a message, such as ``{a,b}``.
+
+    An id holding a comma, a brace, a space or a quote is shown by ``repr``,
+    so ``{a,'a,b'}`` cannot be read as ``{a,a,b}``.
+    """
+    return "{" + ",".join(oid if _SET_SYNTAX.isdisjoint(oid) else repr(oid) for oid in ids) + "}"
+
 
 class ChoiceTrustError(Exception):
     """Base class for every error raised by this package."""
@@ -56,7 +70,7 @@ class IncompleteTableError(DomainError):
     """A choice-function table does not cover every nonempty subset."""
 
     def __init__(self, missing: tuple[tuple[str, ...], ...]) -> None:
-        shown = ", ".join("{" + ",".join(s) + "}" for s in missing[:5])
+        shown = ", ".join(render_set(s) for s in missing[:5])
         more = "" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"
         super().__init__(f"choice table is missing subsets: {shown}{more}")
         self.missing = missing

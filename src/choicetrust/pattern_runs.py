@@ -8,8 +8,9 @@ the totals collapse into the run pattern omega, where a zero total and
 absence from the period's catalog both normalize to the empty-run symbol.
 
 A row's run total is its row sum: the number of catalog objects with a
-strictly lower stage rank. Scoring uses that count (:func:`run_totals`,
-:func:`run_patterns`, :func:`omega`), which takes O(n) per period;
+strictly lower stage rank. Scoring uses that count (:func:`run_totals`),
+which takes O(n) per period, and turns totals into slots by
+:func:`slot_rule`, as :func:`run_patterns` and :func:`omega` do;
 :func:`scan_runs` over :func:`flatten` of :func:`derive_matrix` is the
 paper-literal scanner, kept as the reference tests compare against.
 """
@@ -167,14 +168,20 @@ def run_patterns(episodes: Sequence[ValidatedEpisode], objects: Iterable[str]) -
         counts = [period.get(obj) for period in totals]
         if all(count is None for count in counts):
             raise UnknownObjectError(f"object {obj!r} appears in no period's catalog")
-        patterns.append(
-            RunPattern(
-                object=obj,
-                slots=tuple(RunCount(count) if count else EPSILON for count in counts),
-                absent_flags=tuple(count is None for count in counts),
-            )
-        )
+        patterns.append(RunPattern(obj, *slot_rule(counts)))
     return tuple(patterns)
+
+
+def slot_rule(counts: Sequence[int | None]) -> tuple[tuple[RunCount, ...], tuple[bool, ...]]:
+    """Slots and absence flags of per-period run totals, None where the object is absent.
+
+    A total of 0 and an absence both become the empty run; only an absence
+    sets its flag.
+    """
+    return (
+        tuple(RunCount(count) if count else EPSILON for count in counts),
+        tuple(count is None for count in counts),
+    )
 
 
 def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:

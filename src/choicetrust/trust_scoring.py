@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
 from .errors import ChoiceTrustError, DomainError, UnknownObjectError
 # derive_matrix, flatten, concat_patterns, omega, bin_table and membership are
 # not called here (stage ranks and the closed forms replace them);
 # bench/tracing.py wraps them on this module.
-from .pattern_runs import RunCount, RunPattern, omega, run_patterns
+from .pattern_runs import RunCount, RunPattern, omega, run_totals, slot_rule
 from .preference_graph import concat_patterns, derive_matrix, flatten
 from .rationality_outcomes import (
     Degree,
@@ -362,13 +362,55 @@ def _degree_and_notes(
     return bar_label(d), degree, notes
 
 
+class _Scored(NamedTuple):
+    """What an assessment takes from its run totals alone."""
+
+    slots: tuple[RunCount, ...]
+    absent_flags: tuple[bool, ...]
+    rank_class: RankClass
+    zone: Zone | None
+    bar: str | None
+    degree: Degree | None
+    notes: tuple[str, ...]
+    counts_rational: bool
+    conformant: bool | None
+
+
+@functools.lru_cache(maxsize=256)
+def _score_totals(
+    totals: tuple[int | None, ...], ns: tuple[int, int] | None, variant: str, d0_zone: str
+) -> _Scored:
+    """Score one object's per-period run totals (None where it is absent).
+
+    A stage rank is 0..3, so a period holds at most four distinct totals,
+    and tuples repeat across objects and reviewers; each is scored once.
+    ``ns`` is the two periods' catalog sizes, None when a period has fewer
+    than two objects.
+    """
+    slots, absent_flags = slot_rule(totals)
+    obj_zone = bar = degree = conformant = None
+    notes: tuple[str, ...] = ()
+    counts_rational = False
+    if len(slots) == 2:
+        d = signed_difference(slots)
+        obj_zone = _zone_of_difference(d)
+        bar, degree, notes = _degree_and_notes(d, ns, variant)
+        counts_rational = d > 0 or (d == 0 and d0_zone == "rational")
+    elif len(slots) == 1:
+        conformant = not slots[0].is_epsilon
+    return _Scored(
+        slots, absent_flags, classify_rank(slots), obj_zone, bar, degree, notes,
+        counts_rational, conformant,
+    )
+
+
 def _assess_reviewer(
     reviewer_id: str,
     episodes: Sequence[ValidatedEpisode],
+    catalog: tuple[str, ...],
     review_for: Mapping[str, Review],
     params: ReportParameters,
 ) -> ReviewerSection:
-    catalog = _catalog_union(episodes)
     period_patterns = tuple(period_string(ep) for ep in episodes)
     homogeneous = all(ep.attainable == episodes[0].attainable for ep in episodes)
     joint = "".join(period_patterns) if homogeneous and len(episodes) > 1 else None
@@ -378,41 +420,32 @@ def _assess_reviewer(
     if two_period and all(ep.n >= 2 for ep in episodes):
         ns = (episodes[0].n, episodes[1].n)
 
+    totals = [dict(zip(ep.attainable, run_totals(ep))) for ep in episodes]
     assessments = []
     rational_count = 0
-    for obj, pattern in zip(catalog, run_patterns(episodes, catalog)):
-        rank = classify_rank(pattern.slots)
+    for obj in catalog:
+        scored = _score_totals(
+            tuple([period.get(obj) for period in totals]), ns, params.membership_variant, params.d0_zone
+        )
+        pattern = RunPattern(obj, scored.slots, scored.absent_flags)
+        rational_count += scored.counts_rational
         review = review_for.get(obj)
-
-        bar = obj_zone = degree = None
         matched = narrative = None
-        conformant = None
-        notes: tuple[str, ...] = ()
-        if two_period:
-            d = signed_difference(pattern.slots)
-            obj_zone = _zone_of_difference(d)
-            bar, degree, notes = _degree_and_notes(d, ns, params.membership_variant)
-            counts_rational = d > 0 or (d == 0 and params.d0_zone == "rational")
-            if counts_rational:
-                rational_count += 1
-            if review is not None:
-                matched, narrative = match_review(review, pattern.slots)
-        elif len(episodes) == 1:
-            conformant = not pattern.slots[0].is_epsilon
-
+        if two_period and review is not None:
+            matched, narrative = match_review(review, pattern.slots)
         assessments.append(
             TrustAssessment(
                 object=obj,
                 pattern=pattern,
-                rank_class=rank,
-                bar=bar,
-                zone=obj_zone,
-                degree=degree,
+                rank_class=scored.rank_class,
+                bar=scored.bar,
+                zone=scored.zone,
+                degree=scored.degree,
                 polarity_match=matched,
                 narrative=narrative,
-                single_period_conformant=conformant,
+                single_period_conformant=scored.conformant,
                 review=review,
-                annotations=notes,
+                annotations=scored.notes,
             )
         )
 
@@ -442,11 +475,12 @@ def build_report(
     """Run the full scoring pipeline over a batch of episodes and reviews.
 
     Per reviewer, in order: write every period's pattern string from its
-    stage ranks, count each object's run pattern from a stage-rank
-    histogram, place it on its bar, and read off the bar's membership degree
-    from the closed-form frequency table; then attach zones, review
-    verdicts, and the binomial overall-rationality distribution, which is
-    built once per (n, p). No preference matrix or pattern vector is built.
+    stage ranks, count each object's run totals from a stage-rank histogram,
+    and score each distinct tuple of totals once (its slots, rank class,
+    zone, bar, and the bar's membership degree from the closed-form
+    frequency table); then attach review verdicts and the binomial
+    overall-rationality distribution, which is built once per (n, p). No
+    preference matrix or pattern vector is built.
     Record-level problems are collected and reported, never fatal for the
     rest of the batch.
     """
@@ -482,12 +516,11 @@ def build_report(
                 ReportError(reviewer_id=reviewer_id, message=f"duplicate periods {periods}")
             )
             continue
+        catalog = _catalog_union(eps)
         review_for = {
-            obj: pending.pop((reviewer_id, obj))
-            for obj in _catalog_union(eps)
-            if (reviewer_id, obj) in pending
+            obj: pending.pop((reviewer_id, obj)) for obj in catalog if (reviewer_id, obj) in pending
         }
-        sections.append(_assess_reviewer(reviewer_id, eps, review_for, params))
+        sections.append(_assess_reviewer(reviewer_id, eps, catalog, review_for, params))
 
     sectioned = {s.reviewer_id for s in sections}
     for (reviewer_id, obj), review in pending.items():

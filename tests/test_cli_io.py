@@ -2,15 +2,18 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import random
 import subprocess
 import sys
 import tempfile
 import time
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import choicetrust
@@ -448,6 +451,18 @@ def test_domain_errors_name_the_file(tmp_path, capsys, command, document, messag
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+def test_check_messages_quote_ids_that_hold_a_comma(tmp_path, capsys):
+    # Shown bare, the id "a,b" made {a,a,b} read as a set with a repeated id.
+    ground = ["a", "a,b", "b"]
+    path = tmp_path / "table.json"
+    choices = [{"set": [x], "choice": x} for x in ground]
+    path.write_text(json.dumps({"ground_set": ground, "choices": choices}), encoding="utf-8")
+    assert main(["check", str(path)]) == EXIT_FATAL
+    assert capsys.readouterr().err == (
+        f"error: {path}: choice table is missing subsets: {{a,'a,b'}}, {{a,b}}, {{'a,b',b}}, {{a,'a,b',b}}\n"
+    )
+
+
 @pytest.mark.parametrize("bad", ["\n", "\r", "\x00", "\x1e", "\x7f", "\x85", "\u2028", "\u2029", "\ud800"])
 @pytest.mark.parametrize("field", ["reviewer_id", "catalog"])
 def test_score_rejects_an_episode_id_that_breaks_a_line(fixtures_dir, tmp_path, field, bad):
@@ -488,6 +503,51 @@ def test_reports_are_byte_identical_across_runs(fixtures_dir, tmp_path):
             ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(out)]
         ) == EXIT_OK
     assert first.read_bytes() == second.read_bytes()
+
+
+# Prints `score` in every format and the exit codes, for the arguments given.
+_SCORE_EVERY_FORMAT = """
+import sys
+from choicetrust.cli_io import main
+codes = [main([*sys.argv[1:], "--format", fmt]) for fmt in ("json", "csv", "text")]
+print(codes)
+"""
+
+
+def test_score_is_byte_identical_across_hash_seeds(tmp_path):
+    # Reviewers share objects, run totals and catalog sizes, so cached scores
+    # are reused across reviewers; string hashing must not reach the output.
+    rng = random.Random(7)
+    pool = [f"item-{k}" for k in range(9)]
+    lines, reviews = [], []
+    for reviewer in ("zed", "amy", "bob", "kim", "lee", "ann"):
+        for period in rng.sample([1, 2, 3], rng.randint(1, 3)):
+            catalog = rng.sample(pool, rng.randint(1, 6))
+            stages = [catalog[: rng.randint(1, len(catalog))]]
+            for _ in range(2):
+                stages.append(stages[-1][: rng.randint(1, len(stages[-1]))])
+            lines.append(json.dumps({"reviewer_id": reviewer, "period": period, "catalog": catalog,
+                                     "wishlist": stages[0], "cart": stages[1], "final": stages[2]}))
+        for obj in rng.sample(pool, 3):
+            reviews.append({"reviewer_id": reviewer, "object": obj, "rating": rng.randint(1, 5)})
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    reviews_path = tmp_path / "reviews.json"
+    reviews_path.write_text(json.dumps(reviews), encoding="utf-8")
+    src = Path(choicetrust.__file__).parents[1]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _SCORE_EVERY_FORMAT, "score", str(episodes), str(reviews_path)],
+            capture_output=True,
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            timeout=60,
+        )
+        for seed in ("0", "1")
+    ]
+    assert [o.returncode for o in outputs] == [0, 0]
+    assert outputs[0].stdout.endswith(b"[2, 2, 2]\n")  # some reviews name absent objects
+    assert outputs[0].stdout == outputs[1].stdout
+    assert outputs[0].stderr == outputs[1].stderr == b""
 
 
 @pytest.mark.parametrize("text", [{"x": [1]}, 7, None])
@@ -625,6 +685,47 @@ def test_main_ends_in_a_report_or_a_one_line_error(document, fmt, data):
     else:
         # Every line of the report ends at a "\n", and nothing else breaks one.
         assert output.endswith("\n") and output.splitlines() == output.split("\n")[:-1]
+
+
+class _Grade(IntEnum):
+    LOW = 1
+    HUGE = 10**30
+
+
+_ANY_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates too
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**60), 10**60)
+    | st.floats()
+    | _ANY_TEXT
+    | st.sampled_from([*Polarity, *_Grade])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_ANY_TEXT | st.sampled_from(list(Polarity)), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@example({"floats": [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300], "empty": [{}, [], ()]})
+@example([True, False, 1, 0, Polarity.NEGATIVE, _Grade.HUGE, "\ud800\x00\u2028é\U0001f600"])
+@given(_JSON_VALUES)
+def test_json_writer_equals_indented_json_dumps(value):
+    assert cli_io._json(value) == json.dumps(value, indent=2, ensure_ascii=True) + "\n"
+
+
+def test_json_writer_refuses_what_json_dumps_refuses():
+    for value in ([object()], {"set": {1}}):
+        with pytest.raises(TypeError) as ours:
+            cli_io._json(value)
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(value, indent=2)
+        assert str(ours.value) == str(stdlib.value)
 
 
 # Runs `main` with every import of numpy raising ImportError, then checks

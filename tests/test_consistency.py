@@ -15,6 +15,7 @@ from choicetrust import (
     induced_table,
     rationalizable,
 )
+from choicetrust.errors import render_set
 
 
 def _all_nonempty_subsets(ground):
@@ -137,6 +138,26 @@ def test_chosen_member_must_belong_to_subset():
                 frozenset({"a", "b"}): "c",
             },
         )
+
+
+def test_messages_quote_ids_that_hold_set_syntax():
+    assert render_set(("a", "b")) == "{a,b}"
+    odd = ("a,b", "{c}", "d e", "it's", 'say "x"')
+    assert render_set(("a", *odd)) == "{a," + ",".join(repr(oid) for oid in odd) + "}"
+
+    ground = ("a", "a,b", "b")
+    choices = {frozenset(s): s[0] for s in _all_nonempty_subsets(ground)}
+    choices[frozenset({"a", "b"})] = "b"
+    (violation,) = check_contraction(ChoiceFunctionTable(ground, choices)).violations
+    assert violation.describe() == (
+        "{a,b} within {a,'a,b',b}: large set chose 'a' (still available) but small set chose 'b'"
+    )
+
+    pair = {frozenset({"a"}): "a", frozenset({"a,b"}): "a,b", frozenset({"a", "a,b"}): "a"}
+    with pytest.raises(DomainError, match=r"^chosen element 'a' is not a member of \{'a,b'\}$"):
+        ChoiceFunctionTable(("a", "a,b"), {**pair, frozenset({"a,b"}): "a"})
+    with pytest.raises(DomainError, match=r"^subset \{a,'x y'\} is not within the ground set$"):
+        ChoiceFunctionTable(("a", "a,b"), {**pair, frozenset({"a", "x y"}): "a"})
 
 
 def test_ground_set_capped():

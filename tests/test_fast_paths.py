@@ -2,8 +2,9 @@
 
 The oracles are the constructs as the paper states them: the stop/run
 scanner over flattened 0/1 matrices, the enumerated two-period bar table,
-and exact prefix sums of the binomial pmf. The last property holds whole
-reports against the reference pipeline in `reference_report.py`.
+and exact prefix sums of the binomial pmf. One property holds whole reports
+against the reference pipeline in `reference_report.py`; the last ones hold
+the per-tuple score cache against the uncached derivation.
 """
 
 import json
@@ -23,6 +24,7 @@ from choicetrust import (
     bar_frequency,
     bin_table,
     build_report,
+    classify_rank,
     concat_patterns,
     derive_matrix,
     flatten,
@@ -32,10 +34,13 @@ from choicetrust import (
     run_patterns,
     run_totals,
     scan_runs,
+    signed_difference,
+    zone,
 )
 from choicetrust.cli_io import _distribution_cells, report_to_dict, report_to_json
 
 from helpers import episode
+from choicetrust.trust_scoring import _degree_and_notes, _score_totals
 from reference_report import reference_distribution, reference_overall, reference_report
 
 IDS = tuple(f"o{i}" for i in range(12))
@@ -232,3 +237,55 @@ def test_report_equals_the_paper_pipeline(batch, variant, d0_zone, p):
     assert [s["overall_rationality"]["distribution"] for s in json.loads(rendered)["reviewers"]] == [
         reference_distribution(s.overall) for s in reference.reviewers
     ]
+
+
+@st.composite
+def run_total_tuples(draw):
+    """Per-period run totals of one object (None where absent) and its two-period catalog sizes."""
+    sizes = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    totals = tuple(draw(st.none() | st.integers(0, n - 1)) for n in sizes)
+    # Two periods score without sizes when one holds fewer than two objects.
+    ns = tuple(sizes) if len(sizes) == 2 and draw(st.integers(0, 4)) else None
+    return totals, ns
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_total_tuples(), st.sampled_from(["minmax", "smoothed"]), st.sampled_from(["rational", "irrational"]))
+def test_run_total_memo_equals_uncached_derivation(case, variant, d0_zone):
+    totals, ns = case
+    scored = _score_totals(totals, ns, variant, d0_zone)
+    slots = tuple(RunCount(t) if t else EPSILON for t in totals)
+    assert scored.slots == slots
+    assert scored.absent_flags == tuple(t is None for t in totals)
+    assert scored.rank_class == classify_rank(slots)
+    if len(totals) == 2:
+        d = signed_difference(slots)
+        assert scored.zone == zone(slots)
+        assert (scored.bar, scored.degree, scored.notes) == _degree_and_notes(d, ns, variant)
+        assert scored.counts_rational == (d > 0 or d == 0 and d0_zone == "rational")
+        assert scored.conformant is None
+    else:
+        assert (scored.zone, scored.bar, scored.degree, scored.notes) == (None, None, None, ())
+        assert scored.counts_rational is False
+        assert scored.conformant == (not slots[0].is_epsilon if len(totals) == 1 else None)
+    info = _score_totals.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches(), st.sampled_from(["minmax", "smoothed"]), st.sampled_from(["rational", "irrational"]))
+def test_report_is_the_same_from_a_cold_and_a_warm_memo(batch, variant, d0_zone):
+    episodes, reviews = batch
+    _score_totals.cache_clear()
+    cold = build_report(episodes, reviews, membership_variant=variant, d0_zone=d0_zone)
+    warm = build_report(episodes, reviews, membership_variant=variant, d0_zone=d0_zone)
+    assert warm == cold
+    assert report_to_json(warm) == report_to_json(cold)
+
+
+def test_run_total_memo_stays_within_its_bound():
+    maxsize = _score_totals.cache_info().maxsize
+    for total in range(maxsize + 10):
+        _score_totals((total,), None, "minmax", "rational")
+        assert _score_totals.cache_info().currsize <= maxsize
+    assert _score_totals.cache_info().currsize == maxsize
