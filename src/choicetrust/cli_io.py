@@ -13,8 +13,10 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
+import os
 import re
 import reprlib
 import sys
@@ -40,6 +42,7 @@ from .trust_scoring import (
     OverallRationality,
     ReportError,
     Review,
+    ReviewerSection,
     TrustReport,
     build_report,
 )
@@ -278,59 +281,7 @@ def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str],
     )
 
 
-def report_to_dict(report: TrustReport) -> dict:
-    """The report as plain JSON values.
-
-    Each section's distribution rows are those of Binomial(n, p), as
-    ``OverallRationality.from_parameters`` builds it; they are formatted once
-    per (n, p), and every call returns fresh dicts.
-    """
-    reviewers = []
-    for section in report.reviewers:
-        assessments = []
-        for a in section.assessments:
-            assessments.append(
-                {
-                    "object": a.object,
-                    "pattern": a.pattern.render(),
-                    "absent_periods": [
-                        period
-                        for period, absent in zip(section.periods, a.pattern.absent_flags)
-                        if absent
-                    ],
-                    "rank_class": a.rank_class.value,
-                    "bar": a.bar,
-                    "zone": a.zone.value if a.zone else None,
-                    "degree": _fmt8(a.degree.value) if a.degree else None,
-                    "polarity_match": a.polarity_match,
-                    "narrative": a.narrative.value if a.narrative else None,
-                    "single_period_conformant": a.single_period_conformant,
-                    "rating": a.review.rating if a.review else None,
-                    "comment_polarity": a.review.comment_polarity.value if a.review else None,
-                    "annotations": list(a.annotations),
-                }
-            )
-        overall = section.overall
-        distribution = [
-            {"r": r, "probability": prob, "at_most": at_most, "at_least": at_least}
-            for r, prob, at_most, at_least in _distribution_cells(overall.n, overall.p)
-        ]
-        reviewers.append(
-            {
-                "reviewer_id": section.reviewer_id,
-                "periods": list(section.periods),
-                "catalog": list(section.catalog),
-                "period_patterns": list(section.period_patterns),
-                "joint_pattern": section.joint_pattern,
-                "assessments": assessments,
-                "overall_rationality": {
-                    "n": overall.n,
-                    "p": _fmt8(overall.p),
-                    "realized_rational_count": overall.realized_r,
-                    "distribution": distribution,
-                },
-            }
-        )
+def _report_head(report: TrustReport) -> dict:
     return {
         "tool": report.tool_version or _TOOL,
         "parameters": {
@@ -338,7 +289,62 @@ def report_to_dict(report: TrustReport) -> dict:
             "d0_zone": report.parameters.d0_zone,
             "p": _fmt8(report.parameters.p),
         },
-        "reviewers": reviewers,
+    }
+
+
+def _section_dict(section: ReviewerSection) -> dict:
+    """One reviewer section as plain JSON values.
+
+    Its distribution rows are those of Binomial(n, p), as
+    ``OverallRationality.from_parameters`` builds it; they are formatted once
+    per (n, p), and every call returns fresh dicts.
+    """
+    assessments = []
+    for a in section.assessments:
+        assessments.append(
+            {
+                "object": a.object,
+                "pattern": a.pattern.render(),
+                "absent_periods": [
+                    period
+                    for period, absent in zip(section.periods, a.pattern.absent_flags)
+                    if absent
+                ],
+                "rank_class": a.rank_class.value,
+                "bar": a.bar,
+                "zone": a.zone.value if a.zone else None,
+                "degree": _fmt8(a.degree.value) if a.degree else None,
+                "polarity_match": a.polarity_match,
+                "narrative": a.narrative.value if a.narrative else None,
+                "single_period_conformant": a.single_period_conformant,
+                "rating": a.review.rating if a.review else None,
+                "comment_polarity": a.review.comment_polarity.value if a.review else None,
+                "annotations": list(a.annotations),
+            }
+        )
+    overall = section.overall
+    distribution = [
+        {"r": r, "probability": prob, "at_most": at_most, "at_least": at_least}
+        for r, prob, at_most, at_least in _distribution_cells(overall.n, overall.p)
+    ]
+    return {
+        "reviewer_id": section.reviewer_id,
+        "periods": list(section.periods),
+        "catalog": list(section.catalog),
+        "period_patterns": list(section.period_patterns),
+        "joint_pattern": section.joint_pattern,
+        "assessments": assessments,
+        "overall_rationality": {
+            "n": overall.n,
+            "p": _fmt8(overall.p),
+            "realized_rational_count": overall.realized_r,
+            "distribution": distribution,
+        },
+    }
+
+
+def _report_tail(report: TrustReport) -> dict:
+    return {
         "flagged_reviews": [
             {
                 "reviewer_id": f.review.reviewer_id,
@@ -351,6 +357,18 @@ def report_to_dict(report: TrustReport) -> dict:
         "errors": [
             {"reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors
         ],
+    }
+
+
+def report_to_dict(report: TrustReport) -> dict:
+    """The report as plain JSON values: its head, one dict per reviewer section, its tail.
+
+    The renderers below write the same document one section at a time.
+    """
+    return {
+        **_report_head(report),
+        "reviewers": [_section_dict(section) for section in report.reviewers],
+        **_report_tail(report),
     }
 
 
@@ -424,22 +442,53 @@ def _float(value: float) -> str:
 
 
 def _csv(fields: Sequence[str], rows: Iterable[dict]) -> str:
-    """A CSV table of `fields` over `rows`, which may hold other keys too.
+    """A CSV table of `fields` over `rows`, which may hold other keys too."""
+    return "".join(_csv_chunks(fields, [rows]))
 
-    A bool is written true/false and None as an empty cell.
+
+def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[dict]]) -> Iterator[str]:
+    """The header line of a CSV table of `fields`, then each block of rows as one string.
+
+    Rows may hold other keys too. A bool is written true/false and None as an
+    empty cell.
     """
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n", extrasaction="ignore")
     writer.writeheader()
-    writer.writerows(
-        {key: str(value).lower() if isinstance(value, bool) else value for key, value in row.items()}
-        for row in rows
-    )
-    return buf.getvalue()
+    # An empty first block yields the header line on its own.
+    for rows in itertools.chain([()], blocks):
+        writer.writerows(
+            {key: str(value).lower() if isinstance(value, bool) else value for key, value in row.items()}
+            for row in rows
+        )
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
 
 
-def report_to_json(report: TrustReport) -> str:
-    return _json(report_to_dict(report))
+# The report renderers below each yield the report's head, then one chunk per
+# reviewer section, rendered from that section's dict alone, then its tail.
+
+
+def _json_stream(report: TrustReport) -> Iterator[str]:
+    """``_json(report_to_dict(report))``, in chunks."""
+    chunks: list[str] = []
+    lead = "{\n  "
+    for key, value in _report_head(report).items():
+        _json_chunks(value, f"{lead}{_escape(key)}: ", "\n  ", chunks)
+        lead = ",\n  "
+    yield "".join(chunks) + lead + '"reviewers": ['
+    lead = "\n    "
+    for section in report.reviewers:
+        chunks = []
+        _json_chunks(_section_dict(section), lead, "\n    ", chunks)
+        yield "".join(chunks)
+        lead = ",\n    "
+    chunks = ["\n  ]" if report.reviewers else "]"]
+    for key, value in _report_tail(report).items():
+        _json_chunks(value, f",\n  {_escape(key)}: ", "\n  ", chunks)
+    chunks.append("\n}\n")
+    yield "".join(chunks)
 
 
 _CSV_COLUMNS = [
@@ -449,43 +498,53 @@ _CSV_COLUMNS = [
 ]
 
 
-def _report_rows(doc: dict) -> Iterator[dict]:
-    """The report's CSV records, one per assessment, binomial row, flagged review and error."""
-    for section in doc["reviewers"]:
-        rid = section["reviewer_id"]
-        for a in section["assessments"]:
-            yield {**a, "record": "assessment", "reviewer_id": rid, "annotations": " | ".join(a["annotations"])}
-        for row in section["overall_rationality"]["distribution"]:
-            yield {**row, "record": "overall", "reviewer_id": rid}
-    for f in doc["flagged_reviews"]:
-        yield {**f, "record": "flagged_review"}
-    for e in doc["errors"]:
-        yield {**e, "record": "error"}
+def _csv_blocks(report: TrustReport) -> Iterator[list[dict]]:
+    """The report's CSV records, one per assessment, binomial row, flagged review and error.
 
-
-def report_to_csv(report: TrustReport) -> str:
-    return _csv(_CSV_COLUMNS, _report_rows(report_to_dict(report)))
-
-
-def report_to_text(report: TrustReport) -> str:
-    doc = report_to_dict(report)
-    lines = [doc["tool"]]
-    params = doc["parameters"]
-    lines.append(
-        f"parameters: membership={params['membership']} d0-zone={params['d0_zone']} p={params['p']}"
-    )
-    for section in doc["reviewers"]:
-        lines.append("")
-        lines.append(
-            f"reviewer {section['reviewer_id']}  periods {section['periods']}  "
-            f"catalog [{', '.join(section['catalog'])}]"
+    Each reviewer section is one block, and the flagged reviews and errors together the last.
+    """
+    for section in report.reviewers:
+        doc = _section_dict(section)
+        rid = doc["reviewer_id"]
+        block = [
+            {**a, "record": "assessment", "reviewer_id": rid, "annotations": " | ".join(a["annotations"])}
+            for a in doc["assessments"]
+        ]
+        block += (
+            {**row, "record": "overall", "reviewer_id": rid}
+            for row in doc["overall_rationality"]["distribution"]
         )
-        lines.append("  period patterns: " + " ".join(section["period_patterns"]))
-        if section["joint_pattern"]:
-            lines.append("  joint pattern:   " + section["joint_pattern"])
-        header = f"  {'object':<10}{'pattern':<12}{'rank':<12}{'bar':<5}{'zone':<12}{'degree':<12}{'match':<7}narrative"
-        lines.append(header)
-        for a in section["assessments"]:
+        yield block
+    tail = _report_tail(report)
+    yield [{**f, "record": "flagged_review"} for f in tail["flagged_reviews"]] + [
+        {**e, "record": "error"} for e in tail["errors"]
+    ]
+
+
+def _csv_stream(report: TrustReport) -> Iterator[str]:
+    return _csv_chunks(_CSV_COLUMNS, _csv_blocks(report))
+
+
+def _text_stream(report: TrustReport) -> Iterator[str]:
+    head = _report_head(report)
+    params = head["parameters"]
+    yield (
+        f"{head['tool']}\n"
+        f"parameters: membership={params['membership']} d0-zone={params['d0_zone']} p={params['p']}\n"
+    )
+    for section in report.reviewers:
+        doc = _section_dict(section)
+        lines = [
+            "",
+            f"reviewer {doc['reviewer_id']}  periods {doc['periods']}  catalog [{', '.join(doc['catalog'])}]",
+            "  period patterns: " + " ".join(doc["period_patterns"]),
+        ]
+        if doc["joint_pattern"]:
+            lines.append("  joint pattern:   " + doc["joint_pattern"])
+        lines.append(
+            f"  {'object':<10}{'pattern':<12}{'rank':<12}{'bar':<5}{'zone':<12}{'degree':<12}{'match':<7}narrative"
+        )
+        for a in doc["assessments"]:
             match = "" if a["polarity_match"] is None else ("yes" if a["polarity_match"] else "NO")
             lines.append(
                 f"  {a['object']:<10}{a['pattern']:<12}{a['rank_class']:<12}"
@@ -494,7 +553,7 @@ def report_to_text(report: TrustReport) -> str:
             )
             for note in a["annotations"]:
                 lines.append(f"    note ({a['object']}): {note}")
-        overall = section["overall_rationality"]
+        overall = doc["overall_rationality"]
         realized = overall["realized_rational_count"]
         lines.append(
             f"  overall: n={overall['n']} p={overall['p']}"
@@ -505,21 +564,33 @@ def report_to_text(report: TrustReport) -> str:
                 f"    r={row['r']}  f={row['probability']}  "
                 f"f(<= r)={row['at_most']}  f(>= r)={row['at_least']}"
             )
-    if doc["flagged_reviews"]:
-        lines.append("")
-        lines.append("flagged reviews:")
-        for f in doc["flagged_reviews"]:
+        yield "\n".join(lines) + "\n"
+    tail = _report_tail(report)
+    lines = []
+    if tail["flagged_reviews"]:
+        lines += ["", "flagged reviews:"]
+        for f in tail["flagged_reviews"]:
             lines.append(f"  {f['reviewer_id']} / {f['object']} (rating {f['rating']}): {f['reason']}")
-    if doc["errors"]:
-        lines.append("")
-        lines.append("errors:")
-        for e in doc["errors"]:
-            who = e["reviewer_id"] or "-"
-            lines.append(f"  [{who}] {e['message']}")
-    return "\n".join(lines) + "\n"
+    if tail["errors"]:
+        lines += ["", "errors:"]
+        for e in tail["errors"]:
+            lines.append(f"  [{e['reviewer_id'] or '-'}] {e['message']}")
+    yield "".join(line + "\n" for line in lines)
 
 
-_REPORT_RENDERERS = {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}
+_REPORT_RENDERERS = {"json": _json_stream, "csv": _csv_stream, "text": _text_stream}
+
+
+def report_to_json(report: TrustReport) -> str:
+    return "".join(_json_stream(report))
+
+
+def report_to_csv(report: TrustReport) -> str:
+    return "".join(_csv_stream(report))
+
+
+def report_to_text(report: TrustReport) -> str:
+    return "".join(_text_stream(report))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +607,17 @@ def cmd_score(
     fmt: str = "json",
 ) -> tuple[str, int]:
     """Full pipeline on an episode file plus a reviews document."""
+    chunks, code = _score(episodes_path, reviews_path, membership_variant, d0_zone, p, fmt)
+    return "".join(chunks), code
+
+
+def _score(
+    episodes_path: str | Path, reviews_path: str | Path, membership_variant: str, d0_zone: str, p: Fraction, fmt: str
+) -> tuple[Iterator[str], int]:
+    """`cmd_score`'s report as its renderer's chunks, not yet rendered, and its exit code.
+
+    A report without a reviewer section is a ParseError.
+    """
     episodes, episode_problems = load_episodes(episodes_path)
     if not episodes and not episode_problems:
         raise ParseError(episodes_path, "episode file contains no records")
@@ -559,8 +641,7 @@ def cmd_score(
             episodes_path,
             f"no reviewer could be scored ({count} problem{'' if count == 1 else 's'}; first: {who}{first.message})",
         )
-    output = _REPORT_RENDERERS[fmt](report)
-    return output, EXIT_PARTIAL if report.has_errors else EXIT_OK
+    return _REPORT_RENDERERS[fmt](report), EXIT_PARTIAL if report.has_errors else EXIT_OK
 
 
 def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> list[dict]:
@@ -682,29 +763,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write `chunks` in order to the file `out`, or to stdout, each as it comes."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError:
+        # Whatever is still buffered would fail again when the interpreter
+        # flushes stdout at exit, so stdout now leads to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code = EXIT_OK
         if args.command == "score":
-            output, code = cmd_score(
-                args.episodes,
-                args.reviews,
-                membership_variant=args.membership,
-                d0_zone=args.d0_zone,
-                p=_parse_p(args.p),
-                fmt=args.format,
-            )
+            p = _parse_p(args.p)
+            chunks, code = _score(args.episodes, args.reviews, args.membership, args.d0_zone, p, args.format)
         elif args.command == "tau":
-            output = cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format)
+            chunks = [cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format)]
         elif args.command == "info-index":
-            output = cmd_info_index(args.list, fmt=args.format)
+            chunks = [cmd_info_index(args.list, fmt=args.format)]
         else:
-            output = cmd_check(args.table, fmt=args.format)
-        if args.out:
-            Path(args.out).write_text(output, encoding="utf-8")
-        else:
-            sys.stdout.write(output)
+            chunks = [cmd_check(args.table, fmt=args.format)]
+        _write(chunks, args.out)
         return code
     except OSError as exc:
         where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -760,3 +761,80 @@ def test_score_runs_without_numpy(fixtures_dir, tmp_path):
     assert (child.returncode, child.stderr) == (EXIT_OK, "")
     expected, _ = cmd_score(fixtures_dir / EPISODES, fixtures_dir / REVIEWS)
     assert out.read_text(encoding="utf-8") == expected
+
+
+def _many_reviewers(tmp_path, count=40):
+    """Episode and review files of `count` two-period reviewers; one review names an absent object."""
+    catalog = ["a", "b", "c", "d"]
+    lines, reviews = [], [{"reviewer_id": "r0", "object": "zz", "rating": 3}]
+    for k in range(count):
+        for period in (1, 2):
+            order = catalog[k % 4:] + catalog[: k % 4] if period == 1 else catalog[::-1]
+            lines.append(json.dumps({"reviewer_id": f"r{k}", "period": period, "catalog": catalog,
+                                     "wishlist": order[:3], "cart": order[:2], "final": order[:1]}))
+        reviews.append({"reviewer_id": f"r{k}", "object": catalog[k % 4], "rating": 1 + k % 5})
+    episodes = tmp_path / "episodes.jsonl"
+    episodes.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    reviews_path = tmp_path / "reviews.json"
+    reviews_path.write_text(json.dumps(reviews), encoding="utf-8")
+    return episodes, reviews_path
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["one section", "many sections", "tau"])
+def test_a_closed_stdout_is_a_one_line_error(fixtures_dir, tmp_path, command, unbuffered):
+    if command == "one section":
+        argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS)]
+    elif command == "many sections":
+        argv = ["score", *map(str, _many_reviewers(tmp_path, 400))]
+    else:
+        argv = ["tau", "4", "2"]
+    env = {"PYTHONPATH": str(Path(choicetrust.__file__).parents[1])}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "choicetrust.cli_io", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    lines = child.stderr.decode("utf-8").splitlines()
+    assert child.returncode == EXIT_FATAL, lines
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_score_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, fmt):
+    argv = ["score", *map(str, _many_reviewers(tmp_path)), "--format", fmt]
+    out = tmp_path / f"report.{fmt}"
+    assert main([*argv, "--out", str(out)]) == EXIT_PARTIAL
+    child = subprocess.run(
+        [sys.executable, "-m", "choicetrust.cli_io", *argv],
+        capture_output=True,
+        env={"PYTHONPATH": str(Path(choicetrust.__file__).parents[1])},
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (EXIT_PARTIAL, b"")
+    assert child.stdout == out.read_bytes()
+    assert b"r39" in child.stdout and b"zz" in child.stdout  # the last section and the tail
+
+
+@pytest.mark.parametrize("fault", ["no reviewer could be scored", "missing reviews file"])
+def test_a_fatal_score_leaves_out_as_it_was(fixtures_dir, tmp_path, capsys, fault):
+    episodes, reviews = fixtures_dir / EPISODES, fixtures_dir / REVIEWS
+    if fault == "no reviewer could be scored":
+        episodes = tmp_path / "episodes.jsonl"
+        episodes.write_text("not json\n[]\n", encoding="utf-8")
+    else:
+        reviews = tmp_path / "missing.json"
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    assert main(["score", str(episodes), str(reviews), "--out", str(out)]) == EXIT_FATAL
+    assert out.read_bytes() == b"an earlier report\n"
+    assert capsys.readouterr().err.count("\n") == 1

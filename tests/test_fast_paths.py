@@ -37,7 +37,14 @@ from choicetrust import (
     signed_difference,
     zone,
 )
-from choicetrust.cli_io import _distribution_cells, report_to_dict, report_to_json
+from choicetrust.cli_io import (
+    _REPORT_RENDERERS,
+    _distribution_cells,
+    report_to_csv,
+    report_to_dict,
+    report_to_json,
+    report_to_text,
+)
 
 from helpers import episode
 from choicetrust.trust_scoring import _degree_and_notes, _score_totals
@@ -237,6 +244,42 @@ def test_report_equals_the_paper_pipeline(batch, variant, d0_zone, p):
     assert [s["overall_rationality"]["distribution"] for s in json.loads(rendered)["reviewers"]] == [
         reference_distribution(s.overall) for s in reference.reviewers
     ]
+
+
+def _assert_streamed_report_equals_its_document(report):
+    assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2, ensure_ascii=True) + "\n"
+    # The head, one chunk per reviewer section, and the tail.
+    for fmt, render in _REPORT_RENDERERS.items():
+        chunks = list(render(report))
+        assert len(chunks) == len(report.reviewers) + 2
+        assert "".join(chunks) == {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}[fmt](report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    batches(),
+    st.sampled_from(["minmax", "smoothed"]),
+    st.sampled_from(["rational", "irrational"]),
+    st.sampled_from([Fraction(1, 2), Fraction(0), Fraction(3, 10)]),
+)
+def test_streamed_report_equals_its_document(batch, variant, d0_zone, p):
+    episodes, reviews = batch
+    report = build_report(episodes, reviews, membership_variant=variant, d0_zone=d0_zone, p=p)
+    _assert_streamed_report_equals_its_document(report)
+
+
+def test_streamed_report_equals_its_document_where_a_list_is_empty(canonical_episodes, canonical_reviews):
+    no_sections = build_report([])
+    assert (no_sections.reviewers, no_sections.flagged_reviews, no_sections.errors) == ((), (), ())
+    clean = build_report(canonical_episodes, canonical_reviews)
+    assert clean.reviewers and not clean.flagged_reviews and not clean.errors
+    flagged_only = build_report(canonical_episodes, [*canonical_reviews, Review.make("rev-1", "Q", 2)])
+    assert flagged_only.flagged_reviews and not flagged_only.errors
+    invalid = ChoiceEpisode("rev-2", 1, ("M",), ("N",), (), ())
+    errors_only = build_report([*canonical_episodes, invalid], canonical_reviews)
+    assert errors_only.reviewers and errors_only.errors and not errors_only.flagged_reviews
+    for report in (no_sections, clean, flagged_only, errors_only):
+        _assert_streamed_report_equals_its_document(report)
 
 
 @st.composite
