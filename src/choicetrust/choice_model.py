@@ -22,6 +22,16 @@ from .errors import (
     UnknownObjectError,
 )
 
+__all__ = [
+    "AttributeVector",
+    "ConstraintRow",
+    "ChoiceEpisode",
+    "ValidatedEpisode",
+    "attainable_set",
+    "validate_episode",
+    "stage_rank",
+]
+
 RELATIONS = ("<=", "=", ">=")
 
 _RELATION_ALIASES = {

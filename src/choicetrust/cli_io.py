@@ -51,6 +51,9 @@ EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
+# Output formats every command renders.
+FORMATS = ("json", "csv", "text")
+
 # Largest outcome set `tau` lists; it holds n**t patterns.
 MAX_TAU_ROWS = 10**6
 
@@ -745,21 +748,21 @@ def _build_parser() -> argparse.ArgumentParser:
     score.add_argument("--membership", choices=MEMBERSHIP_VARIANTS, default="minmax")
     score.add_argument("--d0-zone", choices=D0_ZONE_CHOICES, default="rational")
     score.add_argument("--p", default="1/2", help="rational-zone probability (e.g. 0.5 or 1/2)")
-    score.add_argument("--format", choices=("json", "csv", "text"), default="json")
+    score.add_argument("--format", choices=FORMATS, default="json")
 
     tau = sub.add_parser("tau", parents=[common], help="list the rationality outcome set")
     tau.add_argument("n", type=int)
     tau.add_argument("t", type=int)
     tau.add_argument("--membership", choices=MEMBERSHIP_VARIANTS, default="minmax")
-    tau.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    tau.add_argument("--format", choices=FORMATS, default="text")
 
     info = sub.add_parser("info-index", parents=[common], help="choose from a graded list by information index")
     info.add_argument("list", help="JSON graded-list document")
-    info.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    info.add_argument("--format", choices=FORMATS, default="text")
 
     check = sub.add_parser("check", parents=[common], help="consistency-check a complete choice table")
     check.add_argument("table", help="JSON choice-table document")
-    check.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    check.add_argument("--format", choices=FORMATS, default="text")
     return parser
 
 

@@ -4,6 +4,20 @@ from __future__ import annotations
 
 from typing import Iterable
 
+__all__ = [
+    "ChoiceTrustError",
+    "DimensionError",
+    "DuplicateItemError",
+    "NestingError",
+    "EmptyFinalError",
+    "UnknownObjectError",
+    "ShapeError",
+    "DomainError",
+    "EmptyListError",
+    "GradeError",
+    "IncompleteTableError",
+]
+
 # An id holding one of these would make a rendered set ambiguous.
 _SET_SYNTAX = frozenset(",{} '\"")
 

@@ -25,6 +25,7 @@ __all__ = [
     "choose_from_list",
     "choice_correspondence",
     "fold_pairwise",
+    "make_list",
 ]
 
 _GRADE_TOLERANCE = 1e-12

@@ -10,16 +10,16 @@ absence from the period's catalog both normalize to the empty-run symbol.
 A row's run total is its row sum: the number of catalog objects with a
 strictly lower stage rank. Scoring uses that count (:func:`run_totals`),
 which takes O(n) per period, and turns totals into slots by
-:func:`slot_rule`, as :func:`run_patterns` and :func:`omega` do;
-:func:`scan_runs` over :func:`flatten` of :func:`derive_matrix` is the
-paper-literal scanner, kept as the reference tests compare against.
+:func:`slot_rule`, as :func:`omega` does; :func:`scan_runs` over
+:func:`flatten` of :func:`derive_matrix` is the paper-literal scanner, kept
+as the reference tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .choice_model import ValidatedEpisode
 from .errors import DomainError, UnknownObjectError
@@ -33,7 +33,6 @@ __all__ = [
     "RunPattern",
     "scan_runs",
     "run_totals",
-    "run_patterns",
     "omega",
     "single_period_rationality_pattern",
 ]
@@ -144,34 +143,6 @@ def run_totals(episode: ValidatedEpisode) -> tuple[int, ...]:
     return tuple(below[episode.ranks[oid]] for oid in episode.attainable)
 
 
-def run_patterns(episodes: Sequence[ValidatedEpisode], objects: Iterable[str]) -> tuple[RunPattern, ...]:
-    """Run patterns of several objects across a period-sorted episode list.
-
-    Slot k holds the object's run total in period k with 0 normalized to the
-    empty run; a period whose catalog lacks the object contributes the empty
-    run with its absence flag set. Each period's totals are counted once.
-
-    Raises:
-        DomainError: Episodes are not strictly sorted by period.
-        UnknownObjectError: An object is in no period's catalog.
-    """
-    episodes = tuple(episodes)
-    if not episodes:
-        raise DomainError("need at least one episode")
-    periods = [e.period for e in episodes]
-    if any(b <= a for a, b in zip(periods, periods[1:])):
-        raise DomainError(f"episodes must be strictly sorted by period, got {periods}")
-
-    totals = [dict(zip(e.attainable, run_totals(e))) for e in episodes]
-    patterns = []
-    for obj in objects:
-        counts = [period.get(obj) for period in totals]
-        if all(count is None for count in counts):
-            raise UnknownObjectError(f"object {obj!r} appears in no period's catalog")
-        patterns.append(RunPattern(obj, *slot_rule(counts)))
-    return tuple(patterns)
-
-
 def slot_rule(counts: Sequence[int | None]) -> tuple[tuple[RunCount, ...], tuple[bool, ...]]:
     """Slots and absence flags of per-period run totals, None where the object is absent.
 
@@ -187,9 +158,25 @@ def slot_rule(counts: Sequence[int | None]) -> tuple[tuple[RunCount, ...], tuple
 def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:
     """Extract one object's run pattern across a period-sorted episode list.
 
-    See :func:`run_patterns` for the slot rules and the errors raised.
+    Slot k holds the object's run total in period k with 0 normalized to the
+    empty run; a period whose catalog lacks the object contributes the empty
+    run with its absence flag set.
+
+    Raises:
+        DomainError: Episodes are not strictly sorted by period.
+        UnknownObjectError: The object is in no period's catalog.
     """
-    return run_patterns(episodes, (obj,))[0]
+    episodes = tuple(episodes)
+    if not episodes:
+        raise DomainError("need at least one episode")
+    periods = [e.period for e in episodes]
+    if any(b <= a for a, b in zip(periods, periods[1:])):
+        raise DomainError(f"episodes must be strictly sorted by period, got {periods}")
+
+    counts = [dict(zip(e.attainable, run_totals(e))).get(obj) for e in episodes]
+    if all(count is None for count in counts):
+        raise UnknownObjectError(f"object {obj!r} appears in no period's catalog")
+    return RunPattern(obj, *slot_rule(counts))
 
 
 def single_period_rationality_pattern(n: int) -> tuple[int, ...]:

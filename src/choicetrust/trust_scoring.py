@@ -55,6 +55,7 @@ __all__ = [
     "period_string",
     "match_review",
     "build_report",
+    "assessment_for",
 ]
 
 D0_ZONE_CHOICES = ("rational", "irrational")
@@ -177,19 +178,15 @@ class OverallRationality:
     """Binomial distribution of rational-zone counts, plus the realized one.
 
     ``cdf`` holds the exact prefix sums of ``pmf``, so :meth:`at_most` and
-    :meth:`at_least` are lookups. It is summed from ``pmf`` unless given;
-    :meth:`from_parameters` takes both from a cache keyed by ``(n, p)``.
+    :meth:`at_least` are lookups. :meth:`from_parameters` takes both from a
+    cache keyed by ``(n, p)``.
     """
 
     n: int
     p: Fraction
     realized_r: int | None
     pmf: tuple[Fraction, ...]
-    cdf: tuple[Fraction, ...] | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.cdf is None:
-            object.__setattr__(self, "cdf", tuple(accumulate(self.pmf)))
+    cdf: tuple[Fraction, ...] = field(repr=False, compare=False)
 
     @classmethod
     def from_parameters(
