@@ -9,10 +9,10 @@ builds on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._record import Record, setfield
 from .errors import (
     DimensionError,
     DomainError,
@@ -41,46 +41,42 @@ _RELATION_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class AttributeVector:
+class AttributeVector(Record):
     """Non-negative integer attribute values of one catalog object."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, values: tuple[int, ...]) -> None:
         coerced = []
-        for v in self.values:
+        for v in values:
             iv = int(v)
             if iv != v:
                 raise DomainError(f"attribute values must be integers, got {v!r}")
             coerced.append(iv)
         if any(v < 0 for v in coerced):
-            raise DomainError(f"attribute values must be non-negative, got {self.values}")
-        object.__setattr__(self, "values", tuple(coerced))
+            raise DomainError(f"attribute values must be non-negative, got {values}")
+        setfield(self, "values", tuple(coerced))
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(Record):
     """One linear restriction `coefficients . attributes  <relation>  bound`.
 
     Coefficients and the bound are held as exact rationals so that
     feasibility never depends on float rounding.
     """
 
-    coefficients: tuple[Fraction, ...]
-    relation: str
-    bound: Fraction
+    __slots__ = ("coefficients", "relation", "bound")
 
-    def __post_init__(self) -> None:
-        rel = _RELATION_ALIASES.get(str(self.relation))
+    def __init__(self, coefficients: tuple[Fraction, ...], relation: str, bound: Fraction) -> None:
+        rel = _RELATION_ALIASES.get(str(relation))
         if rel is None:
-            raise DomainError(f"relation must be one of {RELATIONS}, got {self.relation!r}")
-        object.__setattr__(self, "relation", rel)
-        object.__setattr__(self, "coefficients", tuple(Fraction(c) for c in self.coefficients))
-        object.__setattr__(self, "bound", Fraction(self.bound))
+            raise DomainError(f"relation must be one of {RELATIONS}, got {relation!r}")
+        setfield(self, "relation", rel)
+        setfield(self, "coefficients", tuple(Fraction(c) for c in coefficients))
+        setfield(self, "bound", Fraction(bound))
 
     def satisfied_by(self, vector: AttributeVector) -> bool:
         """Evaluate this row against one attribute vector."""
@@ -97,40 +93,56 @@ class ConstraintRow:
         return total == self.bound
 
 
-@dataclass(frozen=True)
-class ChoiceEpisode:
+class ChoiceEpisode(Record):
     """One reviewer's four stage sets at one time period (not yet validated)."""
 
-    reviewer_id: str
-    period: int
-    attainable: tuple[str, ...]
-    wishlist: tuple[str, ...]
-    cart: tuple[str, ...]
-    final: tuple[str, ...]
+    __slots__ = ("reviewer_id", "period", "attainable", "wishlist", "cart", "final")
 
-    def __post_init__(self) -> None:
-        for name in ("attainable", "wishlist", "cart", "final"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        if int(self.period) < 1:
-            raise DomainError(f"period must be a positive integer, got {self.period}")
-        object.__setattr__(self, "period", int(self.period))
+    def __init__(
+        self,
+        reviewer_id: str,
+        period: int,
+        attainable: tuple[str, ...],
+        wishlist: tuple[str, ...],
+        cart: tuple[str, ...],
+        final: tuple[str, ...],
+    ) -> None:
+        setfield(self, "reviewer_id", reviewer_id)
+        setfield(self, "attainable", tuple(attainable))
+        setfield(self, "wishlist", tuple(wishlist))
+        setfield(self, "cart", tuple(cart))
+        setfield(self, "final", tuple(final))
+        if int(period) < 1:
+            raise DomainError(f"period must be a positive integer, got {period}")
+        setfield(self, "period", int(period))
 
 
-@dataclass(frozen=True)
-class ValidatedEpisode:
+class ValidatedEpisode(Record):
     """A :class:`ChoiceEpisode` whose stage nesting has been certified.
 
     Constructed through :func:`validate_episode`; carries the per-object
     stage rank so later derivations never re-walk the stage sets.
     """
 
-    reviewer_id: str
-    period: int
-    attainable: tuple[str, ...]
-    wishlist: tuple[str, ...]
-    cart: tuple[str, ...]
-    final: tuple[str, ...]
-    ranks: Mapping[str, int] = field(repr=False)
+    __slots__ = ("reviewer_id", "period", "attainable", "wishlist", "cart", "final", "ranks")
+
+    def __init__(
+        self,
+        reviewer_id: str,
+        period: int,
+        attainable: tuple[str, ...],
+        wishlist: tuple[str, ...],
+        cart: tuple[str, ...],
+        final: tuple[str, ...],
+        ranks: Mapping[str, int],
+    ) -> None:
+        setfield(self, "reviewer_id", reviewer_id)
+        setfield(self, "period", period)
+        setfield(self, "attainable", attainable)
+        setfield(self, "wishlist", wishlist)
+        setfield(self, "cart", cart)
+        setfield(self, "final", final)
+        setfield(self, "ranks", ranks)
 
     @property
     def n(self) -> int:

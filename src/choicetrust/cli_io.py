@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import itertools
@@ -456,12 +455,15 @@ def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[dict]]) -> Iter
     empty cell.
     """
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n", extrasaction="ignore")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
     # An empty first block yields the header line on its own.
     for rows in itertools.chain([()], blocks):
         writer.writerows(
-            {key: str(value).lower() if isinstance(value, bool) else value for key, value in row.items()}
+            [
+                ("true" if value else "false") if value is True or value is False else value
+                for value in map(row.get, fields)
+            ]
             for row in rows
         )
         yield buf.getvalue()
@@ -635,7 +637,13 @@ def _score(
     )
     if episode_problems or review_problems:
         extra = tuple(ReportError(reviewer_id=None, message=m) for m in episode_problems + review_problems)
-        report = dataclasses.replace(report, errors=report.errors + extra)
+        report = TrustReport(
+            report.tool_version,
+            report.parameters,
+            report.reviewers,
+            report.flagged_reviews,
+            report.errors + extra,
+        )
     if not report.reviewers:
         # Every episode is then in report.errors, as a parse or validation problem.
         count, first = len(report.errors), report.errors[0]
@@ -707,7 +715,10 @@ def cmd_check(table_path: str | Path, *, fmt: str = "text") -> str:
     result = check_contraction(table)
     order = rationalizable(table)
     ranking = " > ".join(order) if order else "none"
-    violations = [dataclasses.asdict(v) for v in result.violations]
+    violations = [
+        {"small": v.small, "large": v.large, "chosen_large": v.chosen_large, "chosen_small": v.chosen_small}
+        for v in result.violations
+    ]
     if fmt == "json":
         return _json(
             {

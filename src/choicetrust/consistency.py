@@ -10,9 +10,9 @@ Both are checked exhaustively.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from ._record import Record, setfield
 from .errors import DomainError, IncompleteTableError, render_set
 from .pattern_runs import RunCount
 
@@ -30,14 +30,18 @@ __all__ = [
 MAX_GROUND = 6
 
 
-@dataclass(frozen=True)
-class ContractionViolation:
+class ContractionViolation(Record):
     """A nested pair whose choices disagree although they should not."""
 
-    small: tuple[str, ...]
-    large: tuple[str, ...]
-    chosen_large: str
-    chosen_small: str
+    __slots__ = ("small", "large", "chosen_large", "chosen_small")
+
+    def __init__(
+        self, small: tuple[str, ...], large: tuple[str, ...], chosen_large: str, chosen_small: str
+    ) -> None:
+        setfield(self, "small", small)
+        setfield(self, "large", large)
+        setfield(self, "chosen_large", chosen_large)
+        setfield(self, "chosen_small", chosen_small)
 
     def describe(self) -> str:
         return (
@@ -47,10 +51,12 @@ class ContractionViolation:
         )
 
 
-@dataclass(frozen=True)
-class ContractionResult:
-    consistent: bool
-    violations: tuple[ContractionViolation, ...]
+class ContractionResult(Record):
+    __slots__ = ("consistent", "violations")
+
+    def __init__(self, consistent: bool, violations: tuple[ContractionViolation, ...]) -> None:
+        setfield(self, "consistent", consistent)
+        setfield(self, "violations", violations)
 
 
 class Lemma2Class:

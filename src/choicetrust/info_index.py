@@ -11,10 +11,10 @@ element as choosing from the whole list at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
+from ._record import Record, setfield
 from .errors import EmptyListError, GradeError
 
 __all__ = [
@@ -31,34 +31,33 @@ __all__ = [
 _GRADE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class IfsElement:
+class IfsElement(Record):
     """One alternative graded by membership mu and non-membership nu."""
 
-    id: str
-    mu: float
-    nu: float
+    __slots__ = ("id", "mu", "nu")
 
-    def __post_init__(self) -> None:
-        for name, g in (("mu", self.mu), ("nu", self.nu)):
+    def __init__(self, id: str, mu: float, nu: float) -> None:
+        for name, g in (("mu", mu), ("nu", nu)):
             if not 0.0 <= g <= 1.0:
-                raise GradeError(self.id, f"{name}={g} outside [0, 1]")
-        if self.mu + self.nu > 1.0 + _GRADE_TOLERANCE:
-            raise GradeError(self.id, f"mu + nu = {self.mu + self.nu} exceeds 1")
+                raise GradeError(id, f"{name}={g} outside [0, 1]")
+        if mu + nu > 1.0 + _GRADE_TOLERANCE:
+            raise GradeError(id, f"mu + nu = {mu + nu} exceeds 1")
+        setfield(self, "id", id)
+        setfield(self, "mu", mu)
+        setfield(self, "nu", nu)
 
     @property
     def indeterminacy(self) -> float:
         return max(0.0, 1.0 - self.mu - self.nu)
 
 
-@dataclass(frozen=True)
-class IfsList:
+class IfsList(Record):
     """An ordered list of graded alternatives; position matters for ties."""
 
-    elements: tuple[IfsElement, ...]
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
+    def __init__(self, elements: tuple[IfsElement, ...]) -> None:
+        setfield(self, "elements", tuple(elements))
 
     def __len__(self) -> int:
         return len(self.elements)

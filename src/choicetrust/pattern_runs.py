@@ -17,10 +17,10 @@ as the reference tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
+from ._record import Record, setfield
 from .choice_model import ValidatedEpisode
 from .errors import DomainError, UnknownObjectError
 from .preference_graph import PatternVector
@@ -38,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RunCount:
+class RunCount(Record):
     """A per-period run total: either a positive integer or the empty run.
 
     ``value`` is ``None`` for the empty-run symbol, which covers both "no run
@@ -47,14 +46,15 @@ class RunCount:
     the unary 1-string form is display only (:meth:`unary`).
     """
 
-    value: int | None = None
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value is not None:
-            v = int(self.value)
+    def __init__(self, value: int | None = None) -> None:
+        if value is not None:
+            v = int(value)
             if v < 1:
-                raise DomainError(f"run count must be a positive integer or empty, got {self.value}")
-            object.__setattr__(self, "value", v)
+                raise DomainError(f"run count must be a positive integer or empty, got {value}")
+            value = v
+        setfield(self, "value", value)
 
     @property
     def is_epsilon(self) -> bool:
@@ -75,24 +75,24 @@ class RunCount:
 EPSILON = RunCount(None)
 
 
-@dataclass(frozen=True)
-class RunPattern:
+class RunPattern(Record):
     """Per-object run totals across periods, plus absence bookkeeping.
 
     ``absent_flags[k]`` distinguishes "present but never preferred" from
     "not offered in period k"; both render as the empty run downstream.
     """
 
-    object: str
-    slots: tuple[RunCount, ...]
-    absent_flags: tuple[bool, ...]
+    __slots__ = ("object", "slots", "absent_flags")
 
-    def __post_init__(self) -> None:
-        if len(self.slots) != len(self.absent_flags):
+    def __init__(self, object: str, slots: tuple[RunCount, ...], absent_flags: tuple[bool, ...]) -> None:
+        if len(slots) != len(absent_flags):
             raise DomainError("slots and absent_flags must have equal length")
-        for slot, absent in zip(self.slots, self.absent_flags):
+        for slot, absent in zip(slots, absent_flags):
             if absent and not slot.is_epsilon:
                 raise DomainError("an absent period must carry the empty run")
+        setfield(self, "object", object)
+        setfield(self, "slots", slots)
+        setfield(self, "absent_flags", absent_flags)
 
     @property
     def periods(self) -> int:

@@ -16,9 +16,9 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record, setfield
 from .choice_model import ValidatedEpisode
 from .errors import ShapeError
 
@@ -32,23 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PreferenceMatrix:
+class PreferenceMatrix(Record):
     """Binary strict-preference relation over a fixed catalog order."""
 
-    order: tuple[str, ...]
-    bits: tuple[tuple[int, ...], ...]
+    __slots__ = ("order", "bits")
 
-    def __post_init__(self) -> None:
-        n = len(self.order)
-        if len(self.bits) != n or any(len(row) != n for row in self.bits):
+    def __init__(self, order: tuple[str, ...], bits: tuple[tuple[int, ...], ...]) -> None:
+        n = len(order)
+        if len(bits) != n or any(len(row) != n for row in bits):
             raise ShapeError(f"expected a {n}x{n} matrix: {n} rows of {n} entries each")
-        if any(b not in (0, 1) for row in self.bits for b in row):
+        if any(b not in (0, 1) for row in bits for b in row):
             raise ShapeError("matrix entries must be 0 or 1")
-        if any(self.bits[i][i] for i in range(n)):
+        if any(bits[i][i] for i in range(n)):
             raise ShapeError("matrix diagonal must be zero")
-        object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "bits", tuple(tuple(int(b) for b in row) for row in self.bits))
+        setfield(self, "order", tuple(order))
+        setfield(self, "bits", tuple(tuple(int(b) for b in row) for row in bits))
 
     @property
     def n(self) -> int:
@@ -59,28 +57,27 @@ class PreferenceMatrix:
         return "".join(str(b) for row in self.bits for b in row)
 
 
-@dataclass(frozen=True)
-class PatternVector:
+class PatternVector(Record):
     """Row-major 0/1 flattening of one or more preference matrices.
 
     Length is always periods * n * n; every n**2 block is one period's
     matrix. Serializes as an ASCII 0/1 string via :meth:`as_string`.
     """
 
-    bits: tuple[int, ...]
-    n: int
-    periods: int
+    __slots__ = ("bits", "n", "periods")
 
-    def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
+    def __init__(self, bits: tuple[int, ...], n: int, periods: int) -> None:
+        bits = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in bits):
             raise ShapeError("pattern bits must be 0 or 1")
-        if len(bits) != self.periods * self.n * self.n:
+        if len(bits) != periods * n * n:
             raise ShapeError(
                 f"pattern of length {len(bits)} does not match "
-                f"{self.periods} period(s) of {self.n}x{self.n} matrices"
+                f"{periods} period(s) of {n}x{n} matrices"
             )
-        object.__setattr__(self, "bits", bits)
+        setfield(self, "bits", bits)
+        setfield(self, "n", n)
+        setfield(self, "periods", periods)
 
     def as_string(self) -> str:
         return "".join(str(b) for b in self.bits)

@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from ._record import Record, setfield
 from .errors import DomainError
 from .pattern_runs import EPSILON, RunCount
 
@@ -65,13 +65,15 @@ class RankClass(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TauPattern:
+class TauPattern(Record):
     """One admissible run tuple with its rank class and (for t=2) bar."""
 
-    slots: tuple[RunCount, ...]
-    rank_class: RankClass
-    bin: str | None
+    __slots__ = ("slots", "rank_class", "bin")
+
+    def __init__(self, slots: tuple[RunCount, ...], rank_class: RankClass, bin: str | None) -> None:
+        setfield(self, "slots", slots)
+        setfield(self, "rank_class", rank_class)
+        setfield(self, "bin", bin)
 
     @property
     def periods(self) -> int:
@@ -81,25 +83,29 @@ class TauPattern:
         return "{" + ",".join(str(s) for s in self.slots) + "}"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(Record):
     """One bar of the two-period tree: all patterns sharing a difference."""
 
-    difference: int
-    label: str
-    patterns: tuple[TauPattern, ...]
+    __slots__ = ("difference", "label", "patterns")
+
+    def __init__(self, difference: int, label: str, patterns: tuple[TauPattern, ...]) -> None:
+        setfield(self, "difference", difference)
+        setfield(self, "label", label)
+        setfield(self, "patterns", patterns)
 
     @property
     def frequency(self) -> int:
         return len(self.patterns)
 
 
-@dataclass(frozen=True)
-class BinTable:
+class BinTable(Record):
     """Bars of a two-period outcome set, ascending by signed difference."""
 
-    ns: tuple[int, int]
-    bins: tuple[Bin, ...]
+    __slots__ = ("ns", "bins")
+
+    def __init__(self, ns: tuple[int, int], bins: tuple[Bin, ...]) -> None:
+        setfield(self, "ns", ns)
+        setfield(self, "bins", bins)
 
     def by_label(self, label: str) -> Bin:
         for b in self.bins:
@@ -122,12 +128,14 @@ class BinTable:
         return max(b.frequency for b in self.bins)
 
 
-@dataclass(frozen=True)
-class Degree:
+class Degree(Record):
     """A membership degree plus a flag for degenerate (all-equal) tables."""
 
-    value: Fraction
-    degenerate: bool = False
+    __slots__ = ("value", "degenerate")
+
+    def __init__(self, value: Fraction, degenerate: bool = False) -> None:
+        setfield(self, "value", value)
+        setfield(self, "degenerate", degenerate)
 
 
 def slot_alphabet(n: int) -> tuple[RunCount, ...]:

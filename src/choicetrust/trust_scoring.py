@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from ._record import Record, setfield
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
 from .errors import ChoiceTrustError, DomainError, UnknownObjectError
 # derive_matrix, flatten, concat_patterns, omega, bin_table and membership are
@@ -104,21 +104,26 @@ def polarity_from_rating(rating: int) -> Polarity:
     return Polarity.POSITIVE
 
 
-@dataclass(frozen=True)
-class Review:
+class Review(Record):
     """One review record; polarity is input data, never mined from the text."""
 
-    reviewer_id: str
-    object: str
-    rating: int
-    comment_polarity: Polarity
-    comment_text: str = ""
+    __slots__ = ("reviewer_id", "object", "rating", "comment_polarity", "comment_text")
 
-    def __post_init__(self) -> None:
-        if not 1 <= int(self.rating) <= 5:
-            raise DomainError(f"rating must be in 1..5, got {self.rating}")
-        object.__setattr__(self, "rating", int(self.rating))
-        object.__setattr__(self, "comment_polarity", Polarity(self.comment_polarity))
+    def __init__(
+        self,
+        reviewer_id: str,
+        object: str,
+        rating: int,
+        comment_polarity: Polarity,
+        comment_text: str = "",
+    ) -> None:
+        if not 1 <= int(rating) <= 5:
+            raise DomainError(f"rating must be in 1..5, got {rating}")
+        setfield(self, "reviewer_id", reviewer_id)
+        setfield(self, "object", object)
+        setfield(self, "rating", int(rating))
+        setfield(self, "comment_polarity", Polarity(comment_polarity))
+        setfield(self, "comment_text", comment_text)
 
     @classmethod
     def make(
@@ -173,8 +178,7 @@ def _binomial(n: int, p: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction
     return pmf, tuple(accumulate(pmf))
 
 
-@dataclass(frozen=True)
-class OverallRationality:
+class OverallRationality(Record):
     """Binomial distribution of rational-zone counts, plus the realized one.
 
     ``cdf`` holds the exact prefix sums of ``pmf``, so :meth:`at_most` and
@@ -182,11 +186,21 @@ class OverallRationality:
     cache keyed by ``(n, p)``.
     """
 
-    n: int
-    p: Fraction
-    realized_r: int | None
-    pmf: tuple[Fraction, ...]
-    cdf: tuple[Fraction, ...] = field(repr=False, compare=False)
+    __slots__ = ("n", "p", "realized_r", "pmf", "cdf")
+
+    def __init__(
+        self,
+        n: int,
+        p: Fraction,
+        realized_r: int | None,
+        pmf: tuple[Fraction, ...],
+        cdf: tuple[Fraction, ...],
+    ) -> None:
+        setfield(self, "n", n)
+        setfield(self, "p", p)
+        setfield(self, "realized_r", realized_r)
+        setfield(self, "pmf", pmf)
+        setfield(self, "cdf", cdf)
 
     @classmethod
     def from_parameters(
@@ -262,73 +276,118 @@ def _trajectory_code(slots: Sequence[RunCount]) -> NarrativeCode:
     return NarrativeCode.STEADY
 
 
-@dataclass(frozen=True)
-class TrustAssessment:
+class TrustAssessment(Record):
     """Everything the report says about one object of one reviewer."""
 
-    object: str
-    pattern: RunPattern
-    rank_class: RankClass
-    bar: str | None = None
-    zone: Zone | None = None
-    degree: Degree | None = None
-    polarity_match: bool | None = None
-    narrative: NarrativeCode | None = None
-    single_period_conformant: bool | None = None
-    review: Review | None = None
-    annotations: tuple[str, ...] = ()
+    __slots__ = (
+        "object", "pattern", "rank_class", "bar", "zone", "degree", "polarity_match",
+        "narrative", "single_period_conformant", "review", "annotations",
+    )
+
+    def __init__(
+        self,
+        object: str,
+        pattern: RunPattern,
+        rank_class: RankClass,
+        bar: str | None = None,
+        zone: Zone | None = None,
+        degree: Degree | None = None,
+        polarity_match: bool | None = None,
+        narrative: NarrativeCode | None = None,
+        single_period_conformant: bool | None = None,
+        review: Review | None = None,
+        annotations: tuple[str, ...] = (),
+    ) -> None:
+        setfield(self, "object", object)
+        setfield(self, "pattern", pattern)
+        setfield(self, "rank_class", rank_class)
+        setfield(self, "bar", bar)
+        setfield(self, "zone", zone)
+        setfield(self, "degree", degree)
+        setfield(self, "polarity_match", polarity_match)
+        setfield(self, "narrative", narrative)
+        setfield(self, "single_period_conformant", single_period_conformant)
+        setfield(self, "review", review)
+        setfield(self, "annotations", annotations)
 
 
-@dataclass(frozen=True)
-class ReviewerSection:
-    reviewer_id: str
-    periods: tuple[int, ...]
-    catalog: tuple[str, ...]
-    period_patterns: tuple[str, ...]
-    joint_pattern: str | None
-    assessments: tuple[TrustAssessment, ...]
-    overall: OverallRationality
+class ReviewerSection(Record):
+    __slots__ = (
+        "reviewer_id", "periods", "catalog", "period_patterns", "joint_pattern", "assessments", "overall",
+    )
+
+    def __init__(
+        self,
+        reviewer_id: str,
+        periods: tuple[int, ...],
+        catalog: tuple[str, ...],
+        period_patterns: tuple[str, ...],
+        joint_pattern: str | None,
+        assessments: tuple[TrustAssessment, ...],
+        overall: OverallRationality,
+    ) -> None:
+        setfield(self, "reviewer_id", reviewer_id)
+        setfield(self, "periods", periods)
+        setfield(self, "catalog", catalog)
+        setfield(self, "period_patterns", period_patterns)
+        setfield(self, "joint_pattern", joint_pattern)
+        setfield(self, "assessments", assessments)
+        setfield(self, "overall", overall)
 
 
-@dataclass(frozen=True)
-class FlaggedReview:
-    review: Review
-    reason: str
+class FlaggedReview(Record):
+    __slots__ = ("review", "reason")
+
+    def __init__(self, review: Review, reason: str) -> None:
+        setfield(self, "review", review)
+        setfield(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class ReportError:
-    reviewer_id: str | None
-    message: str
+class ReportError(Record):
+    __slots__ = ("reviewer_id", "message")
+
+    def __init__(self, reviewer_id: str | None, message: str) -> None:
+        setfield(self, "reviewer_id", reviewer_id)
+        setfield(self, "message", message)
 
 
-@dataclass(frozen=True)
-class ReportParameters:
-    membership_variant: str = "minmax"
-    d0_zone: str = "rational"
-    p: Fraction = Fraction(1, 2)
+class ReportParameters(Record):
+    __slots__ = ("membership_variant", "d0_zone", "p")
 
-    def __post_init__(self) -> None:
-        if self.membership_variant not in MEMBERSHIP_VARIANTS:
+    def __init__(
+        self, membership_variant: str = "minmax", d0_zone: str = "rational", p: Fraction = Fraction(1, 2)
+    ) -> None:
+        if membership_variant not in MEMBERSHIP_VARIANTS:
             raise DomainError(
                 f"membership variant must be one of {MEMBERSHIP_VARIANTS}, "
-                f"got {self.membership_variant!r}"
+                f"got {membership_variant!r}"
             )
-        if self.d0_zone not in D0_ZONE_CHOICES:
-            raise DomainError(f"d0_zone must be one of {D0_ZONE_CHOICES}, got {self.d0_zone!r}")
-        prob = Fraction(self.p)
+        if d0_zone not in D0_ZONE_CHOICES:
+            raise DomainError(f"d0_zone must be one of {D0_ZONE_CHOICES}, got {d0_zone!r}")
+        prob = Fraction(p)
         if not 0 <= prob <= 1:
-            raise DomainError(f"p must be within [0, 1], got {self.p}")
-        object.__setattr__(self, "p", prob)
+            raise DomainError(f"p must be within [0, 1], got {p}")
+        setfield(self, "membership_variant", membership_variant)
+        setfield(self, "d0_zone", d0_zone)
+        setfield(self, "p", prob)
 
 
-@dataclass(frozen=True)
-class TrustReport:
-    tool_version: str
-    parameters: ReportParameters
-    reviewers: tuple[ReviewerSection, ...]
-    flagged_reviews: tuple[FlaggedReview, ...] = ()
-    errors: tuple[ReportError, ...] = ()
+class TrustReport(Record):
+    __slots__ = ("tool_version", "parameters", "reviewers", "flagged_reviews", "errors")
+
+    def __init__(
+        self,
+        tool_version: str,
+        parameters: ReportParameters,
+        reviewers: tuple[ReviewerSection, ...],
+        flagged_reviews: tuple[FlaggedReview, ...] = (),
+        errors: tuple[ReportError, ...] = (),
+    ) -> None:
+        setfield(self, "tool_version", tool_version)
+        setfield(self, "parameters", parameters)
+        setfield(self, "reviewers", reviewers)
+        setfield(self, "flagged_reviews", flagged_reviews)
+        setfield(self, "errors", errors)
 
     @property
     def has_errors(self) -> bool:
