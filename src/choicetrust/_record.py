@@ -10,9 +10,21 @@ from __future__ import annotations
 
 from typing import Any
 
+from .errors import DomainError
+
 # How a record's ``__init__`` sets a field; under this name, because a field
 # and so an ``__init__`` parameter may be called ``object``.
 setfield = object.__setattr__
+
+
+def as_int(value: Any, what: str) -> int:
+    """``value`` as an ``int``; a bool, or a value ``int()`` would truncate or cannot read, is a DomainError."""
+    try:
+        if (number := int(value)) == value and not isinstance(value, bool):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 class Record:

@@ -10,9 +10,9 @@ builds on.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from ._record import Record, setfield
+from ._record import Record, as_int, setfield
 from .errors import (
     DimensionError,
     DomainError,
@@ -47,15 +47,10 @@ class AttributeVector(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
-        coerced = []
-        for v in values:
-            iv = int(v)
-            if iv != v:
-                raise DomainError(f"attribute values must be integers, got {v!r}")
-            coerced.append(iv)
+        coerced = tuple([as_int(v, "attribute value") for v in values])
         if any(v < 0 for v in coerced):
             raise DomainError(f"attribute values must be non-negative, got {values}")
-        setfield(self, "values", tuple(coerced))
+        setfield(self, "values", coerced)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -112,16 +107,16 @@ class ChoiceEpisode(Record):
         setfield(self, "wishlist", tuple(wishlist))
         setfield(self, "cart", tuple(cart))
         setfield(self, "final", tuple(final))
-        if int(period) < 1:
+        setfield(self, "period", as_int(period, "period"))
+        if self.period < 1:
             raise DomainError(f"period must be a positive integer, got {period}")
-        setfield(self, "period", int(period))
 
 
 class ValidatedEpisode(Record):
     """A :class:`ChoiceEpisode` whose stage nesting has been certified.
 
-    Constructed through :func:`validate_episode`; carries the per-object
-    stage rank so later derivations never re-walk the stage sets.
+    Constructed through :func:`validate_episode`. ``ranks[i]`` is the stage
+    rank of ``attainable[i]``, so no later derivation re-walks the stage sets.
     """
 
     __slots__ = ("reviewer_id", "period", "attainable", "wishlist", "cart", "final", "ranks")
@@ -134,7 +129,7 @@ class ValidatedEpisode(Record):
         wishlist: tuple[str, ...],
         cart: tuple[str, ...],
         final: tuple[str, ...],
-        ranks: Mapping[str, int],
+        ranks: Iterable[int],
     ) -> None:
         setfield(self, "reviewer_id", reviewer_id)
         setfield(self, "period", period)
@@ -142,7 +137,9 @@ class ValidatedEpisode(Record):
         setfield(self, "wishlist", wishlist)
         setfield(self, "cart", cart)
         setfield(self, "final", final)
-        setfield(self, "ranks", ranks)
+        setfield(self, "ranks", tuple(ranks))
+        if len(self.ranks) != len(attainable):
+            raise DomainError(f"need one stage rank per attainable object, got {self.ranks}")
 
     @property
     def n(self) -> int:
@@ -180,24 +177,13 @@ def attainable_set(
     )
 
 
-def _check_stage(outer: tuple[str, ...], inner: tuple[str, ...], stage: str) -> None:
-    seen: set[str] = set()
-    for item in inner:
-        if item in seen:
-            raise DuplicateItemError(f"item {item!r} occurs twice in stage {stage!r}")
-        seen.add(item)
-    outer_set = set(outer)
-    for item in inner:
-        if item not in outer_set:
-            raise NestingError(stage, item)
-
-
 def validate_episode(episode: ChoiceEpisode) -> ValidatedEpisode:
-    """Certify the stage nesting of an episode.
+    """Certify the stage nesting of an episode and rank its objects.
 
     The four stage sets must satisfy final <= cart <= wishlist <= attainable
     (adjacent stages may coincide), the final set must be nonempty, and no
-    stage may repeat an id.
+    stage may repeat an id. Stage by stage, outermost first, one pass checks
+    repeats, then nesting, then records how deep each item reached: its rank.
 
     Raises:
         DomainError: Empty attainable set.
@@ -207,20 +193,20 @@ def validate_episode(episode: ChoiceEpisode) -> ValidatedEpisode:
     """
     if not episode.attainable:
         raise DomainError("attainable set is empty")
-    _check_stage(episode.attainable, episode.attainable, "attainable")
-    _check_stage(episode.attainable, episode.wishlist, "wishlist")
-    _check_stage(episode.wishlist, episode.cart, "cart")
-    _check_stage(episode.cart, episode.final, "final")
+    depth: dict[str, int] = {}
+    for level, stage in enumerate(("attainable", "wishlist", "cart", "final")):
+        items = getattr(episode, stage)
+        if len(set(items)) < len(items):
+            first: dict[str, int] = {}
+            repeat = next(item for i, item in enumerate(items) if first.setdefault(item, i) != i)
+            raise DuplicateItemError(f"item {repeat!r} occurs twice in stage {stage!r}")
+        for item in items:
+            # Every item of the enclosing stage, and only those, reached level - 1.
+            if depth.get(item, -1) != level - 1:
+                raise NestingError(stage, item)
+            depth[item] = level
     if not episode.final:
         raise EmptyFinalError(f"episode (reviewer {episode.reviewer_id!r}, period {episode.period}) has an empty final set")
-
-    in_wish = set(episode.wishlist)
-    in_cart = set(episode.cart)
-    in_final = set(episode.final)
-    ranks = {
-        oid: 3 if oid in in_final else 2 if oid in in_cart else 1 if oid in in_wish else 0
-        for oid in episode.attainable
-    }
     return ValidatedEpisode(
         reviewer_id=episode.reviewer_id,
         period=episode.period,
@@ -228,15 +214,15 @@ def validate_episode(episode: ChoiceEpisode) -> ValidatedEpisode:
         wishlist=episode.wishlist,
         cart=episode.cart,
         final=episode.final,
-        ranks=ranks,
+        ranks=depth.values(),  # keyed in catalog order: the attainable stage came first
     )
 
 
 def stage_rank(episode: ValidatedEpisode, obj: str) -> int:
     """Depth an object survived to: 0 attainable-only, 1 wishlist, 2 cart, 3 final."""
     try:
-        return episode.ranks[obj]
-    except KeyError:
+        return episode.ranks[episode.attainable.index(obj)]
+    except ValueError:
         raise UnknownObjectError(
             f"object {obj!r} is not in the attainable set of period {episode.period}"
         ) from None

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
-from ._record import Record, setfield
+from ._record import Record, as_int, setfield
 from .choice_model import ValidatedEpisode
 from .errors import DomainError, UnknownObjectError
 from .preference_graph import PatternVector
@@ -50,10 +50,9 @@ class RunCount(Record):
 
     def __init__(self, value: int | None = None) -> None:
         if value is not None:
-            v = int(value)
-            if v < 1:
+            value = as_int(value, "run count")
+            if value < 1:
                 raise DomainError(f"run count must be a positive integer or empty, got {value}")
-            value = v
         setfield(self, "value", value)
 
     @property
@@ -134,13 +133,11 @@ def run_totals(episode: ValidatedEpisode) -> tuple[int, ...]:
 
     Equals ``scan_runs(flatten(derive_matrix(episode)))``: a row's runs total
     its 1s, and row i has a 1 for each object ranked strictly below object i.
-    So a histogram of the stage ranks (0..3) gives every total.
+    So counts of the rank tuple's values (0..3) give every total, in catalog order.
     """
-    histogram = [0, 0, 0, 0]
-    for rank in episode.ranks.values():
-        histogram[rank] += 1
-    below = list(accumulate(histogram[:3], initial=0))
-    return tuple(below[episode.ranks[oid]] for oid in episode.attainable)
+    ranks = episode.ranks
+    below = (0, *accumulate(map(ranks.count, (0, 1, 2))))  # below[r] counts the ranks under r
+    return tuple([below[rank] for rank in ranks])
 
 
 def slot_rule(counts: Sequence[int | None]) -> tuple[tuple[RunCount, ...], tuple[bool, ...]]:

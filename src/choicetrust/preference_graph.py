@@ -87,12 +87,12 @@ class PatternVector(Record):
 
 
 def derive_matrix(episode: ValidatedEpisode) -> PreferenceMatrix:
-    """Build the period's preference matrix from stage ranks.
+    """Build the period's preference matrix from the episode's rank tuple.
 
-    Entry (i, j) is 1 exactly when i's stage rank strictly exceeds j's; ties
-    leave both directions 0, so the matrix stays antisymmetric.
+    Entry (i, j) is 1 exactly when ``ranks[i] > ranks[j]`` (catalog order);
+    ties leave both directions 0, so the matrix stays antisymmetric.
     """
-    ranks = [episode.ranks[oid] for oid in episode.attainable]
+    ranks = episode.ranks
     bits = tuple(tuple(int(r_i > r_j) for r_j in ranks) for r_i in ranks)
     return PreferenceMatrix(order=episode.attainable, bits=bits)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._record import Record, setfield
+from ._record import Record, as_int, setfield
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
 from .errors import ChoiceTrustError, DomainError, UnknownObjectError
 # derive_matrix, flatten, concat_patterns, omega, bin_table and membership are
@@ -117,11 +117,11 @@ class Review(Record):
         comment_polarity: Polarity,
         comment_text: str = "",
     ) -> None:
-        if not 1 <= int(rating) <= 5:
+        setfield(self, "rating", as_int(rating, "rating"))
+        if not 1 <= self.rating <= 5:
             raise DomainError(f"rating must be in 1..5, got {rating}")
         setfield(self, "reviewer_id", reviewer_id)
         setfield(self, "object", object)
-        setfield(self, "rating", int(rating))
         setfield(self, "comment_polarity", Polarity(comment_polarity))
         setfield(self, "comment_text", comment_text)
 
@@ -135,7 +135,7 @@ class Review(Record):
         comment_text: str = "",
     ) -> "Review":
         if comment_polarity is None:
-            comment_polarity = polarity_from_rating(int(rating))
+            comment_polarity = polarity_from_rating(as_int(rating, "rating"))
         return cls(
             reviewer_id=reviewer_id,
             object=obj,
@@ -206,6 +206,8 @@ class OverallRationality(Record):
     def from_parameters(
         cls, n: int, p: Fraction | float | str, realized_r: int | None = None
     ) -> "OverallRationality":
+        if n < 0:
+            raise DomainError(f"need n >= 0, got n={n}")
         prob = Fraction(p)
         pmf, cdf = _binomial(n, prob)
         return cls(n=n, p=prob, realized_r=realized_r, pmf=pmf, cdf=cdf)
@@ -229,13 +231,13 @@ class OverallRationality(Record):
 
 
 def period_string(episode: ValidatedEpisode) -> str:
-    """The period's preference matrix as a row-major 0/1 string, from stage ranks.
+    """The period's preference matrix as a row-major 0/1 string, from its rank tuple.
 
-    Entry (i, j) is 1 exactly when rank_i > rank_j, and ranks take only the
-    values 0..3, so the matrix has at most four distinct rows; each is built
-    once. Equals ``derive_matrix(episode).as_string()``.
+    Entry (i, j) is 1 exactly when ranks[i] > ranks[j] (catalog order), and
+    ranks take only the values 0..3, so the matrix has at most four distinct
+    rows; each is built once. Equals ``derive_matrix(episode).as_string()``.
     """
-    ranks = [episode.ranks[oid] for oid in episode.attainable]
+    ranks = episode.ranks
     rows = ["".join("1" if r > q else "0" for q in ranks) for r in range(4)]
     return "".join([rows[r] for r in ranks])
 

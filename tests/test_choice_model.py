@@ -167,8 +167,10 @@ def test_stage_rank_total_on_random_episodes():
     for _ in range(100):
         ids = [f"o{i}" for i in range(rng.randint(1, 6))]
         v = random_staged_episode(rng, ids)
-        for oid in ids:
-            assert stage_rank(v, oid) in (0, 1, 2, 3)
+        assert type(v.ranks) is tuple and len(v.ranks) == len(v.attainable)
+        for i, oid in enumerate(v.attainable):
+            depth = 3 if oid in v.final else 2 if oid in v.cart else 1 if oid in v.wishlist else 0
+            assert v.ranks[i] == stage_rank(v, oid) == depth
 
 
 def test_period_must_be_positive():

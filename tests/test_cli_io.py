@@ -575,6 +575,26 @@ def test_score_names_a_non_object_review_once(fixtures_dir, tmp_path):
     ]
 
 
+def test_score_reports_each_invalid_episode_in_validation_order(fixtures_dir, tmp_path):
+    # One line per validation failure; where a stage has a repeat and an
+    # unknown id, the repeat is named, and a stage is checked before the next.
+    out = tmp_path / "report.txt"
+    argv = ["score", str(fixtures_dir / "episodes_invalid.jsonl"), str(fixtures_dir / REVIEWS)]
+    assert main([*argv, "--format", "text", "--out", str(out)]) == EXIT_PARTIAL
+    report = out.read_text(encoding="utf-8")
+    assert "reviewer rev-1" in report
+    assert report[report.index("\nerrors:\n") :] == (
+        "\nerrors:\n"
+        "  [empty-catalog] attainable set is empty\n"
+        "  [catalog-repeat] item 'M' occurs twice in stage 'attainable'\n"
+        "  [wishlist-unknown-and-repeat] item 'N' occurs twice in stage 'wishlist'\n"
+        "  [cart-not-in-wishlist] item 'V' appears in stage 'cart' but not in the enclosing stage\n"
+        "  [final-repeat] item 'N' occurs twice in stage 'final'\n"
+        "  [final-not-in-cart] item 'N' appears in stage 'final' but not in the enclosing stage\n"
+        "  [empty-final] episode (reviewer 'empty-final', period 1) has an empty final set\n"
+    )
+
+
 @pytest.mark.parametrize(
     "lines, summary",
     [

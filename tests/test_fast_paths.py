@@ -79,7 +79,7 @@ def episode_histories(draw):
 
 def oracle_slot(ep, obj):
     """Run total of `obj` in one period by the stop/run scanner, as omega reports it."""
-    if obj not in ep.ranks:
+    if obj not in ep.attainable:
         return EPSILON, True
     count = scan_runs(flatten(derive_matrix(ep)))[ep.attainable.index(obj)]
     return (RunCount(count) if count else EPSILON), False

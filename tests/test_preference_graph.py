@@ -11,6 +11,7 @@ from choicetrust import (
     derive_matrix,
     flatten,
     outdegrees,
+    stage_rank,
 )
 
 from helpers import chain_episode, episode, random_matrix, random_staged_episode
@@ -115,7 +116,7 @@ def test_outdegree_sum_counts_strict_pairs():
             1
             for a in ids
             for b in ids
-            if v.ranks[a] > v.ranks[b]
+            if stage_rank(v, a) > stage_rank(v, b)
         )
         assert sum(outdegrees(m)) == strict_pairs
 

@@ -9,6 +9,7 @@ import copy
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,11 +24,13 @@ from choicetrust import (
     ContractionResult,
     ContractionViolation,
     Degree,
+    DomainError,
     FlaggedReview,
     IfsElement,
     IfsList,
     OverallRationality,
     PatternVector,
+    Polarity,
     PreferenceMatrix,
     ReportError,
     ReportParameters,
@@ -49,6 +52,7 @@ from choicetrust import (
     make_list,
     membership,
     omega,
+    stage_rank,
     validate_episode,
 )
 from choicetrust._record import Record
@@ -116,12 +120,7 @@ def test_record_value_semantics(cls):
     a, b = SAMPLES[cls](), SAMPLES[cls]()
     assert type(a) is cls and a is not b
     assert a == b and not a != b
-    if cls is ValidatedEpisode:
-        # Its ranks are a dict, so it has no hash.
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
 
     # The positional parameters of __init__ are the fields, in slot order.
     values = [getattr(a, name) for name in cls.__slots__]
@@ -143,6 +142,40 @@ def test_record_value_semantics(cls):
     assert copy.deepcopy(a) == a
     assert pickle.loads(pickle.dumps(a)) == a
     assert repr(a).startswith(f"{cls.__name__}(")
+
+
+def test_validated_episode_ranks_are_an_immutable_tuple_in_catalog_order():
+    v = _validated()[1]
+    assert type(v.ranks) is tuple and v.ranks == (0, 1, 3)
+    assert v.ranks == tuple(stage_rank(v, oid) for oid in v.attainable)
+    with pytest.raises(TypeError):
+        v.ranks[0] = 0
+    fields = [getattr(v, name) for name in ValidatedEpisode.__slots__]
+    assert ValidatedEpisode(*fields[:-1], [0, 1, 3]) == v
+    for ranks in ((0, 1), (0, 1, 3, 3)):
+        with pytest.raises(DomainError, match="one stage rank per attainable object"):
+            ValidatedEpisode(*fields[:-1], ranks)
+
+
+# Per record, how to build it from one integer field's value, and read it back.
+INTEGER_FIELDS = {
+    "AttributeVector": (lambda v: AttributeVector((1, v)), lambda r: r.values[1]),
+    "ChoiceEpisode": (lambda v: ChoiceEpisode("r", v, ("a",), ("a",), ("a",), ("a",)), lambda r: r.period),
+    "RunCount": (RunCount, lambda r: r.value),
+    "Review": (lambda v: Review("r", "a", v, Polarity.POSITIVE), lambda r: r.rating),
+    "Review.make": (lambda v: Review.make("r", "a", v), lambda r: r.rating),
+}
+
+
+@pytest.mark.parametrize("build, read", INTEGER_FIELDS.values(), ids=INTEGER_FIELDS)
+def test_integer_fields_are_never_truncated(build, read):
+    for value in (2.5, 4.9, Fraction(7, 2), True, "4", float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="must be an integer"):
+            build(value)
+    # An integral value of another numeric type is taken as its int.
+    for value in (4, 4.0, Fraction(4)):
+        field = read(build(value))
+        assert field == 4 and type(field) is int
 
 
 _IMPORTED = """

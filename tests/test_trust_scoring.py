@@ -78,6 +78,14 @@ def test_overall_rationality_cumulative_queries():
     assert overall.at_most(4) == 1 and overall.at_least(0) == 1
 
 
+def test_overall_rationality_rejects_a_negative_n():
+    with pytest.raises(DomainError, match="n=-1"):
+        binomial_rationality(-1, 0, "1/2")
+    with pytest.raises(DomainError, match="n=-1"):
+        OverallRationality.from_parameters(-1, "1/2")
+    assert OverallRationality.from_parameters(0, "1/2").at_most(0) == 1
+
+
 def test_match_review_complete_rejection():
     review = Review.make("r", "M", 1, "negative", "Bad product")
     matched, code = match_review(review, rc(3, None))
