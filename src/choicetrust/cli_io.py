@@ -38,11 +38,11 @@ from .rationality_outcomes import (
 )
 from .trust_scoring import (
     D0_ZONE_CHOICES,
-    OverallRationality,
     ReportError,
     Review,
     ReviewerSection,
     TrustReport,
+    binomial_rationality,
     build_report,
 )
 
@@ -275,17 +275,21 @@ def _parse_p(text: str) -> Fraction:
 
 @functools.lru_cache(maxsize=256)
 def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str], ...]:
-    """(r, probability, at_most, at_least) of Binomial(n, p), formatted once per (n, p)."""
-    overall = OverallRationality.from_parameters(n, p)
-    return tuple(
-        (r, _fmt8(overall.prob(r)), _fmt8(overall.at_most(r)), _fmt8(overall.at_least(r)))
-        for r in range(n + 1)
-    )
+    """(r, probability, at_most, at_least) of Binomial(n, p), built and formatted once per (n, p).
+
+    This is the one cache of the distribution: the pmf is exact
+    ``binomial_rationality`` terms, ``below[r]`` is the exact sum of the
+    terms under r, at_most(r) is ``below[r + 1]`` and at_least(r) is
+    ``1 - below[r]``.
+    """
+    pmf = [binomial_rationality(n, r, p) for r in range(n + 1)]
+    below = list(itertools.accumulate(pmf, initial=Fraction(0)))
+    return tuple((r, _fmt8(pmf[r]), _fmt8(below[r + 1]), _fmt8(1 - below[r])) for r in range(n + 1))
 
 
 def _report_head(report: TrustReport) -> dict:
     return {
-        "tool": report.tool_version or _TOOL,
+        "tool": _TOOL,
         "parameters": {
             "membership": report.parameters.membership_variant,
             "d0_zone": report.parameters.d0_zone,
@@ -297,9 +301,9 @@ def _report_head(report: TrustReport) -> dict:
 def _section_dict(section: ReviewerSection) -> dict:
     """One reviewer section as plain JSON values.
 
-    Its distribution rows are those of Binomial(n, p), as
-    ``OverallRationality.from_parameters`` builds it; they are formatted once
-    per (n, p), and every call returns fresh dicts.
+    Its distribution rows are those of Binomial(n, p) for the section's
+    ``overall.n`` and ``overall.p``, taken from ``_distribution_cells``, which
+    builds them once per (n, p); every call returns fresh dicts.
     """
     assessments = []
     for a in section.assessments:
@@ -633,12 +637,10 @@ def _score(
         membership_variant=membership_variant,
         d0_zone=d0_zone,
         p=p,
-        tool_version=_TOOL,
     )
     if episode_problems or review_problems:
         extra = tuple(ReportError(reviewer_id=None, message=m) for m in episode_problems + review_problems)
         report = TrustReport(
-            report.tool_version,
             report.parameters,
             report.reviewers,
             report.flagged_reviews,

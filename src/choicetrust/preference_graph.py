@@ -52,10 +52,6 @@ class PreferenceMatrix(Record):
     def n(self) -> int:
         return len(self.order)
 
-    def as_string(self) -> str:
-        """Row-major 0/1 string; equals ``flatten(self).as_string()``."""
-        return "".join(str(b) for row in self.bits for b in row)
-
 
 class PatternVector(Record):
     """Row-major 0/1 flattening of one or more preference matrices.

@@ -15,7 +15,6 @@ import functools
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._record import Record, as_int, setfield
@@ -171,54 +170,42 @@ def binomial_rationality(n: int, r: int, p: Fraction | float | str) -> Fraction:
     return math.comb(n, r) * prob**r * (1 - prob) ** (n - r)
 
 
-@functools.lru_cache(maxsize=256)
-def _binomial(n: int, p: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """The exact pmf of Binomial(n, p) and its prefix sums, built once per (n, p)."""
-    pmf = tuple(binomial_rationality(n, r, p) for r in range(n + 1))
-    return pmf, tuple(accumulate(pmf))
-
-
 class OverallRationality(Record):
-    """Binomial distribution of rational-zone counts, plus the realized one.
+    """Binomial(n, p) of rational-zone counts, plus the realized count.
 
-    ``cdf`` holds the exact prefix sums of ``pmf``, so :meth:`at_most` and
-    :meth:`at_least` are lookups. :meth:`from_parameters` takes both from a
-    cache keyed by ``(n, p)``.
+    The distribution is a function of ``(n, p)`` alone, so only those and the
+    realized count are stored; :meth:`prob`, :meth:`at_most` and
+    :meth:`at_least` sum exact :func:`binomial_rationality` terms on demand.
+    ``n`` is an integer >= 0 (never a bool), ``p`` lies in [0, 1], and
+    ``realized_r`` is None or an integer in 0..n.
     """
 
-    __slots__ = ("n", "p", "realized_r", "pmf", "cdf")
+    __slots__ = ("n", "p", "realized_r")
 
-    def __init__(
-        self,
-        n: int,
-        p: Fraction,
-        realized_r: int | None,
-        pmf: tuple[Fraction, ...],
-        cdf: tuple[Fraction, ...],
-    ) -> None:
-        setfield(self, "n", n)
-        setfield(self, "p", p)
+    def __init__(self, n: int, p: Fraction | float | str, realized_r: int | None = None) -> None:
+        setfield(self, "n", as_int(n, "n"))
+        if self.n < 0:
+            raise DomainError(f"need n >= 0, got n={n}")
+        setfield(self, "p", Fraction(p))
+        if not 0 <= self.p <= 1:
+            raise DomainError(f"p must be within [0, 1], got {p}")
+        if realized_r is not None:
+            realized_r = as_int(realized_r, "realized_r")
+            if not 0 <= realized_r <= self.n:
+                raise DomainError(f"need 0 <= realized_r <= n, got realized_r={realized_r}, n={n}")
         setfield(self, "realized_r", realized_r)
-        setfield(self, "pmf", pmf)
-        setfield(self, "cdf", cdf)
 
     @classmethod
     def from_parameters(
         cls, n: int, p: Fraction | float | str, realized_r: int | None = None
     ) -> "OverallRationality":
-        if n < 0:
-            raise DomainError(f"need n >= 0, got n={n}")
-        prob = Fraction(p)
-        pmf, cdf = _binomial(n, prob)
-        return cls(n=n, p=prob, realized_r=realized_r, pmf=pmf, cdf=cdf)
+        return cls(n, p, realized_r)
 
     def prob(self, r: int) -> Fraction:
-        if not 0 <= r <= self.n:
-            raise DomainError(f"need 0 <= r <= n, got r={r}, n={self.n}")
-        return self.pmf[r]
+        return binomial_rationality(self.n, r, self.p)
 
     def at_most(self, r: int) -> Fraction:
-        return self.cdf[min(r, self.n)] if r >= 0 else Fraction(0)
+        return sum((self.prob(k) for k in range(min(r, self.n) + 1)), Fraction(0))
 
     def at_least(self, r: int) -> Fraction:
         return 1 - self.at_most(r - 1)
@@ -235,7 +222,7 @@ def period_string(episode: ValidatedEpisode) -> str:
 
     Entry (i, j) is 1 exactly when ranks[i] > ranks[j] (catalog order), and
     ranks take only the values 0..3, so the matrix has at most four distinct
-    rows; each is built once. Equals ``derive_matrix(episode).as_string()``.
+    rows; each is built once. Equals ``flatten(derive_matrix(episode)).as_string()``.
     """
     ranks = episode.ranks
     rows = ["".join("1" if r > q else "0" for q in ranks) for r in range(4)]
@@ -375,17 +362,15 @@ class ReportParameters(Record):
 
 
 class TrustReport(Record):
-    __slots__ = ("tool_version", "parameters", "reviewers", "flagged_reviews", "errors")
+    __slots__ = ("parameters", "reviewers", "flagged_reviews", "errors")
 
     def __init__(
         self,
-        tool_version: str,
         parameters: ReportParameters,
         reviewers: tuple[ReviewerSection, ...],
         flagged_reviews: tuple[FlaggedReview, ...] = (),
         errors: tuple[ReportError, ...] = (),
     ) -> None:
-        setfield(self, "tool_version", tool_version)
         setfield(self, "parameters", parameters)
         setfield(self, "reviewers", reviewers)
         setfield(self, "flagged_reviews", flagged_reviews)
@@ -528,16 +513,18 @@ def build_report(
     membership_variant: str = "minmax",
     d0_zone: str = "rational",
     p: Fraction | float | str = Fraction(1, 2),
-    tool_version: str = "",
 ) -> TrustReport:
     """Run the full scoring pipeline over a batch of episodes and reviews.
 
-    Per reviewer, in order: write every period's pattern string from its
+    Every episode is validated from its stage sets, a ``ValidatedEpisode``
+    too, so a hand-built record's ranks are never taken on trust. Per
+    reviewer, in order: write every period's pattern string from its
     stage ranks, count each object's run totals from a stage-rank histogram,
     and score each distinct tuple of totals once (its slots, rank class,
     zone, bar, and the bar's membership degree from the closed-form
-    frequency table); then attach review verdicts and the binomial
-    overall-rationality distribution, which is built once per (n, p). No
+    frequency table); then attach review verdicts and the
+    overall-rationality record: the catalog size n, p and the realized
+    rational count, from which the binomial distribution follows. No
     preference matrix or pattern vector is built.
     Record-level problems are collected and reported, never fatal for the
     rest of the batch.
@@ -548,9 +535,7 @@ def build_report(
     errors: list[ReportError] = []
     for episode in episodes:
         try:
-            validated = (
-                episode if isinstance(episode, ValidatedEpisode) else validate_episode(episode)
-            )
+            validated = validate_episode(episode)
         except ChoiceTrustError as exc:
             errors.append(ReportError(reviewer_id=episode.reviewer_id, message=str(exc)))
             continue
@@ -590,7 +575,6 @@ def build_report(
         flagged.append(FlaggedReview(review, reason))
 
     return TrustReport(
-        tool_version=tool_version,
         parameters=params,
         reviewers=tuple(sections),
         flagged_reviews=tuple(flagged),

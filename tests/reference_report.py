@@ -6,12 +6,13 @@ pattern vector (`flatten`), the periods concatenate into the joint vector
 (`concat_patterns`, which refuses periods whose catalogs differ), the
 stop/run scanner (`scan_runs`) totals each object's runs, the enumerated
 two-period outcome set (`bin_table`) gives each bar's degree
-(`membership`), and the binomial distribution is summed term by term from
-`binomial_rationality`. Nothing here reads a stage-rank count, a closed form
-or a cache, so a report that `report_to_json` renders the same way from both
-pipelines shows the fast paths equal to the paper. `report_to_json` formats
-distribution rows once per (n, p), so `reference_distribution` formats them
-from a section's own sums for the comparison.
+(`membership`). A section's `OverallRationality` holds only n, p and the
+realized count, and `reference_distribution` sums each of its rows term by
+term from `binomial_rationality`. Nothing here reads a stage-rank count, a
+closed form or a cache, so a report that `report_to_json` renders the same
+way from both pipelines shows the fast paths equal to the paper.
+`report_to_json` takes its distribution rows from one cache keyed by
+(n, p), so the distribution is compared with `reference_distribution` too.
 """
 
 from fractions import Fraction
@@ -49,20 +50,19 @@ from choicetrust.trust_scoring import (
 
 
 def reference_overall(n, p, realized_r):
-    """Binomial(n, p) with every prefix sum added up from its own terms."""
-    pmf = tuple(binomial_rationality(n, r, p) for r in range(n + 1))
-    cdf = tuple(sum(pmf[: r + 1], Fraction(0)) for r in range(n + 1))
-    return OverallRationality(n=n, p=Fraction(p), realized_r=realized_r, pmf=pmf, cdf=cdf)
+    """The overall-rationality record of n objects, realized_r of them rational."""
+    return OverallRationality(n=n, p=Fraction(p), realized_r=realized_r)
 
 
 def reference_distribution(overall):
-    """The report's distribution rows, formatted from the section's own pmf and prefix sums."""
+    """The report's distribution rows, each cell added up from its own `binomial_rationality` terms."""
+    terms = [binomial_rationality(overall.n, r, overall.p) for r in range(overall.n + 1)]
     return [
         {
             "r": r,
-            "probability": f"{float(overall.pmf[r]):.8f}",
-            "at_most": f"{float(overall.cdf[r]):.8f}",
-            "at_least": f"{float(1 - (overall.cdf[r - 1] if r else 0)):.8f}",
+            "probability": f"{float(terms[r]):.8f}",
+            "at_most": f"{float(sum(terms[: r + 1], Fraction(0))):.8f}",
+            "at_least": f"{float(sum(terms[r:], Fraction(0))):.8f}",
         }
         for r in range(overall.n + 1)
     ]
@@ -171,4 +171,4 @@ def reference_report(
             else "reviewer has no validated episodes"
         )
         flagged.append(FlaggedReview(review, reason))
-    return TrustReport("", params, tuple(sections), tuple(flagged), tuple(errors))
+    return TrustReport(params, tuple(sections), tuple(flagged), tuple(errors))

@@ -506,7 +506,7 @@ def test_reports_are_byte_identical_across_runs(fixtures_dir, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-# Prints `score` in every format and the exit codes, for the arguments given.
+# Runs the command its arguments name in every format, then prints the exit codes.
 _SCORE_EVERY_FORMAT = """
 import sys
 from choicetrust.cli_io import main
@@ -549,6 +549,34 @@ def test_score_is_byte_identical_across_hash_seeds(tmp_path):
     assert outputs[0].stdout.endswith(b"[2, 2, 2]\n")  # some reviews name absent objects
     assert outputs[0].stdout == outputs[1].stdout
     assert outputs[0].stderr == outputs[1].stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["score", _E, _R], 0),
+        (["score", str(FIXTURES / "episodes_invalid.jsonl"), _R], 2),  # a partial report
+        (["tau", "4", "2"], 0),
+        (["tau", "3", "3"], 0),
+        (["info-index", _IFS], 0),
+        (["check", _VIOLATING], 0),
+    ],
+)
+def test_every_command_is_byte_identical_across_hash_seeds(argv, code):
+    src = Path(choicetrust.__file__).parents[1]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _SCORE_EVERY_FORMAT, *argv],
+            capture_output=True,
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            timeout=60,
+        )
+        for seed in ("0", "1")
+    ]
+    assert [o.returncode for o in outputs] == [0, 0]
+    assert outputs[0].stdout.endswith(f"{[code] * 3}\n".encode())
+    assert outputs[0].stdout == outputs[1].stdout
+    assert outputs[0].stderr == outputs[1].stderr
 
 
 @pytest.mark.parametrize("text", [{"x": [1]}, 7, None])

@@ -23,6 +23,7 @@ from choicetrust import (
     bar_degrees,
     bar_frequency,
     bin_table,
+    binomial_rationality,
     build_report,
     classify_rank,
     concat_patterns,
@@ -108,8 +109,8 @@ def test_pattern_strings_equal_flattened_vectors(data):
     catalog = data.draw(catalogs())
     periods = data.draw(st.integers(1, 3))
     matrices = [derive_matrix(data.draw(staged_episodes(catalog, k))) for k in range(1, periods + 1)]
-    strings = [m.as_string() for m in matrices]
-    assert strings == [flatten(m).as_string() for m in matrices]
+    strings = [flatten(m).as_string() for m in matrices]
+    assert strings == ["".join(str(b) for row in m.bits for b in row) for m in matrices]
     assert "".join(strings) == concat_patterns(matrices).as_string()
 
 
@@ -131,13 +132,14 @@ def test_bar_frequencies_and_degrees_equal_enumerated_table():
 @given(st.integers(0, 40), st.fractions(min_value=0, max_value=1, max_denominator=50))
 def test_cached_cdf_equals_exact_prefix_sums(n, p):
     overall = OverallRationality.from_parameters(n, p)
+    terms = [binomial_rationality(n, r, p) for r in range(n + 1)]
     for r in range(-1, n + 2):
-        prefix = sum(overall.pmf[: r + 1], Fraction(0)) if r >= 0 else Fraction(0)
+        prefix = sum(terms[: r + 1], Fraction(0)) if r >= 0 else Fraction(0)
         assert overall.at_most(r) == prefix
-        assert overall.at_least(r) == sum(overall.pmf[max(r, 0) :], Fraction(0))
-    # The pmf and the report's rows come from caches keyed by (n, p).
-    assert overall.pmf == reference_overall(n, p, None).pmf
-    assert OverallRationality.from_parameters(n, p).pmf is overall.pmf
+        assert overall.at_least(r) == sum(terms[max(r, 0) :], Fraction(0))
+    assert overall == reference_overall(n, p, None)
+    # The report's rows come from one cache keyed by (n, p).
+    assert _distribution_cells(n, p) is _distribution_cells(n, p)
     rows = [dict(zip(("r", "probability", "at_most", "at_least"), cells)) for cells in _distribution_cells(n, p)]
     assert rows == reference_distribution(overall)
 
@@ -147,7 +149,7 @@ def test_cached_cdf_equals_exact_prefix_sums(n, p):
 def test_period_string_equals_matrix_string(n, data):
     catalog = [f"o{i}" for i in range(n)]
     ep = data.draw(staged_episodes(catalog))
-    assert period_string(ep) == derive_matrix(ep).as_string()
+    assert period_string(ep) == flatten(derive_matrix(ep)).as_string()
 
 
 @st.composite

@@ -79,7 +79,7 @@ def _report():
     """A report with a section, a flagged review and an error."""
     invalid = ChoiceEpisode("s", 1, ("a",), (), (), ())
     reviews = [Review.make("r", "a", 2, comment_text="worse"), Review.make("r", "zz", 5)]
-    return build_report([*_episodes(), invalid], reviews, tool_version="test")
+    return build_report([*_episodes(), invalid], reviews)
 
 
 # Each factory returns a fresh, equal instance at every call.

@@ -13,6 +13,7 @@ from choicetrust import (
     RankClass,
     Review,
     RunCount,
+    ValidatedEpisode,
     Zone,
     assessment_for,
     binomial_rationality,
@@ -84,6 +85,23 @@ def test_overall_rationality_rejects_a_negative_n():
     with pytest.raises(DomainError, match="n=-1"):
         OverallRationality.from_parameters(-1, "1/2")
     assert OverallRationality.from_parameters(0, "1/2").at_most(0) == 1
+
+
+@pytest.mark.parametrize(
+    "n, realized_r", [(True, None), (2.5, None), (3, 7), (3, -3), (3, 1.5), (3, True)]
+)
+def test_overall_rationality_rejects_a_non_count(n, realized_r):
+    with pytest.raises(DomainError):
+        OverallRationality.from_parameters(n, "1/2", realized_r)
+
+
+def test_overall_rationality_stores_only_n_p_and_the_realized_count():
+    assert OverallRationality.__slots__ == ("n", "p", "realized_r")
+    overall = OverallRationality.from_parameters(3.0, 0.5, 3.0)
+    assert (overall.n, overall.p, overall.realized_r) == (3, Fraction(1, 2), 3)
+    assert type(overall.n) is int and type(overall.realized_r) is int
+    with pytest.raises(DomainError, match="p must be within"):
+        OverallRationality(3, "3/2")
 
 
 def test_match_review_complete_rejection():
@@ -280,6 +298,15 @@ def test_build_report_duplicate_review_flagged(canonical_raw_episodes, canonical
     dup = Review.make("rev-1", "M", 5, "positive")
     report = build_report(canonical_raw_episodes, list(canonical_reviews) + [dup])
     assert any("duplicate" in f.reason for f in report.flagged_reviews)
+
+
+def test_build_report_validates_a_hand_built_validated_episode():
+    # The ranks (3, 7) contradict the stage sets, which give (3, 0); the
+    # report is scored from the stage sets, as for the raw episode.
+    hand_built = ValidatedEpisode("r", 1, ("a", "b"), ("a",), ("a",), ("a",), (3, 7))
+    raw = ChoiceEpisode("r", 1, ("a", "b"), ("a",), ("a",), ("a",))
+    assert build_report([hand_built]) == build_report([raw])
+    assert build_report([hand_built]).reviewers[0].period_patterns == ("0100",)
 
 
 def test_new_objects_append_to_catalog_end():
