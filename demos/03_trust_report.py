@@ -16,12 +16,12 @@ episodes = [
 ]
 
 reviews = [
-    Review.make("shopper-7", "M", 1, "negative", "Bad product"),
-    Review.make("shopper-7", "N", 2, "negative", "Not so good product"),
-    Review.make("shopper-7", "V", 3, "positive", "Relatively good product"),
-    Review.make("shopper-7", "Z", 5, "positive", "Premium product"),
+    Review("shopper-7", "M", 1, "negative", "Bad product"),
+    Review("shopper-7", "N", 2, "negative", "Not so good product"),
+    Review("shopper-7", "V", 3, "positive", "Relatively good product"),
+    Review("shopper-7", "Z", 5, "positive", "Premium product"),
     # a review for something the shopper never looked at gets flagged
-    Review.make("shopper-7", "X9", 5, "positive", "Amazing!"),
+    Review("shopper-7", "X9", 5, "positive", "Amazing!"),
 ]
 
 report = build_report(episodes, reviews)

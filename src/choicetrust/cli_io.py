@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import __version__
+from ._record import as_probability
 from .choice_model import ChoiceEpisode
 from .consistency import ChoiceFunctionTable, check_contraction, rationalizable
 from .errors import ChoiceTrustError, DomainError, GradeError
@@ -32,7 +33,6 @@ from .rationality_outcomes import (
     MEMBERSHIP_VARIANTS,
     bar_degrees,
     bar_frequency,
-    bar_label,
     build_tau,
     signed_difference,
 )
@@ -55,11 +55,6 @@ FORMATS = ("json", "csv", "text")
 
 # Largest outcome set `tau` lists; it holds n**t patterns.
 MAX_TAU_ROWS = 10**6
-
-# Longest `score --p` text, and largest power of ten its exponent may name. The
-# exact binomial summary computes with p's numerator and denominator, so this
-# bounds their size.
-MAX_P_DIGITS = 40
 
 _TOOL = f"choicetrust {__version__}"
 
@@ -197,9 +192,9 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
         try:
             record = _shape(record, dict, where, "review")
             reviews.append(
-                Review.make(
+                Review(
                     reviewer_id=_field(record, "reviewer_id", "id", where),
-                    obj=_field(record, "object", "id", where),
+                    object=_field(record, "object", "id", where),
                     rating=_field(record, "rating", "int", where),
                     comment_polarity=_field(record, "comment_polarity", "str", where, None),
                     comment_text=_field(record, "comment_text", "str", where, ""),
@@ -207,7 +202,7 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
             )
         except ParseError as exc:
             problems.append(str(exc))
-        except (ChoiceTrustError, ValueError) as exc:
+        except ChoiceTrustError as exc:
             problems.append(f"{where}: {exc}")
     return reviews, problems
 
@@ -250,23 +245,6 @@ def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
         return ChoiceFunctionTable(ground_set=ground, choices=choices)
     except DomainError as exc:
         raise ParseError(path, str(exc)) from None
-
-
-_P_FORM = re.compile(r"[+-]?(?:\d+/\d*[1-9]\d*|(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?)")
-
-
-def _parse_p(text: str) -> Fraction:
-    """`score --p` as an exact fraction in [0, 1]: a decimal such as 0.25 or 1e-3, or a/b."""
-    form = _P_FORM.fullmatch(text.strip()) if len(text) <= MAX_P_DIGITS else None
-    if form is None or form[1] and abs(int(form[1])) > MAX_P_DIGITS:
-        raise DomainError(
-            f"--p must be a decimal such as 0.25 or 1e-3, or a fraction such as 1/2, of at most "
-            f"{MAX_P_DIGITS} characters with |exponent| <= {MAX_P_DIGITS}, got {reprlib.repr(text)}"
-        )
-    p = Fraction(form[0])
-    if not 0 <= p <= 1:
-        raise DomainError(f"--p must be within [0, 1], got {text!r}")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +649,7 @@ def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> list[dict]:
         row: dict[str, Any] = {"pattern": pat.render(), "rank_class": pat.rank_class.value}
         if degrees is not None:
             d = signed_difference(pat.slots)
-            row["bar"] = bar_label(d)
+            row["bar"] = pat.bin
             row["frequency"] = bar_frequency((n, n), d)
             row["membership"] = _fmt8(degrees[d].value)
         rows.append(row)
@@ -802,7 +780,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code = EXIT_OK
         if args.command == "score":
-            p = _parse_p(args.p)
+            p = as_probability(args.p, "--p")
             chunks, code = _score(args.episodes, args.reviews, args.membership, args.d0_zone, p, args.format)
         elif args.command == "tau":
             chunks = [cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format)]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from ._record import Record, setfield
+from ._record import Record, as_int, setfield
 from .errors import DomainError
 from .pattern_runs import EPSILON, RunCount
 
@@ -185,7 +185,7 @@ def build_tau(ns: Sequence[int]) -> tuple[TauPattern, ...]:
     set has exactly n**t members. Listing order is deterministic: the empty
     run sorts first, then ascending totals, later periods varying fastest.
     """
-    ns = tuple(int(n) for n in ns)
+    ns = tuple([as_int(n, "period size") for n in ns])
     if not ns:
         raise DomainError("need at least one period")
     alphabets = [slot_alphabet(n) for n in ns]
@@ -224,7 +224,7 @@ def count_tau_two_periods(n: int) -> int:
 
 def bin_table(ns: Sequence[int]) -> BinTable:
     """Group a two-period outcome set into bars by signed difference."""
-    ns = tuple(int(n) for n in ns)
+    ns = tuple([as_int(n, "period size") for n in ns])
     if len(ns) != 2:
         raise DomainError(f"bin tables need exactly 2 periods, got {len(ns)}")
     groups: dict[int, list[TauPattern]] = {}

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._record import Record, as_int, setfield
+from ._record import Record, as_int, as_probability, setfield
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
 from .errors import ChoiceTrustError, DomainError, UnknownObjectError
 # derive_matrix, flatten, concat_patterns, omega, bin_table and membership are
@@ -94,17 +94,11 @@ class NarrativeCode(str, Enum):
     DISPUTED = "disputed"
 
 
-def polarity_from_rating(rating: int) -> Polarity:
-    """Fallback when no polarity is supplied: 1-2 negative, 3 neutral, 4-5 positive."""
-    if rating <= 2:
-        return Polarity.NEGATIVE
-    if rating == 3:
-        return Polarity.NEUTRAL
-    return Polarity.POSITIVE
-
-
 class Review(Record):
-    """One review record; polarity is input data, never mined from the text."""
+    """One review record; polarity is input data, never mined from the text.
+
+    Without a polarity, the rating gives it: 1-2 negative, 3 neutral, 4-5 positive.
+    """
 
     __slots__ = ("reviewer_id", "object", "rating", "comment_polarity", "comment_text")
 
@@ -113,35 +107,21 @@ class Review(Record):
         reviewer_id: str,
         object: str,
         rating: int,
-        comment_polarity: Polarity,
+        comment_polarity: Polarity | str | None = None,
         comment_text: str = "",
     ) -> None:
         setfield(self, "rating", as_int(rating, "rating"))
         if not 1 <= self.rating <= 5:
             raise DomainError(f"rating must be in 1..5, got {rating}")
+        if comment_polarity is None:
+            comment_polarity = "negative" if self.rating <= 2 else "neutral" if self.rating == 3 else "positive"
+        try:
+            setfield(self, "comment_polarity", Polarity(comment_polarity))
+        except ValueError:
+            raise DomainError(f"{comment_polarity!r} is not a valid Polarity") from None
         setfield(self, "reviewer_id", reviewer_id)
         setfield(self, "object", object)
-        setfield(self, "comment_polarity", Polarity(comment_polarity))
         setfield(self, "comment_text", comment_text)
-
-    @classmethod
-    def make(
-        cls,
-        reviewer_id: str,
-        obj: str,
-        rating: int,
-        comment_polarity: Polarity | str | None = None,
-        comment_text: str = "",
-    ) -> "Review":
-        if comment_polarity is None:
-            comment_polarity = polarity_from_rating(as_int(rating, "rating"))
-        return cls(
-            reviewer_id=reviewer_id,
-            object=obj,
-            rating=rating,
-            comment_polarity=comment_polarity,
-            comment_text=comment_text,
-        )
 
 
 def _zone_of_difference(d: int) -> Zone:
@@ -162,11 +142,10 @@ def binomial_rationality(n: int, r: int, p: Fraction | float | str) -> Fraction:
 
     Exact rational arithmetic: C(n, r) * p**r * (1-p)**(n-r).
     """
+    n, r = as_int(n, "n"), as_int(r, "r")
     if n < 0 or not 0 <= r <= n:
         raise DomainError(f"need 0 <= r <= n, got r={r}, n={n}")
-    prob = Fraction(p)
-    if not 0 <= prob <= 1:
-        raise DomainError(f"p must be within [0, 1], got {p}")
+    prob = as_probability(p)
     return math.comb(n, r) * prob**r * (1 - prob) ** (n - r)
 
 
@@ -186,9 +165,7 @@ class OverallRationality(Record):
         setfield(self, "n", as_int(n, "n"))
         if self.n < 0:
             raise DomainError(f"need n >= 0, got n={n}")
-        setfield(self, "p", Fraction(p))
-        if not 0 <= self.p <= 1:
-            raise DomainError(f"p must be within [0, 1], got {p}")
+        setfield(self, "p", as_probability(p))
         if realized_r is not None:
             realized_r = as_int(realized_r, "realized_r")
             if not 0 <= realized_r <= self.n:
@@ -199,6 +176,8 @@ class OverallRationality(Record):
     def from_parameters(
         cls, n: int, p: Fraction | float | str, realized_r: int | None = None
     ) -> "OverallRationality":
+        """Same as ``cls(n, p, realized_r)``; scoring builds the record through this
+        name so that bench/tracing.py can time it as the binomial layer."""
         return cls(n, p, realized_r)
 
     def prob(self, r: int) -> Fraction:
@@ -344,7 +323,7 @@ class ReportParameters(Record):
     __slots__ = ("membership_variant", "d0_zone", "p")
 
     def __init__(
-        self, membership_variant: str = "minmax", d0_zone: str = "rational", p: Fraction = Fraction(1, 2)
+        self, membership_variant: str = "minmax", d0_zone: str = "rational", p: Fraction | float | str = Fraction(1, 2)
     ) -> None:
         if membership_variant not in MEMBERSHIP_VARIANTS:
             raise DomainError(
@@ -353,12 +332,9 @@ class ReportParameters(Record):
             )
         if d0_zone not in D0_ZONE_CHOICES:
             raise DomainError(f"d0_zone must be one of {D0_ZONE_CHOICES}, got {d0_zone!r}")
-        prob = Fraction(p)
-        if not 0 <= prob <= 1:
-            raise DomainError(f"p must be within [0, 1], got {p}")
         setfield(self, "membership_variant", membership_variant)
         setfield(self, "d0_zone", d0_zone)
-        setfield(self, "p", prob)
+        setfield(self, "p", as_probability(p))
 
 
 class TrustReport(Record):

@@ -28,8 +28,8 @@ def canonical_episodes(canonical_raw_episodes):
 @pytest.fixture
 def canonical_reviews():
     return (
-        Review.make("rev-1", "M", 1, "negative", "Bad product"),
-        Review.make("rev-1", "N", 2, "negative", "Not so good product"),
-        Review.make("rev-1", "V", 3, "positive", "Relatively good product"),
-        Review.make("rev-1", "Z", 5, "positive", "Premium product"),
+        Review("rev-1", "M", 1, "negative", "Bad product"),
+        Review("rev-1", "N", 2, "negative", "Not so good product"),
+        Review("rev-1", "V", 3, "positive", "Relatively good product"),
+        Review("rev-1", "Z", 5, "positive", "Premium product"),
     )

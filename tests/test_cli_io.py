@@ -663,6 +663,28 @@ def test_score_reads_p_exactly(fixtures_dir, tmp_path, p):
     assert out.read_text(encoding="utf-8") == expected
 
 
+_P_VALUES = [
+    "0.25", "1e-3", "1/2", " 0.5 ", "2", "-0.1", "nan", "inf", "1/0", "abc", "", "1e-41", "1e-999999",
+    "0." + "0" * 38 + "1",
+]
+
+
+@pytest.mark.parametrize("p", _P_VALUES)
+def test_score_and_build_report_read_p_alike(fixtures_dir, capsys, p):
+    episodes, _ = load_episodes(fixtures_dir / EPISODES)
+    reviews, _ = load_reviews(fixtures_dir / REVIEWS)
+    code = main(["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--p", p])
+    err = capsys.readouterr().err
+    try:
+        report = choicetrust.build_report(episodes, reviews, p=p)
+    except DomainError as exc:
+        # The CLI names the option, the library the parameter; the rest is the same line.
+        assert (code, err) == (EXIT_FATAL, f"error: --{exc}\n")
+    else:
+        assert (code, err) == (EXIT_OK, "")
+        assert report.parameters.p == Fraction(p.strip())
+
+
 # Arbitrary JSON values, and valid records with fields dropped or replaced by them.
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

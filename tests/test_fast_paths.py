@@ -204,7 +204,7 @@ def batches(draw):
             catalog = shared if draw(st.integers(0, 2)) else draw(catalogs())
             episodes.append(draw(raw_episode(reviewer, period, catalog)))
     reviews = st.builds(
-        Review.make,
+        Review,
         st.sampled_from(REVIEWERS + ("r4",)),
         st.sampled_from(IDS),
         st.integers(1, 5),
@@ -272,7 +272,7 @@ def test_streamed_report_equals_its_document_where_a_list_is_empty(canonical_epi
     assert (no_sections.reviewers, no_sections.flagged_reviews, no_sections.errors) == ((), (), ())
     clean = build_report(canonical_episodes, canonical_reviews)
     assert clean.reviewers and not clean.flagged_reviews and not clean.errors
-    flagged_only = build_report(canonical_episodes, [*canonical_reviews, Review.make("rev-1", "Q", 2)])
+    flagged_only = build_report(canonical_episodes, [*canonical_reviews, Review("rev-1", "Q", 2)])
     assert flagged_only.flagged_reviews and not flagged_only.errors
     invalid = ChoiceEpisode("rev-2", 1, ("M",), ("N",), (), ())
     errors_only = build_report([*canonical_episodes, invalid], canonical_reviews)

@@ -52,6 +52,18 @@ def test_build_tau_needs_periods():
         build_tau([1, 4])
 
 
+@pytest.mark.parametrize("ns", [[2.5, 3], [3.9], ["4"], [True, 2], [None]])
+def test_build_tau_refuses_sizes_it_would_truncate(ns):
+    with pytest.raises(DomainError, match="period size must be an integer"):
+        build_tau(ns)
+
+
+def test_bin_frequencies_refuses_a_fractional_size():
+    with pytest.raises(DomainError, match="period size must be an integer"):
+        bin_frequencies(3.5)
+    assert bin_frequencies(3.0) == bin_frequencies(3)
+
+
 def test_build_tau_size_is_n_to_the_t():
     for n in range(2, 6):
         for t in range(1, 4):

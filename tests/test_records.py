@@ -78,7 +78,7 @@ def _validated():
 def _report():
     """A report with a section, a flagged review and an error."""
     invalid = ChoiceEpisode("s", 1, ("a",), (), (), ())
-    reviews = [Review.make("r", "a", 2, comment_text="worse"), Review.make("r", "zz", 5)]
+    reviews = [Review("r", "a", 2, comment_text="worse"), Review("r", "zz", 5)]
     return build_report([*_episodes(), invalid], reviews)
 
 
@@ -100,7 +100,7 @@ SAMPLES = {
     Bin: lambda: bin_table((3, 3)).by_difference(0),
     BinTable: lambda: bin_table((3, 3)),
     Degree: lambda: membership("D", bin_table((3, 3))),
-    Review: lambda: Review.make("r", "a", 4, comment_text="fine"),
+    Review: lambda: Review("r", "a", 4, comment_text="fine"),
     OverallRationality: lambda: OverallRationality.from_parameters(3, "1/2", 1),
     TrustAssessment: lambda: _report().reviewers[0].assessments[0],
     ReviewerSection: lambda: _report().reviewers[0],
@@ -163,7 +163,8 @@ INTEGER_FIELDS = {
     "ChoiceEpisode": (lambda v: ChoiceEpisode("r", v, ("a",), ("a",), ("a",), ("a",)), lambda r: r.period),
     "RunCount": (RunCount, lambda r: r.value),
     "Review": (lambda v: Review("r", "a", v, Polarity.POSITIVE), lambda r: r.rating),
-    "Review.make": (lambda v: Review.make("r", "a", v), lambda r: r.rating),
+    # No polarity: the rating must be read before the polarity falls back to it.
+    "Review-from-rating": (lambda v: Review("r", "a", v), lambda r: r.rating),
 }
 
 

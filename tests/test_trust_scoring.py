@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from choicetrust import (
     OverallRationality,
     Polarity,
     RankClass,
+    ReportParameters,
     Review,
     RunCount,
     ValidatedEpisode,
@@ -105,52 +107,88 @@ def test_overall_rationality_stores_only_n_p_and_the_realized_count():
 
 
 def test_match_review_complete_rejection():
-    review = Review.make("r", "M", 1, "negative", "Bad product")
+    review = Review("r", "M", 1, "negative", "Bad product")
     matched, code = match_review(review, rc(3, None))
     assert matched and code is NarrativeCode.COMPLETE_REJECTION
 
 
 def test_match_review_sudden_adoption():
-    review = Review.make("r", "Z", 5, "positive", "Premium product")
+    review = Review("r", "Z", 5, "positive", "Premium product")
     matched, code = match_review(review, rc(None, 3))
     assert matched and code is NarrativeCode.SUDDEN_ADOPTION
 
 
 def test_match_review_negative_against_rational_pattern_disputed():
-    review = Review.make("r", "V", 1, "negative")
+    review = Review("r", "V", 1, "negative")
     matched, code = match_review(review, rc(1, 2))
     assert not matched and code is NarrativeCode.DISPUTED
 
 
 def test_match_review_continuity_codes():
-    up = match_review(Review.make("r", "V", 4, "positive"), rc(1, 2))
-    down = match_review(Review.make("r", "N", 2, "negative"), rc(2, 1))
+    up = match_review(Review("r", "V", 4, "positive"), rc(1, 2))
+    down = match_review(Review("r", "N", 2, "negative"), rc(2, 1))
     assert up == (True, NarrativeCode.CONTINUITY_UP)
     assert down == (True, NarrativeCode.CONTINUITY_DOWN)
 
 
 def test_match_review_neutral_is_weak_match():
-    review = Review.make("r", "V", 3)
+    review = Review("r", "V", 3)
     assert review.comment_polarity is Polarity.NEUTRAL
     matched, code = match_review(review, rc(3, None))
     assert matched and code is NarrativeCode.WEAK_MATCH
 
 
 def test_match_review_steady_pattern():
-    review = Review.make("r", "V", 5, "positive")
+    review = Review("r", "V", 5, "positive")
     matched, code = match_review(review, rc(2, 2))
     assert matched and code is NarrativeCode.STEADY
 
 
 def test_polarity_fallback_from_rating():
-    assert Review.make("r", "x", 1).comment_polarity is Polarity.NEGATIVE
-    assert Review.make("r", "x", 3).comment_polarity is Polarity.NEUTRAL
-    assert Review.make("r", "x", 5).comment_polarity is Polarity.POSITIVE
+    polarities = [Review("r", "x", rating).comment_polarity for rating in range(1, 6)]
+    assert polarities == [Polarity.NEGATIVE] * 2 + [Polarity.NEUTRAL] + [Polarity.POSITIVE] * 2
+    assert Review("r", "x", 1, "positive").comment_polarity is Polarity.POSITIVE
+
+
+@pytest.mark.parametrize("polarity", ["meh", ["x"], 5])
+def test_unknown_polarity_is_a_domain_error(polarity):
+    with pytest.raises(DomainError) as info:
+        Review("r", "x", 3, polarity)
+    assert str(info.value) == f"{polarity!r} is not a valid Polarity"
+
+
+_MALFORMED = {
+    "text": lambda: OverallRationality(3, "abc"),
+    "inf": lambda: ReportParameters(p=float("inf")),
+    "nan": lambda: OverallRationality(3, float("nan")),
+    "None": lambda: OverallRationality(3, None),
+    "bool": lambda: OverallRationality(3, True),
+    "huge-exponent": lambda: build_report([], p="1e-999999"),
+    "float-n": lambda: binomial_rationality(2.5, 1, "1/2"),
+    "bool-n": lambda: binomial_rationality(True, 1, "1/2"),
+    "None-r": lambda: binomial_rationality(3, None, "1/2"),
+    "float-r": lambda: binomial_rationality(3, 1.5, "1/2"),
+}
+
+
+@pytest.mark.parametrize("build", _MALFORMED.values(), ids=_MALFORMED)
+def test_malformed_p_n_or_r_is_a_domain_error_at_once(build):
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        build()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_p_is_read_exactly_from_numbers_and_text():
+    assert OverallRationality(3, 0.1).p == Fraction(0.1) != Fraction(1, 10)
+    assert OverallRationality(3, " 1e-3 ").p == Fraction(1, 1000)
+    assert ReportParameters(p="3/7").p == Fraction(3, 7)
+    assert binomial_rationality(3.0, Fraction(2), 1) == 0
 
 
 def test_rating_out_of_range():
     with pytest.raises(DomainError):
-        Review.make("r", "x", 6)
+        Review("r", "x", 6)
 
 
 def test_build_report_canonical(canonical_raw_episodes, canonical_reviews):
@@ -244,7 +282,7 @@ def test_build_report_degrees_invariant_under_relabeling(canonical_raw_episodes,
         for e in canonical_raw_episodes
     ]
     relabeled_reviews = [
-        Review.make(r.reviewer_id, mapping[r.object], r.rating, r.comment_polarity, r.comment_text)
+        Review(r.reviewer_id, mapping[r.object], r.rating, r.comment_polarity, r.comment_text)
         for r in canonical_reviews
     ]
     base = build_report(canonical_raw_episodes, canonical_reviews)
@@ -263,7 +301,7 @@ def test_build_report_is_deterministic(canonical_raw_episodes, canonical_reviews
 
 
 def test_build_report_flags_unknown_object(canonical_raw_episodes, canonical_reviews):
-    stray = Review.make("rev-1", "QQ", 4, "positive")
+    stray = Review("rev-1", "QQ", 4, "positive")
     report = build_report(canonical_raw_episodes, list(canonical_reviews) + [stray])
     assert len(report.flagged_reviews) == 1
     assert report.flagged_reviews[0].review.object == "QQ"
@@ -272,7 +310,7 @@ def test_build_report_flags_unknown_object(canonical_raw_episodes, canonical_rev
 
 
 def test_build_report_flags_unknown_reviewer(canonical_raw_episodes):
-    stray = Review.make("somebody-else", "M", 4, "positive")
+    stray = Review("somebody-else", "M", 4, "positive")
     report = build_report(canonical_raw_episodes, [stray])
     assert len(report.flagged_reviews) == 1
     assert "no validated episodes" in report.flagged_reviews[0].reason
@@ -295,7 +333,7 @@ def test_build_report_duplicate_periods_rejected_per_reviewer(canonical_raw_epis
 
 
 def test_build_report_duplicate_review_flagged(canonical_raw_episodes, canonical_reviews):
-    dup = Review.make("rev-1", "M", 5, "positive")
+    dup = Review("rev-1", "M", 5, "positive")
     report = build_report(canonical_raw_episodes, list(canonical_reviews) + [dup])
     assert any("duplicate" in f.reason for f in report.flagged_reviews)
 
