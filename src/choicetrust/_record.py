@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import reprlib
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -37,14 +38,23 @@ MAX_P_DIGITS = 40
 
 _P_FORM = re.compile(r"[+-]?(?:\d+/\d*[1-9]\d*|(?:\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?)")
 
+# Largest denominator of a probability given as a number: text within
+# MAX_P_DIGITS has at most 76 digits of one, as has every float >= 1e-60. A
+# Decimal with more places than MAX_P_PLACES is refused before it becomes a
+# Fraction: without trailing zeros its denominator is over 2**320 > 10**80.
+MAX_P_DENOMINATOR = 10**80
+MAX_P_PLACES = 320
+
 
 def as_probability(value: Any, what: str = "p") -> Fraction:
     """``value`` as an exact fraction in [0, 1]; anything else is a DomainError.
 
     Text is a decimal such as 0.25 or 1e-3, or a fraction such as 1/2, of at
     most :data:`MAX_P_DIGITS` characters with |exponent| <= MAX_P_DIGITS. A
-    number is taken exactly; a bool, None, NaN or an infinity is refused.
+    number is taken exactly, and its denominator may be at most
+    :data:`MAX_P_DENOMINATOR`; a bool, None, NaN or an infinity is refused.
     """
+    outside = f"{what} must be within [0, 1], got {{!r}}"
     if isinstance(value, str):
         form = _P_FORM.fullmatch(value.strip()) if len(value) <= MAX_P_DIGITS else None
         if form is None or form[1] and abs(int(form[1])) > MAX_P_DIGITS:
@@ -54,14 +64,21 @@ def as_probability(value: Any, what: str = "p") -> Fraction:
             )
         prob = Fraction(form[0])
     else:
+        # Fraction(Decimal) first builds 10**-exponent, so a Decimal's range and places are read as given.
+        finite_decimal = isinstance(value, Decimal) and value.is_finite()
+        if finite_decimal and not 0 <= value <= 1:
+            raise DomainError(outside.format(value))
+        deep = finite_decimal and value.as_tuple().exponent < -MAX_P_PLACES
         try:
-            prob = None if isinstance(value, bool) else Fraction(value)
+            prob = None if isinstance(value, bool) else Fraction(0 if deep else value)
         except (TypeError, ValueError, OverflowError):
             prob = None
         if prob is None:
             raise DomainError(f"{what} must be a finite number or text such as 1/2, got {reprlib.repr(value)}")
+        if deep or prob.denominator > MAX_P_DENOMINATOR:
+            raise DomainError(f"{what} must have a denominator of at most 10**80, got one larger")
     if not 0 <= prob <= 1:
-        raise DomainError(f"{what} must be within [0, 1], got {value!r}")
+        raise DomainError(outside.format(value))
     return prob
 
 

@@ -14,7 +14,7 @@ import functools
 import io
 import itertools
 import json
-import math
+import operator
 import os
 import re
 import reprlib
@@ -33,7 +33,7 @@ from .rationality_outcomes import (
     MEMBERSHIP_VARIANTS,
     bar_degrees,
     bar_frequency,
-    build_tau,
+    iter_tau,
     signed_difference,
 )
 from .trust_scoring import (
@@ -42,7 +42,6 @@ from .trust_scoring import (
     Review,
     ReviewerSection,
     TrustReport,
-    binomial_rationality,
     build_report,
 )
 
@@ -255,14 +254,21 @@ def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
 def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str], ...]:
     """(r, probability, at_most, at_least) of Binomial(n, p), built and formatted once per (n, p).
 
-    This is the one cache of the distribution: the pmf is exact
-    ``binomial_rationality`` terms, ``below[r]`` is the exact sum of the
-    terms under r, at_most(r) is ``below[r + 1]`` and at_least(r) is
-    ``1 - below[r]``.
+    This is the one cache of the distribution. For p = a/b, the exact term
+    ``binomial_rationality(n, r, p)`` is N_r / b**n with N_r = C(n, r) a**r (b - a)**(n - r),
+    so each cell divides an integer (N_r or a sum of them) by b**n, which
+    rounds exactly as ``_fmt8`` of the Fraction does.
     """
-    pmf = [binomial_rationality(n, r, p) for r in range(n + 1)]
-    below = list(itertools.accumulate(pmf, initial=Fraction(0)))
-    return tuple((r, _fmt8(pmf[r]), _fmt8(below[r + 1]), _fmt8(1 - below[r])) for r in range(n + 1))
+    a, b = p.numerator, p.denominator
+    ups = list(itertools.accumulate(itertools.repeat(a, n), operator.mul, initial=1))
+    downs = list(itertools.accumulate(itertools.repeat(b - a, n), operator.mul, initial=1))
+    combs = itertools.accumulate(range(n), lambda c, r: c * (n - r) // (r + 1), initial=1)
+    terms = [c * ups[r] * downs[n - r] for r, c in enumerate(combs)]
+    below, whole = list(itertools.accumulate(terms, initial=0)), b**n
+    return tuple(
+        (r, _fmt8(term / whole), _fmt8(below[r + 1] / whole), _fmt8((whole - below[r]) / whole))
+        for r, term in enumerate(terms)
+    )
 
 
 def _report_head(report: TrustReport) -> dict:
@@ -359,18 +365,30 @@ def report_to_dict(report: TrustReport) -> dict:
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _json(doc: Any) -> str:
-    """``json.dumps(doc, indent=2, ensure_ascii=True) + "\\n"`` for a document whose
-    keys are strings, written without the pure-Python encoder that ``indent``
-    selects.
+def _json_document(head: dict, key: str, items: Iterable[Any], tail: dict) -> Iterator[str]:
+    """``json.dumps({**head, key: list(items), **tail}, indent=2, ensure_ascii=True) + "\\n"``
+    in chunks: the head, then one chunk per item, then the tail.
 
-    Strings go through the C escaper. Each scalar is one chunk: its
-    separator, key and value together.
+    `key` is in neither `head` nor `tail`, whose keys are strings. Strings go
+    through the C escaper, not the pure-Python encoder that ``indent`` selects.
     """
     chunks: list[str] = []
-    _json_chunks(doc, "", "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    lead = "{\n  "
+    for name, value in head.items():
+        _json_chunks(value, f"{lead}{_escape(name)}: ", "\n  ", chunks)
+        lead = ",\n  "
+    yield "".join(chunks) + lead + _escape(key) + ": ["
+    lead, close = "\n    ", "]"
+    for item in items:
+        chunks = []
+        _json_chunks(item, lead, "\n    ", chunks)
+        yield "".join(chunks)
+        lead, close = ",\n    ", "\n  ]"
+    chunks = [close]
+    for name, value in tail.items():
+        _json_chunks(value, f",\n  {_escape(name)}: ", "\n  ", chunks)
+    chunks.append("\n}\n")
+    yield "".join(chunks)
 
 
 def _json_chunks(value: Any, lead: str, newline: str, chunks: list[str]) -> None:
@@ -389,8 +407,8 @@ def _json_chunks(value: Any, lead: str, newline: str, chunks: list[str]) -> None
         chunks.append(lead + "false")
     elif isinstance(value, int):
         chunks.append(lead + int.__repr__(value))
-    elif isinstance(value, float):
-        chunks.append(lead + _float(value))
+    elif isinstance(value, float):  # NaN, Infinity and float.__repr__, as json.dumps writes them
+        chunks.append(lead + json.dumps(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             chunks.append(lead + "[]")
@@ -413,21 +431,6 @@ def _json_chunks(value: Any, lead: str, newline: str, chunks: list[str]) -> None
         chunks.append(newline + "}")
     else:
         raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _csv(fields: Sequence[str], rows: Iterable[dict]) -> str:
-    """A CSV table of `fields` over `rows`, which may hold other keys too."""
-    return "".join(_csv_chunks(fields, [rows]))
 
 
 def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[dict]]) -> Iterator[str]:
@@ -458,24 +461,10 @@ def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[dict]]) -> Iter
 
 
 def _json_stream(report: TrustReport) -> Iterator[str]:
-    """``_json(report_to_dict(report))``, in chunks."""
-    chunks: list[str] = []
-    lead = "{\n  "
-    for key, value in _report_head(report).items():
-        _json_chunks(value, f"{lead}{_escape(key)}: ", "\n  ", chunks)
-        lead = ",\n  "
-    yield "".join(chunks) + lead + '"reviewers": ['
-    lead = "\n    "
-    for section in report.reviewers:
-        chunks = []
-        _json_chunks(_section_dict(section), lead, "\n    ", chunks)
-        yield "".join(chunks)
-        lead = ",\n    "
-    chunks = ["\n  ]" if report.reviewers else "]"]
-    for key, value in _report_tail(report).items():
-        _json_chunks(value, f",\n  {_escape(key)}: ", "\n  ", chunks)
-    chunks.append("\n}\n")
-    yield "".join(chunks)
+    """``report_to_dict(report)`` as JSON, one reviewer section per chunk."""
+    return _json_document(
+        _report_head(report), "reviewers", map(_section_dict, report.reviewers), _report_tail(report)
+    )
 
 
 _CSV_COLUMNS = [
@@ -635,7 +624,8 @@ def _score(
     return _REPORT_RENDERERS[fmt](report), EXIT_PARTIAL if report.has_errors else EXIT_OK
 
 
-def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> list[dict]:
+def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> Iterator[dict]:
+    """The rows `tau n t` lists, as the outcome set is enumerated; `n`, `t` and the cap are checked at once."""
     if t < 1:
         raise DomainError(f"need at least one period, got t={t}")
     if n < 2:
@@ -643,33 +633,30 @@ def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> list[dict]:
     # n >= 2, so t >= bit_length(cap) already means n**t > cap; n**t is never built huge.
     if t >= MAX_TAU_ROWS.bit_length() or n**t > MAX_TAU_ROWS:
         raise DomainError(f"tau {n} {t} would list n**t > {MAX_TAU_ROWS} patterns")
-    degrees = bar_degrees((n, n), membership_variant) if t == 2 else None
-    rows = []
-    for pat in build_tau([n] * t):
-        row: dict[str, Any] = {"pattern": pat.render(), "rank_class": pat.rank_class.value}
-        if degrees is not None:
-            d = signed_difference(pat.slots)
-            row["bar"] = pat.bin
-            row["frequency"] = bar_frequency((n, n), d)
-            row["membership"] = _fmt8(degrees[d].value)
-        rows.append(row)
-    return rows
+    patterns = iter_tau([n] * t)
+    if t != 2:
+        return ({"pattern": pat.render(), "rank_class": pat.rank_class.value} for pat in patterns)
+    degrees = bar_degrees((n, n), membership_variant)
+    return (
+        {"pattern": pat.render(), "rank_class": pat.rank_class.value, "bar": pat.bin,
+         "frequency": bar_frequency((n, n), d), "membership": _fmt8(degrees[d].value)}
+        for pat in patterns
+        for d in [signed_difference(pat.slots)]
+    )
 
 
-def cmd_tau(n: int, t: int, *, membership_variant: str = "minmax", fmt: str = "text") -> str:
+def cmd_tau(n: int, t: int, *, membership_variant: str = "minmax", fmt: str = "text") -> Iterator[str]:
+    """The listing of the outcome set in chunks, each rendered as its row is enumerated."""
     rows = tau_rows(n, t, membership_variant)
     if fmt == "json":
-        return _json({"n": n, "t": t, "rows": rows})
+        return _json_document({"n": n, "t": t}, "rows", rows, {})
     if fmt == "csv":
-        return _csv(list(rows[0]), rows)
-    width = max(len(r["pattern"]) for r in rows) + 2
-    lines = [f"rationality outcome set: n={n} t={t} size={len(rows)}"]
-    for r in rows:
-        line = f"{r['pattern']:<{width}}{r['rank_class']:<12}"
-        if "bar" in r:
-            line += f"bar={r['bar']:<4}f={r['frequency']:<4}degree={r['membership']}"
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+        fields = ["pattern", "rank_class", "bar", "frequency", "membership"][: 5 if t == 2 else 2]
+        return _csv_chunks(fields, ([row] for row in rows))
+    width = t * (len(str(n - 1)) + 1) + 3  # the widest pattern has all t slots at n - 1
+    bar = "bar={bar:<4}f={frequency:<4}degree={membership}" if t == 2 else ""
+    lines = (f"{r['pattern']:<{width}}{r['rank_class']:<12}{bar.format_map(r)}\n" for r in rows)
+    return itertools.chain([f"rationality outcome set: n={n} t={t} size={n**t}\n"], lines)
 
 
 def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
@@ -682,9 +669,9 @@ def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
         for e in lst.elements
     ]
     if fmt == "json":
-        return _json({"chosen": chosen.id, "elements": rows})
+        return "".join(_json_document({"chosen": chosen.id}, "elements", rows, {}))
     if fmt == "csv":
-        return _csv(["id", "mu", "nu", "H", "chosen"], rows)
+        return "".join(_csv_chunks(["id", "mu", "nu", "H", "chosen"], [rows]))
     lines = [f"{r['id']:<12}mu={r['mu']:<8}nu={r['nu']:<8}H={r['H']}" for r in rows]
     lines.append(f"chosen: {chosen.id}")
     return "\n".join(lines) + "\n"
@@ -700,20 +687,16 @@ def cmd_check(table_path: str | Path, *, fmt: str = "text") -> str:
         for v in result.violations
     ]
     if fmt == "json":
-        return _json(
-            {
-                "contraction_consistent": result.consistent,
-                "violations": violations,
-                "rationalizing_order": list(order) if order else None,
-            }
-        )
+        tail = {"rationalizing_order": list(order) if order else None}
+        return "".join(_json_document({"contraction_consistent": result.consistent}, "violations", violations, tail))
     if fmt == "csv":
         rows = [{"record": "verdict", "consistent": result.consistent, "order": ranking}]
         rows += (
             {**v, "record": "violation", "small": " ".join(v["small"]), "large": " ".join(v["large"])}
             for v in violations
         )
-        return _csv(["record", "consistent", "small", "large", "chosen_large", "chosen_small", "order"], rows)
+        fields = ["record", "consistent", "small", "large", "chosen_large", "chosen_small", "order"]
+        return "".join(_csv_chunks(fields, [rows]))
     lines = [f"contraction: {'consistent' if result.consistent else 'VIOLATIONS'}"]
     for v in result.violations:
         lines.append("  " + v.describe())
@@ -783,7 +766,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             p = as_probability(args.p, "--p")
             chunks, code = _score(args.episodes, args.reviews, args.membership, args.d0_zone, p, args.format)
         elif args.command == "tau":
-            chunks = [cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format)]
+            chunks = cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format)
         elif args.command == "info-index":
             chunks = [cmd_info_index(args.list, fmt=args.format)]
         else:

@@ -8,9 +8,9 @@ patterns additionally bin by the signed difference of their run totals
 
 Scoring and ``tau`` read bar frequencies and degrees from their closed form
 (:func:`bar_frequency`, :func:`bar_degrees`). The enumerated outcome set
-(:func:`build_tau`, :func:`bin_table`, :func:`membership`) is the
-paper-literal reference: ``tau`` lists its patterns, and tests check the
-closed form against it.
+(:func:`iter_tau`, :func:`build_tau`, :func:`bin_table`, :func:`membership`)
+is the paper-literal reference: ``tau`` streams its patterns from
+:func:`iter_tau`, and tests check the closed form against it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ._record import Record, as_int, setfield
 from .errors import DomainError
@@ -34,6 +34,7 @@ __all__ = [
     "BinTable",
     "Degree",
     "slot_alphabet",
+    "iter_tau",
     "build_tau",
     "count_tau_two_periods",
     "two_period_decomposition",
@@ -178,28 +179,28 @@ def bin_pattern(slots: Sequence[RunCount]) -> str:
     return bar_label(signed_difference(slots))
 
 
-def build_tau(ns: Sequence[int]) -> tuple[TauPattern, ...]:
-    """Enumerate the full rationality outcome set for per-period sizes ns.
+def iter_tau(ns: Sequence[int]) -> Iterator[TauPattern]:
+    """The full rationality outcome set for per-period sizes ns, one pattern at a time.
 
-    The product includes the all-empty tuple; for t periods of a fixed n the
-    set has exactly n**t members. Listing order is deterministic: the empty
-    run sorts first, then ascending totals, later periods varying fastest.
+    The sizes are checked when this is called. The product includes the
+    all-empty tuple; for t periods of a fixed n the set has exactly n**t
+    members. Listing order is deterministic: the empty run sorts first, then
+    ascending totals, later periods varying fastest.
     """
     ns = tuple([as_int(n, "period size") for n in ns])
     if not ns:
         raise DomainError("need at least one period")
     alphabets = [slot_alphabet(n) for n in ns]
     two_period = len(ns) == 2
-    out = []
-    for combo in itertools.product(*alphabets):
-        out.append(
-            TauPattern(
-                slots=combo,
-                rank_class=classify_rank(combo),
-                bin=bin_pattern(combo) if two_period else None,
-            )
-        )
-    return tuple(out)
+    return (
+        TauPattern(slots=combo, rank_class=classify_rank(combo), bin=bin_pattern(combo) if two_period else None)
+        for combo in itertools.product(*alphabets)
+    )
+
+
+def build_tau(ns: Sequence[int]) -> tuple[TauPattern, ...]:
+    """The patterns of :func:`iter_tau`, in its order, as one tuple."""
+    return tuple(iter_tau(ns))
 
 
 def two_period_decomposition(n: int) -> tuple[int, int]:

@@ -189,12 +189,6 @@ class OverallRationality(Record):
     def at_least(self, r: int) -> Fraction:
         return 1 - self.at_most(r - 1)
 
-    def below(self, r: int) -> Fraction:
-        return self.at_most(r - 1)
-
-    def above(self, r: int) -> Fraction:
-        return self.at_least(r + 1)
-
 
 def period_string(episode: ValidatedEpisode) -> str:
     """The period's preference matrix as a row-major 0/1 string, from its rank tuple.

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -14,15 +15,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import choicetrust
-from choicetrust import ChoiceEpisode, DomainError, IfsElement, IfsList, Polarity, Review, cli_io
+from choicetrust import ChoiceEpisode, DomainError, IfsElement, IfsList, Polarity, Review, cli_io, iter_tau
 from choicetrust.cli_io import (
     EXIT_FATAL,
     EXIT_OK,
     EXIT_PARTIAL,
+    FORMATS,
     ParseError,
     cmd_check,
     cmd_info_index,
@@ -200,7 +202,7 @@ def test_cmd_score_partial_on_malformed_episode_line(tmp_path, fixtures_dir):
 
 
 def test_cmd_tau_listing_matches_frequencies():
-    rows = tau_rows(4, 2)
+    rows = list(tau_rows(4, 2))
     assert len(rows) == 16
     freq = {}
     for row in rows:
@@ -209,9 +211,9 @@ def test_cmd_tau_listing_matches_frequencies():
 
 
 def test_cmd_tau_sizes():
-    assert len(tau_rows(2, 1)) == 2
-    assert len(tau_rows(3, 2)) == 9
-    out = cmd_tau(3, 2, fmt="csv")
+    assert len(list(tau_rows(2, 1))) == 2
+    assert len(list(tau_rows(3, 2))) == 9
+    out = "".join(cmd_tau(3, 2, fmt="csv"))
     assert out.count("\n") == 10  # header + nine rows
 
 
@@ -223,8 +225,9 @@ def test_cmd_tau_rejects_bad_arguments():
 
 
 # sha256 of each command's stdout, taken before the four commands shared one
-# JSON and one CSV writer; the tau listings date from when tau read its bar
-# columns from the enumerated bin_table and membership.
+# JSON and one CSV writer; the first four tau listings date from when tau read
+# its bar columns from the enumerated bin_table and membership, and the rest
+# from when tau built every row before writing any.
 _E, _R = str(FIXTURES / EPISODES), str(FIXTURES / REVIEWS)
 _IFS = str(FIXTURES / "ifs_list.json")
 _CHAIN, _VIOLATING = str(FIXTURES / "choice_table_chain.json"), str(FIXTURES / "choice_table_violating.json")
@@ -256,6 +259,24 @@ _CHAIN, _VIOLATING = str(FIXTURES / "choice_table_chain.json"), str(FIXTURES / "
         (["check", _VIOLATING, "--format", "json"], "7a396d2960311d401277311f29faf8e5583dca3e8a6a373aea0e659c2da75906"),
         (["check", _VIOLATING, "--format", "csv"], "56c732ff11598777bbc50eaacda14556956c7378c884f0c36ebc36fac30e4e03"),
         (["check", _VIOLATING, "--format", "text"], "52f60b723c134f76ae9dc94db15571c36b908e06be5f38c2b375a27f7c05119a"),
+        (["tau", "2", "1", "--format", "json"], "b8cc8787792a1dc559b5bbfb95ff742d5e1efe8493e5beb99652cf12974d6602"),
+        (["tau", "2", "1", "--format", "csv"], "c534f35f26cccf6518f7ae2e4efade24420350d4b19072b28ec6a59b970b408a"),
+        (["tau", "2", "1"], "4b6043ad329a81808eac76066bd6fc861dd9ca6768fc2c11b8754c440115ea15"),
+        (["tau", "10", "2", "--format", "json"], "6ea364d421f2906407601805e587981a9b9539bfb6418ea1c796be830f290473"),
+        (["tau", "10", "2", "--format", "csv"], "648edd6ac99be99b12091fc2603e6467497af6735a2e20d269c0ed24ad62e3a4"),
+        (["tau", "10", "2"], "4878e5cd97c46e5f652201018df799e7c873e6a4e371ef026433f2b0f84346cc"),
+        (["tau", "11", "2", "--format", "json"], "5acab5557e3fef4407728d69bf671a5ad6e32e1d484d40b260651f12699baf15"),
+        (["tau", "11", "2", "--format", "csv"], "00ad68026a6eba6ea047f856d4fdfd62a06f76cab6fd5cef84d0c254b9253aef"),
+        (["tau", "11", "2"], "20ac30614a043191a900274e5f5aa757d40d5a2fba14fa7b9ee4ca31f218e0a9"),
+        (["tau", "40", "2", "--format", "json"], "54522709ded562edb0583814aa83a9bc9a114eef57a7b410b3781847c3e83796"),
+        (["tau", "40", "2", "--format", "csv"], "91d7fad18e55689dd358da0e003d04ca6146e842998d5378dfb842f9b11640ac"),
+        (["tau", "40", "2"], "622fe08fdba6129e21173041d2cccf51c03a8d06c1beb3cf59bbfec5e401f7b5"),
+        (["tau", "5", "4", "--format", "csv"], "764861d072fcd76199ed5afd645cca48ab6d4e21ab84255152ba508d16e8a8de"),
+        (["tau", "3", "3"], "b1eda44e48d8f8f6374e1ab64faf96e9820fbf3c5eae0b0de7951b8af42c7ace"),
+        (
+            ["tau", "300", "2", "--membership", "smoothed", "--format", "json"],
+            "3c3f6fe4a45374d2729a918faf6ddfa75089a03c72f1fc361990e551281088f4",
+        ),
     ],
 )
 def test_main_output_is_unchanged(capsys, argv, digest):
@@ -265,7 +286,7 @@ def test_main_output_is_unchanged(capsys, argv, digest):
 
 def test_tau_refuses_outcome_sets_above_the_cap(monkeypatch, capsys):
     monkeypatch.setattr(cli_io, "MAX_TAU_ROWS", 16)
-    assert len(tau_rows(4, 2)) == 16
+    assert len(list(tau_rows(4, 2))) == 16
     for n, t in ((17, 1), (2, 5)):
         with pytest.raises(DomainError):
             tau_rows(n, t)
@@ -275,6 +296,39 @@ def test_tau_refuses_outcome_sets_above_the_cap(monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: tau {n} {t} would list n**t > 1000000 patterns\n"
     assert main(["tau", "1", str(10**9)]) == EXIT_FATAL
     assert capsys.readouterr().err == "error: need at least 2 objects per period, got 1\n"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_tau_enumerates_only_the_patterns_it_has_written(monkeypatch, fmt):
+    enumerated = []
+
+    def counting_iter_tau(ns):
+        for pattern in iter_tau(ns):
+            enumerated.append(pattern)
+            yield pattern
+
+    monkeypatch.setattr(cli_io, "iter_tau", counting_iter_tau)
+    chunks = cmd_tau(1000, 2, fmt=fmt)
+    first = list(itertools.islice(chunks, 3))
+    assert len(first) == 3 and len(enumerated) <= 5
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize(
+    "n, message",
+    [("1", "need at least 2 objects per period, got 1"), ("1001", "tau 1001 2 would list n**t > 1000000 patterns")],
+)
+def test_a_refused_tau_leaves_out_as_it_was(tmp_path, capsys, fmt, existing, n, message):
+    out = tmp_path / "tau.txt"
+    if existing:
+        out.write_bytes(b"an earlier listing\n")
+    assert main(["tau", n, "2", "--format", fmt, "--out", str(out)]) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if existing:
+        assert out.read_bytes() == b"an earlier listing\n"
+    else:
+        assert not out.exists()
 
 
 def test_cmd_info_index_canonical(fixtures_dir):
@@ -782,20 +836,27 @@ _JSON_VALUES = st.recursive(
 )
 
 
+_JSON_OBJECTS = st.dictionaries(_ANY_TEXT | st.sampled_from(list(Polarity)), _JSON_VALUES, max_size=4)
+
+
 @settings(max_examples=400, deadline=None)
-@example({"floats": [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300], "empty": [{}, [], ()]})
-@example([True, False, 1, 0, Polarity.NEGATIVE, _Grade.HUGE, "\ud800\x00\u2028é\U0001f600"])
-@given(_JSON_VALUES)
-def test_json_writer_equals_indented_json_dumps(value):
-    assert cli_io._json(value) == json.dumps(value, indent=2, ensure_ascii=True) + "\n"
+@example({"floats": [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300]}, "empty", [{}, [], ()], {"last": []})
+@example({}, "rows", [True, False, 1, 0, Polarity.NEGATIVE, _Grade.HUGE, "\ud800\x00\u2028é\U0001f600"], {})
+@example({}, "rows", [], {})
+@given(_JSON_OBJECTS, _ANY_TEXT, st.lists(_JSON_VALUES, max_size=5), _JSON_OBJECTS)
+def test_json_writer_equals_indented_json_dumps(head, key, items, tail):
+    assume(key not in head and key not in tail and not head.keys() & tail.keys())
+    chunks = list(cli_io._json_document(head, key, iter(items), tail))
+    assert len(chunks) == len(items) + 2
+    assert "".join(chunks) == json.dumps({**head, key: items, **tail}, indent=2, ensure_ascii=True) + "\n"
 
 
 def test_json_writer_refuses_what_json_dumps_refuses():
-    for value in ([object()], {"set": {1}}):
+    for value in (object(), {"set": {1}}):
         with pytest.raises(TypeError) as ours:
-            cli_io._json(value)
+            "".join(cli_io._json_document({}, "items", [value], {}))
         with pytest.raises(TypeError) as stdlib:
-            json.dumps(value, indent=2)
+            json.dumps({"items": [value]}, indent=2)
         assert str(ours.value) == str(stdlib.value)
 
 

@@ -7,6 +7,7 @@ against the reference pipeline in `reference_report.py`; the last ones hold
 the per-tuple score cache against the uncached derivation.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -40,6 +41,7 @@ from choicetrust import (
 from choicetrust.cli_io import (
     _REPORT_RENDERERS,
     _distribution_cells,
+    _fmt8,
     report_to_csv,
     report_to_dict,
     report_to_json,
@@ -142,6 +144,19 @@ def test_cached_cdf_equals_exact_prefix_sums(n, p):
     assert _distribution_cells(n, p) is _distribution_cells(n, p)
     rows = [dict(zip(("r", "probability", "at_most", "at_least"), cells)) for cells in _distribution_cells(n, p)]
     assert rows == reference_distribution(overall)
+
+
+@settings(max_examples=40, deadline=None)
+@example(300, Fraction(0))
+@example(300, Fraction(1))
+@example(96, Fraction(3, 10))
+@given(st.integers(0, 300), st.sampled_from([Fraction(0), Fraction(1)]) | st.fractions(0, 1, max_denominator=12))
+def test_distribution_cells_are_formatted_exact_terms_and_sums(n, p):
+    terms = [binomial_rationality(n, r, p) for r in range(n + 1)]
+    below = list(itertools.accumulate(terms, initial=Fraction(0)))
+    assert _distribution_cells(n, p) == tuple(
+        (r, _fmt8(terms[r]), _fmt8(below[r + 1]), _fmt8(1 - below[r])) for r in range(n + 1)
+    )
 
 
 @settings(deadline=None)

@@ -1,5 +1,6 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -76,8 +77,6 @@ def test_overall_rationality_cumulative_queries():
     assert overall.prob(1) == Fraction(1, 4)
     assert overall.at_most(1) == Fraction(5, 16)
     assert overall.at_least(1) == Fraction(15, 16)
-    assert overall.below(1) == Fraction(1, 16)
-    assert overall.above(1) == Fraction(11, 16)
     assert overall.at_most(4) == 1 and overall.at_least(0) == 1
 
 
@@ -164,6 +163,7 @@ _MALFORMED = {
     "None": lambda: OverallRationality(3, None),
     "bool": lambda: OverallRationality(3, True),
     "huge-exponent": lambda: build_report([], p="1e-999999"),
+    "decimal-beyond-1": lambda: OverallRationality(3, Decimal("1e999999999")),
     "float-n": lambda: binomial_rationality(2.5, 1, "1/2"),
     "bool-n": lambda: binomial_rationality(True, 1, "1/2"),
     "None-r": lambda: binomial_rationality(3, None, "1/2"),
@@ -177,6 +177,24 @@ def test_malformed_p_n_or_r_is_a_domain_error_at_once(build):
     with pytest.raises(DomainError):
         build()
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Fraction(1, 10**99999), Decimal("1e-99999"), Decimal("1e-9999999"), 1e-300],
+    ids=["Fraction", "Decimal-1e-99999", "Decimal-1e-9999999", "float-1e-300"],
+)
+def test_a_numeric_p_with_a_denominator_over_10_to_the_80_is_refused_at_once(p):
+    start = time.perf_counter()
+    for build in (lambda: OverallRationality(3, p), lambda: build_report([], p=p)):
+        with pytest.raises(DomainError, match=r"denominator of at most 10\*\*80"):
+            build()
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [0.3, 1e-60, Fraction(1, 10**80), Decimal("0.25")])
+def test_a_numeric_p_within_the_denominator_bound_is_taken_exactly(p):
+    assert OverallRationality(3, p).p == ReportParameters(p=p).p == Fraction(p)
 
 
 def test_p_is_read_exactly_from_numbers_and_text():
