@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from ._record import Record, as_int, setfield
+from ._record import Record, as_int, quote, setfield
 from .errors import (
     DimensionError,
     DomainError,
@@ -49,7 +49,7 @@ class AttributeVector(Record):
     def __init__(self, values: tuple[int, ...]) -> None:
         coerced = tuple([as_int(v, "attribute value") for v in values])
         if any(v < 0 for v in coerced):
-            raise DomainError(f"attribute values must be non-negative, got {values}")
+            raise DomainError(f"attribute values must be non-negative, got {quote(values, str)}")
         setfield(self, "values", coerced)
 
     def __len__(self) -> int:
@@ -109,14 +109,25 @@ class ChoiceEpisode(Record):
         setfield(self, "final", tuple(final))
         setfield(self, "period", as_int(period, "period"))
         if self.period < 1:
-            raise DomainError(f"period must be a positive integer, got {period}")
+            raise DomainError(f"period must be a positive integer, got {quote(period, str)}")
 
 
 class ValidatedEpisode(Record):
-    """A :class:`ChoiceEpisode` whose stage nesting has been certified.
+    """A :class:`ChoiceEpisode` whose stage nesting is certified, with its stage ranks.
 
-    Constructed through :func:`validate_episode`. ``ranks[i]`` is the stage
-    rank of ``attainable[i]``, so no later derivation re-walks the stage sets.
+    The stage sets follow :class:`ChoiceEpisode`'s rules and must satisfy
+    final <= cart <= wishlist <= attainable (adjacent stages may coincide),
+    the final set must be nonempty, and no stage may repeat an id. Stage by
+    stage, outermost first, one pass checks repeats, then nesting, then
+    records how deep each item reached: its rank. ``ranks[i]`` is the stage
+    rank of ``attainable[i]``, so no later derivation re-walks the stage
+    sets. ``ranks`` may be omitted; given, it must equal what the walk finds.
+
+    Raises:
+        DomainError: Empty attainable set, or ranks that disagree with the stage sets.
+        DuplicateItemError: An id repeats within one stage.
+        NestingError: An item appears in a stage but not its enclosing stage.
+        EmptyFinalError: The final set is empty.
     """
 
     __slots__ = ("reviewer_id", "period", "attainable", "wishlist", "cart", "final", "ranks")
@@ -129,17 +140,31 @@ class ValidatedEpisode(Record):
         wishlist: tuple[str, ...],
         cart: tuple[str, ...],
         final: tuple[str, ...],
-        ranks: Iterable[int],
+        ranks: Iterable[int] | None = None,
     ) -> None:
-        setfield(self, "reviewer_id", reviewer_id)
-        setfield(self, "period", period)
-        setfield(self, "attainable", attainable)
-        setfield(self, "wishlist", wishlist)
-        setfield(self, "cart", cart)
-        setfield(self, "final", final)
-        setfield(self, "ranks", tuple(ranks))
-        if len(self.ranks) != len(attainable):
-            raise DomainError(f"need one stage rank per attainable object, got {self.ranks}")
+        ChoiceEpisode.__init__(self, reviewer_id, period, attainable, wishlist, cart, final)
+        if not self.attainable:
+            raise DomainError("attainable set is empty")
+        depth: dict[str, int] = {}
+        for level, stage in enumerate(("attainable", "wishlist", "cart", "final")):
+            items = getattr(self, stage)
+            if len(set(items)) < len(items):
+                first: dict[str, int] = {}
+                repeat = next(item for i, item in enumerate(items) if first.setdefault(item, i) != i)
+                raise DuplicateItemError(f"item {quote(repeat)} occurs twice in stage {stage!r}")
+            for item in items:
+                # Every item of the enclosing stage, and only those, reached level - 1.
+                if depth.get(item, -1) != level - 1:
+                    raise NestingError(stage, item)
+                depth[item] = level
+        if not self.final:
+            raise EmptyFinalError(f"episode (reviewer {self.reviewer_id!r}, period {quote(self.period)}) has an empty final set")
+        walked = tuple(depth.values())  # in catalog order: the attainable stage came first
+        if ranks is not None and tuple(ranks) != walked:
+            raise DomainError(
+                f"need one stage rank per attainable object, {walked} by its stage sets, got {quote(tuple(ranks))}"
+            )
+        setfield(self, "ranks", walked)
 
     @property
     def n(self) -> int:
@@ -178,43 +203,9 @@ def attainable_set(
 
 
 def validate_episode(episode: ChoiceEpisode) -> ValidatedEpisode:
-    """Certify the stage nesting of an episode and rank its objects.
-
-    The four stage sets must satisfy final <= cart <= wishlist <= attainable
-    (adjacent stages may coincide), the final set must be nonempty, and no
-    stage may repeat an id. Stage by stage, outermost first, one pass checks
-    repeats, then nesting, then records how deep each item reached: its rank.
-
-    Raises:
-        DomainError: Empty attainable set.
-        DuplicateItemError: An id repeats within one stage.
-        NestingError: An item appears in a stage but not its enclosing stage.
-        EmptyFinalError: The final set is empty.
-    """
-    if not episode.attainable:
-        raise DomainError("attainable set is empty")
-    depth: dict[str, int] = {}
-    for level, stage in enumerate(("attainable", "wishlist", "cart", "final")):
-        items = getattr(episode, stage)
-        if len(set(items)) < len(items):
-            first: dict[str, int] = {}
-            repeat = next(item for i, item in enumerate(items) if first.setdefault(item, i) != i)
-            raise DuplicateItemError(f"item {repeat!r} occurs twice in stage {stage!r}")
-        for item in items:
-            # Every item of the enclosing stage, and only those, reached level - 1.
-            if depth.get(item, -1) != level - 1:
-                raise NestingError(stage, item)
-            depth[item] = level
-    if not episode.final:
-        raise EmptyFinalError(f"episode (reviewer {episode.reviewer_id!r}, period {episode.period}) has an empty final set")
+    """Certify the stage nesting of an episode and rank its objects (see :class:`ValidatedEpisode`)."""
     return ValidatedEpisode(
-        reviewer_id=episode.reviewer_id,
-        period=episode.period,
-        attainable=episode.attainable,
-        wishlist=episode.wishlist,
-        cart=episode.cart,
-        final=episode.final,
-        ranks=depth.values(),  # keyed in catalog order: the attainable stage came first
+        episode.reviewer_id, episode.period, episode.attainable, episode.wishlist, episode.cart, episode.final
     )
 
 
@@ -224,5 +215,5 @@ def stage_rank(episode: ValidatedEpisode, obj: str) -> int:
         return episode.ranks[episode.attainable.index(obj)]
     except ValueError:
         raise UnknownObjectError(
-            f"object {obj!r} is not in the attainable set of period {episode.period}"
+            f"object {quote(obj)} is not in the attainable set of period {quote(episode.period)}"
         ) from None

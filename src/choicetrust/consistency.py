@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from ._record import Record, setfield
+from ._record import Record, quote
 from .errors import DomainError, IncompleteTableError, render_set
 from .pattern_runs import RunCount
 
@@ -35,14 +35,6 @@ class ContractionViolation(Record):
 
     __slots__ = ("small", "large", "chosen_large", "chosen_small")
 
-    def __init__(
-        self, small: tuple[str, ...], large: tuple[str, ...], chosen_large: str, chosen_small: str
-    ) -> None:
-        setfield(self, "small", small)
-        setfield(self, "large", large)
-        setfield(self, "chosen_large", chosen_large)
-        setfield(self, "chosen_small", chosen_small)
-
     def describe(self) -> str:
         return (
             f"{render_set(self.small)} within {render_set(self.large)}: "
@@ -52,11 +44,11 @@ class ContractionViolation(Record):
 
 
 class ContractionResult(Record):
-    __slots__ = ("consistent", "violations")
+    __slots__ = ("violations",)
 
-    def __init__(self, consistent: bool, violations: tuple[ContractionViolation, ...]) -> None:
-        setfield(self, "consistent", consistent)
-        setfield(self, "violations", violations)
+    @property
+    def consistent(self) -> bool:
+        return not self.violations
 
 
 class Lemma2Class:
@@ -137,16 +129,9 @@ def check_contraction(table: ChoiceFunctionTable) -> ContractionResult:
                 continue
             chosen_small = table.choice(small)
             if chosen_small != chosen_large:
-                violations.append(
-                    ContractionViolation(
-                        small=small,
-                        large=large,
-                        chosen_large=chosen_large,
-                        chosen_small=chosen_small,
-                    )
-                )
+                violations.append(ContractionViolation(small, large, chosen_large, chosen_small))
     violations.sort(key=lambda v: (v.large, v.small))
-    return ContractionResult(consistent=not violations, violations=tuple(violations))
+    return ContractionResult(tuple(violations))
 
 
 def rationalizable(table: ChoiceFunctionTable) -> tuple[str, ...] | None:
@@ -182,7 +167,7 @@ def classify_lemma2(pair: tuple[RunCount | int, RunCount | int], n: int | None =
     if first < 1 or second < 1:
         raise DomainError("run counts must be positive")
     if n is not None and (first > n - 1 or second > n - 1):
-        raise DomainError(f"run counts must stay below n={n}")
+        raise DomainError(f"run counts must stay below n={quote(n, str)}")
     if second == first + 1:
         return Lemma2Class.STRONG
     if second == first - 1:

@@ -14,7 +14,7 @@ import math
 from functools import reduce
 from typing import Sequence
 
-from ._record import Record, setfield
+from ._record import Record, quote, setfield
 from .errors import EmptyListError, GradeError
 
 __all__ = [
@@ -39,9 +39,9 @@ class IfsElement(Record):
     def __init__(self, id: str, mu: float, nu: float) -> None:
         for name, g in (("mu", mu), ("nu", nu)):
             if not 0.0 <= g <= 1.0:
-                raise GradeError(id, f"{name}={g} outside [0, 1]")
+                raise GradeError(id, f"{name}={quote(g, str)} outside [0, 1]")
         if mu + nu > 1.0 + _GRADE_TOLERANCE:
-            raise GradeError(id, f"mu + nu = {mu + nu} exceeds 1")
+            raise GradeError(id, f"mu + nu = {quote(mu + nu, str)} exceeds 1")
         setfield(self, "id", id)
         setfield(self, "mu", mu)
         setfield(self, "nu", nu)

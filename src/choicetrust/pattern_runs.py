@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
-from ._record import Record, as_int, setfield
+from ._record import Record, as_int, quote, setfield
 from .choice_model import ValidatedEpisode
 from .errors import DomainError, UnknownObjectError
 from .preference_graph import PatternVector
@@ -52,7 +52,7 @@ class RunCount(Record):
         if value is not None:
             value = as_int(value, "run count")
             if value < 1:
-                raise DomainError(f"run count must be a positive integer or empty, got {value}")
+                raise DomainError(f"run count must be a positive integer or empty, got {quote(value)}")
         setfield(self, "value", value)
 
     @property
@@ -168,7 +168,7 @@ def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:
         raise DomainError("need at least one episode")
     periods = [e.period for e in episodes]
     if any(b <= a for a, b in zip(periods, periods[1:])):
-        raise DomainError(f"episodes must be strictly sorted by period, got {periods}")
+        raise DomainError(f"episodes must be strictly sorted by period, got {quote(periods)}")
 
     counts = [dict(zip(e.attainable, run_totals(e))).get(obj) for e in episodes]
     if all(count is None for count in counts):
@@ -179,5 +179,5 @@ def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:
 def single_period_rationality_pattern(n: int) -> tuple[int, ...]:
     """Descending run sequence (n-1, ..., 1) of a strict single-period chain."""
     if n < 2:
-        raise DomainError(f"need at least 2 objects, got {n}")
+        raise DomainError(f"need at least 2 objects, got {quote(n, str)}")
     return tuple(range(n - 1, 0, -1))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from ._record import Record, as_int, setfield
+from ._record import Record, as_int, quote
 from .errors import DomainError
 from .pattern_runs import EPSILON, RunCount
 
@@ -69,12 +69,15 @@ class RankClass(str, Enum):
 class TauPattern(Record):
     """One admissible run tuple with its rank class and (for t=2) bar."""
 
-    __slots__ = ("slots", "rank_class", "bin")
+    __slots__ = ("slots",)
 
-    def __init__(self, slots: tuple[RunCount, ...], rank_class: RankClass, bin: str | None) -> None:
-        setfield(self, "slots", slots)
-        setfield(self, "rank_class", rank_class)
-        setfield(self, "bin", bin)
+    @property
+    def rank_class(self) -> RankClass:
+        return classify_rank(self.slots)
+
+    @property
+    def bin(self) -> str | None:
+        return bin_pattern(self.slots) if len(self.slots) == 2 else None
 
     @property
     def periods(self) -> int:
@@ -87,12 +90,11 @@ class TauPattern(Record):
 class Bin(Record):
     """One bar of the two-period tree: all patterns sharing a difference."""
 
-    __slots__ = ("difference", "label", "patterns")
+    __slots__ = ("difference", "patterns")
 
-    def __init__(self, difference: int, label: str, patterns: tuple[TauPattern, ...]) -> None:
-        setfield(self, "difference", difference)
-        setfield(self, "label", label)
-        setfield(self, "patterns", patterns)
+    @property
+    def label(self) -> str:
+        return bar_label(self.difference)
 
     @property
     def frequency(self) -> int:
@@ -104,10 +106,6 @@ class BinTable(Record):
 
     __slots__ = ("ns", "bins")
 
-    def __init__(self, ns: tuple[int, int], bins: tuple[Bin, ...]) -> None:
-        setfield(self, "ns", ns)
-        setfield(self, "bins", bins)
-
     def by_label(self, label: str) -> Bin:
         for b in self.bins:
             if b.label == label:
@@ -118,7 +116,7 @@ class BinTable(Record):
         for b in self.bins:
             if b.difference == d:
                 return b
-        raise DomainError(f"no bar with difference {d} in this table")
+        raise DomainError(f"no bar with difference {quote(d, str)} in this table")
 
     @property
     def min_frequency(self) -> int:
@@ -134,15 +132,11 @@ class Degree(Record):
 
     __slots__ = ("value", "degenerate")
 
-    def __init__(self, value: Fraction, degenerate: bool = False) -> None:
-        setfield(self, "value", value)
-        setfield(self, "degenerate", degenerate)
-
 
 def slot_alphabet(n: int) -> tuple[RunCount, ...]:
     """Admissible run totals for one period with n objects: empty, 1..n-1."""
     if n < 2:
-        raise DomainError(f"need at least 2 objects per period, got {n}")
+        raise DomainError(f"need at least 2 objects per period, got {quote(n, str)}")
     return (EPSILON,) + tuple(RunCount(k) for k in range(1, n))
 
 
@@ -190,12 +184,7 @@ def iter_tau(ns: Sequence[int]) -> Iterator[TauPattern]:
     ns = tuple([as_int(n, "period size") for n in ns])
     if not ns:
         raise DomainError("need at least one period")
-    alphabets = [slot_alphabet(n) for n in ns]
-    two_period = len(ns) == 2
-    return (
-        TauPattern(slots=combo, rank_class=classify_rank(combo), bin=bin_pattern(combo) if two_period else None)
-        for combo in itertools.product(*alphabets)
-    )
+    return map(TauPattern, itertools.product(*[slot_alphabet(n) for n in ns]))
 
 
 def build_tau(ns: Sequence[int]) -> tuple[TauPattern, ...]:
@@ -211,7 +200,7 @@ def two_period_decomposition(n: int) -> tuple[int, int]:
     2!, i.e. multiset pairs); together they partition the n**2 product.
     """
     if n < 2:
-        raise DomainError(f"need at least 2 objects, got {n}")
+        raise DomainError(f"need at least 2 objects, got {quote(n, str)}")
     decreasing = math.comb(n, 2)
     nondecreasing = (n * (n + 1)) // math.factorial(2)
     return decreasing, nondecreasing
@@ -231,11 +220,7 @@ def bin_table(ns: Sequence[int]) -> BinTable:
     groups: dict[int, list[TauPattern]] = {}
     for p in build_tau(ns):
         groups.setdefault(signed_difference(p.slots), []).append(p)
-    bins = tuple(
-        Bin(difference=d, label=bar_label(d), patterns=tuple(groups[d]))
-        for d in sorted(groups)
-    )
-    return BinTable(ns=ns, bins=bins)
+    return BinTable(ns, tuple(Bin(d, tuple(groups[d])) for d in sorted(groups)))
 
 
 def bin_frequencies(n: int) -> BinTable:
@@ -253,20 +238,20 @@ def bar_frequency(ns: Sequence[int], d: int) -> int:
     """
     a, b = ns
     if a < 2 or b < 2:
-        raise DomainError(f"need at least 2 objects per period, got {tuple(ns)}")
+        raise DomainError(f"need at least 2 objects per period, got {quote(tuple(ns))}")
     if not 1 - a <= d <= b - 1:
-        raise DomainError(f"no bar with difference {d} in this table")
+        raise DomainError(f"no bar with difference {quote(d, str)} in this table")
     return min(a - 1, b - 1 - d) - max(0, -d) + 1
 
 
 def _degree(frequency: int, lo: int, hi: int, variant: str) -> Degree:
     if variant not in MEMBERSHIP_VARIANTS:
-        raise DomainError(f"membership variant must be one of {MEMBERSHIP_VARIANTS}, got {variant!r}")
+        raise DomainError(f"membership variant must be one of {MEMBERSHIP_VARIANTS}, got {quote(variant)}")
     if variant == "smoothed":
-        return Degree(value=Fraction(frequency, hi), degenerate=False)
+        return Degree(Fraction(frequency, hi), False)
     if hi == lo:
-        return Degree(value=Fraction(1), degenerate=True)
-    return Degree(value=Fraction(frequency - lo, hi - lo), degenerate=False)
+        return Degree(Fraction(1), True)
+    return Degree(Fraction(frequency - lo, hi - lo), False)
 
 
 def membership(bar: str | int, table: BinTable, variant: str = "minmax") -> Degree:

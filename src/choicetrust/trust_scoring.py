@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._record import Record, as_int, as_probability, setfield
+from ._record import Record, as_int, as_probability, quote, setfield
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
 from .errors import ChoiceTrustError, DomainError, UnknownObjectError
 # derive_matrix, flatten, concat_patterns, omega, bin_table and membership are
@@ -112,13 +112,13 @@ class Review(Record):
     ) -> None:
         setfield(self, "rating", as_int(rating, "rating"))
         if not 1 <= self.rating <= 5:
-            raise DomainError(f"rating must be in 1..5, got {rating}")
+            raise DomainError(f"rating must be in 1..5, got {quote(rating, str)}")
         if comment_polarity is None:
             comment_polarity = "negative" if self.rating <= 2 else "neutral" if self.rating == 3 else "positive"
         try:
             setfield(self, "comment_polarity", Polarity(comment_polarity))
         except ValueError:
-            raise DomainError(f"{comment_polarity!r} is not a valid Polarity") from None
+            raise DomainError(f"{quote(comment_polarity)} is not a valid Polarity") from None
         setfield(self, "reviewer_id", reviewer_id)
         setfield(self, "object", object)
         setfield(self, "comment_text", comment_text)
@@ -144,7 +144,7 @@ def binomial_rationality(n: int, r: int, p: Fraction | float | str) -> Fraction:
     """
     n, r = as_int(n, "n"), as_int(r, "r")
     if n < 0 or not 0 <= r <= n:
-        raise DomainError(f"need 0 <= r <= n, got r={r}, n={n}")
+        raise DomainError(f"need 0 <= r <= n, got r={quote(r)}, n={quote(n)}")
     prob = as_probability(p)
     return math.comb(n, r) * prob**r * (1 - prob) ** (n - r)
 
@@ -164,12 +164,12 @@ class OverallRationality(Record):
     def __init__(self, n: int, p: Fraction | float | str, realized_r: int | None = None) -> None:
         setfield(self, "n", as_int(n, "n"))
         if self.n < 0:
-            raise DomainError(f"need n >= 0, got n={n}")
+            raise DomainError(f"need n >= 0, got n={quote(n, str)}")
         setfield(self, "p", as_probability(p))
         if realized_r is not None:
             realized_r = as_int(realized_r, "realized_r")
             if not 0 <= realized_r <= self.n:
-                raise DomainError(f"need 0 <= realized_r <= n, got realized_r={realized_r}, n={n}")
+                raise DomainError(f"need 0 <= realized_r <= n, got realized_r={quote(realized_r)}, n={quote(n, str)}")
         setfield(self, "realized_r", realized_r)
 
     @classmethod
@@ -246,71 +246,19 @@ class TrustAssessment(Record):
         "narrative", "single_period_conformant", "review", "annotations",
     )
 
-    def __init__(
-        self,
-        object: str,
-        pattern: RunPattern,
-        rank_class: RankClass,
-        bar: str | None = None,
-        zone: Zone | None = None,
-        degree: Degree | None = None,
-        polarity_match: bool | None = None,
-        narrative: NarrativeCode | None = None,
-        single_period_conformant: bool | None = None,
-        review: Review | None = None,
-        annotations: tuple[str, ...] = (),
-    ) -> None:
-        setfield(self, "object", object)
-        setfield(self, "pattern", pattern)
-        setfield(self, "rank_class", rank_class)
-        setfield(self, "bar", bar)
-        setfield(self, "zone", zone)
-        setfield(self, "degree", degree)
-        setfield(self, "polarity_match", polarity_match)
-        setfield(self, "narrative", narrative)
-        setfield(self, "single_period_conformant", single_period_conformant)
-        setfield(self, "review", review)
-        setfield(self, "annotations", annotations)
-
 
 class ReviewerSection(Record):
     __slots__ = (
         "reviewer_id", "periods", "catalog", "period_patterns", "joint_pattern", "assessments", "overall",
     )
 
-    def __init__(
-        self,
-        reviewer_id: str,
-        periods: tuple[int, ...],
-        catalog: tuple[str, ...],
-        period_patterns: tuple[str, ...],
-        joint_pattern: str | None,
-        assessments: tuple[TrustAssessment, ...],
-        overall: OverallRationality,
-    ) -> None:
-        setfield(self, "reviewer_id", reviewer_id)
-        setfield(self, "periods", periods)
-        setfield(self, "catalog", catalog)
-        setfield(self, "period_patterns", period_patterns)
-        setfield(self, "joint_pattern", joint_pattern)
-        setfield(self, "assessments", assessments)
-        setfield(self, "overall", overall)
-
 
 class FlaggedReview(Record):
     __slots__ = ("review", "reason")
 
-    def __init__(self, review: Review, reason: str) -> None:
-        setfield(self, "review", review)
-        setfield(self, "reason", reason)
-
 
 class ReportError(Record):
     __slots__ = ("reviewer_id", "message")
-
-    def __init__(self, reviewer_id: str | None, message: str) -> None:
-        setfield(self, "reviewer_id", reviewer_id)
-        setfield(self, "message", message)
 
 
 class ReportParameters(Record):
@@ -322,10 +270,10 @@ class ReportParameters(Record):
         if membership_variant not in MEMBERSHIP_VARIANTS:
             raise DomainError(
                 f"membership variant must be one of {MEMBERSHIP_VARIANTS}, "
-                f"got {membership_variant!r}"
+                f"got {quote(membership_variant)}"
             )
         if d0_zone not in D0_ZONE_CHOICES:
-            raise DomainError(f"d0_zone must be one of {D0_ZONE_CHOICES}, got {d0_zone!r}")
+            raise DomainError(f"d0_zone must be one of {D0_ZONE_CHOICES}, got {quote(d0_zone)}")
         setfield(self, "membership_variant", membership_variant)
         setfield(self, "d0_zone", d0_zone)
         setfield(self, "p", as_probability(p))
@@ -333,18 +281,6 @@ class ReportParameters(Record):
 
 class TrustReport(Record):
     __slots__ = ("parameters", "reviewers", "flagged_reviews", "errors")
-
-    def __init__(
-        self,
-        parameters: ReportParameters,
-        reviewers: tuple[ReviewerSection, ...],
-        flagged_reviews: tuple[FlaggedReview, ...] = (),
-        errors: tuple[ReportError, ...] = (),
-    ) -> None:
-        setfield(self, "parameters", parameters)
-        setfield(self, "reviewers", reviewers)
-        setfield(self, "flagged_reviews", flagged_reviews)
-        setfield(self, "errors", errors)
 
     @property
     def has_errors(self) -> bool:
@@ -446,19 +382,11 @@ def _assess_reviewer(
         matched = narrative = None
         if two_period and review is not None:
             matched, narrative = match_review(review, pattern.slots)
+        # Positional, in slot order: the record's fastest constructor call.
         assessments.append(
             TrustAssessment(
-                object=obj,
-                pattern=pattern,
-                rank_class=scored.rank_class,
-                bar=scored.bar,
-                zone=scored.zone,
-                degree=scored.degree,
-                polarity_match=matched,
-                narrative=narrative,
-                single_period_conformant=scored.conformant,
-                review=review,
-                annotations=scored.notes,
+                obj, pattern, scored.rank_class, scored.bar, scored.zone, scored.degree,
+                matched, narrative, scored.conformant, review, scored.notes,
             )
         )
 
@@ -466,13 +394,8 @@ def _assess_reviewer(
         n=len(catalog), p=params.p, realized_r=rational_count if two_period else None
     )
     return ReviewerSection(
-        reviewer_id=reviewer_id,
-        periods=tuple(ep.period for ep in episodes),
-        catalog=catalog,
-        period_patterns=period_patterns,
-        joint_pattern=joint,
-        assessments=tuple(assessments),
-        overall=overall,
+        reviewer_id, tuple(ep.period for ep in episodes), catalog, period_patterns, joint,
+        tuple(assessments), overall,
     )
 
 
@@ -487,8 +410,7 @@ def build_report(
     """Run the full scoring pipeline over a batch of episodes and reviews.
 
     Every episode is validated from its stage sets, a ``ValidatedEpisode``
-    too, so a hand-built record's ranks are never taken on trust. Per
-    reviewer, in order: write every period's pattern string from its
+    too. Per reviewer, in order: write every period's pattern string from its
     stage ranks, count each object's run totals from a stage-rank histogram,
     and score each distinct tuple of totals once (its slots, rank class,
     zone, bar, and the bar's membership degree from the closed-form
@@ -507,7 +429,7 @@ def build_report(
         try:
             validated = validate_episode(episode)
         except ChoiceTrustError as exc:
-            errors.append(ReportError(reviewer_id=episode.reviewer_id, message=str(exc)))
+            errors.append(ReportError(episode.reviewer_id, str(exc)))
             continue
         groups.setdefault(validated.reviewer_id, []).append(validated)
 
@@ -525,9 +447,7 @@ def build_report(
         eps.sort(key=lambda e: e.period)
         periods = [e.period for e in eps]
         if len(set(periods)) != len(periods):
-            errors.append(
-                ReportError(reviewer_id=reviewer_id, message=f"duplicate periods {periods}")
-            )
+            errors.append(ReportError(reviewer_id, f"duplicate periods {periods}"))
             continue
         catalog = _catalog_union(eps)
         review_for = {
@@ -544,12 +464,7 @@ def build_report(
         )
         flagged.append(FlaggedReview(review, reason))
 
-    return TrustReport(
-        parameters=params,
-        reviewers=tuple(sections),
-        flagged_reviews=tuple(flagged),
-        errors=tuple(errors),
-    )
+    return TrustReport(params, tuple(sections), tuple(flagged), tuple(errors))
 
 
 def assessment_for(report: TrustReport, reviewer_id: str, obj: str) -> TrustAssessment:

@@ -93,7 +93,10 @@ def reference_section(reviewer_id, episodes, review_for, params):
         slots = tuple(RunCount(c) if c else EPSILON for c in counts)
         pattern = RunPattern(obj, slots, tuple(c is None for c in counts))
         review = review_for.get(obj)
-        fields = {}
+        fields = {
+            **dict.fromkeys(("bar", "zone", "degree", "polarity_match", "narrative", "single_period_conformant")),
+            "annotations": (),
+        }
         if two_period:
             d = signed_difference(slots)
             fields["zone"] = zone(slots)

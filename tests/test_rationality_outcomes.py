@@ -181,7 +181,7 @@ def test_membership_degenerate_table_flagged():
     from choicetrust.rationality_outcomes import Bin, BinTable
 
     flat = BinTable(ns=(2, 2), bins=tuple(
-        Bin(difference=b.difference, label=b.label, patterns=b.patterns[:1]) for b in table.bins
+        Bin(difference=b.difference, patterns=b.patterns[:1]) for b in table.bins
     ))
     degree = membership(0, flat)
     assert degree.value == 1 and degree.degenerate is True

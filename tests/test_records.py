@@ -42,7 +42,9 @@ from choicetrust import (
     TrustAssessment,
     TrustReport,
     ValidatedEpisode,
+    bar_frequency,
     bin_table,
+    binomial_rationality,
     build_report,
     build_tau,
     check_contraction,
@@ -55,7 +57,7 @@ from choicetrust import (
     stage_rank,
     validate_episode,
 )
-from choicetrust._record import Record
+from choicetrust._record import Record, as_int, as_probability
 
 RECORD_TYPES = [
     obj
@@ -122,9 +124,21 @@ def test_record_value_semantics(cls):
     assert a == b and not a != b
     assert hash(a) == hash(b)
 
-    # The positional parameters of __init__ are the fields, in slot order.
+    # The positional parameters of __init__ are the fields, in slot order,
+    # and each may be given by its name instead.
     values = [getattr(a, name) for name in cls.__slots__]
     assert cls(*values) == a
+    assert cls(**dict(zip(cls.__slots__, values))) == a
+    wrong_calls = [
+        ((*values, None), {}),  # an extra positional argument
+        (values, {"not_a_field": 1}),  # an unknown keyword
+        (values, {cls.__slots__[0]: values[0]}),  # one field both positionally and by keyword
+    ]
+    if cls.__init__ is Record.__init__:  # the shared constructor has no defaults
+        wrong_calls.append((values[:-1], {}))  # a missing argument
+    for args, kwargs in wrong_calls:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
     other = type("Other", (cls,), {"__slots__": ()})(*values)
     assert a != other and other != a
     assert a != tuple(values)
@@ -155,6 +169,28 @@ def test_validated_episode_ranks_are_an_immutable_tuple_in_catalog_order():
     for ranks in ((0, 1), (0, 1, 3, 3)):
         with pytest.raises(DomainError, match="one stage rank per attainable object"):
             ValidatedEpisode(*fields[:-1], ranks)
+
+
+HUGE = 10**5000  # an int Python refuses to print
+
+TOO_LONG_TO_PRINT = {
+    "as_probability-int": lambda: as_probability(HUGE),
+    "as_probability-fraction": lambda: as_probability(Fraction(HUGE, 3)),
+    "as_int": lambda: as_int(Fraction(HUGE + 1, 2), "n"),
+    "Review-rating": lambda: Review("r", "a", HUGE),
+    "ChoiceEpisode-period": lambda: ChoiceEpisode("r", -HUGE, ("a",), ("a",), ("a",), ("a",)),
+    "binomial_rationality": lambda: binomial_rationality(3, HUGE, "1/2"),
+    "OverallRationality-n": lambda: OverallRationality(-HUGE, "1/2"),
+    "RunCount": lambda: RunCount(-HUGE),
+    "build_tau": lambda: build_tau([-HUGE]),
+    "bar_frequency": lambda: bar_frequency((4, 4), HUGE),
+}
+
+
+@pytest.mark.parametrize("call", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT)
+def test_a_number_too_long_to_print_is_still_a_domain_error(call):
+    with pytest.raises(DomainError, match="<int too long to print>|<Fraction too long to print>"):
+        call()
 
 
 # Per record, how to build it from one integer field's value, and read it back.

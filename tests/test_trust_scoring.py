@@ -9,7 +9,9 @@ from choicetrust import (
     ChoiceEpisode,
     DomainError,
     EPSILON,
+    EmptyFinalError,
     NarrativeCode,
+    NestingError,
     OverallRationality,
     Polarity,
     RankClass,
@@ -22,6 +24,7 @@ from choicetrust import (
     binomial_rationality,
     build_report,
     match_review,
+    validate_episode,
     zone,
 )
 
@@ -356,13 +359,21 @@ def test_build_report_duplicate_review_flagged(canonical_raw_episodes, canonical
     assert any("duplicate" in f.reason for f in report.flagged_reviews)
 
 
-def test_build_report_validates_a_hand_built_validated_episode():
-    # The ranks (3, 7) contradict the stage sets, which give (3, 0); the
-    # report is scored from the stage sets, as for the raw episode.
-    hand_built = ValidatedEpisode("r", 1, ("a", "b"), ("a",), ("a",), ("a",), (3, 7))
-    raw = ChoiceEpisode("r", 1, ("a", "b"), ("a",), ("a",), ("a",))
-    assert build_report([hand_built]) == build_report([raw])
-    assert build_report([hand_built]).reviewers[0].period_patterns == ("0100",)
+def test_a_validated_episode_cannot_contradict_its_stage_sets():
+    # The stage sets give the ranks (3, 0); a record claiming (3, 7) cannot be built.
+    stages = ("r", 1, ("a", "b"), ("a",), ("a",), ("a",))
+    with pytest.raises(DomainError, match=r"one stage rank per attainable object, \(3, 0\) by its stage sets, got \(3, 7\)"):
+        ValidatedEpisode(*stages, (3, 7))
+    built = ValidatedEpisode(*stages)
+    assert built.ranks == (3, 0)
+    assert built == ValidatedEpisode(*stages, [3, 0]) == validate_episode(ChoiceEpisode(*stages))
+    assert build_report([built]) == build_report([ChoiceEpisode(*stages)])
+    assert build_report([built]).reviewers[0].period_patterns == ("0100",)
+    # The stage walk runs in the constructor, with validate_episode's errors.
+    with pytest.raises(NestingError):
+        ValidatedEpisode("r", 1, ("a", "b"), ("a",), ("b",), ("b",))
+    with pytest.raises(EmptyFinalError):
+        ValidatedEpisode("r", 1, ("a",), (), (), ())
 
 
 def test_new_objects_append_to_catalog_end():
