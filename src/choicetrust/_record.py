@@ -16,23 +16,11 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Callable
 
-from .errors import DomainError
+from .errors import DomainError, quote
 
 # How a record's ``__init__`` sets a field; under this name, because a field
 # and so an ``__init__`` parameter may be called ``object``.
 setfield = object.__setattr__
-
-
-def quote(value: Any, form: Callable[[Any], str] = repr) -> str:
-    """``form(value)`` for an error message, or a stand-in when ``value`` is too long to print.
-
-    Python refuses to write an int of more than 4300 digits, and so any value
-    that holds one, with a ValueError; a message quoting such a value says so instead.
-    """
-    try:
-        return form(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to print>"
 
 
 def as_int(value: Any, what: str) -> int:

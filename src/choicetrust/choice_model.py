@@ -66,9 +66,9 @@ class ConstraintRow(Record):
     __slots__ = ("coefficients", "relation", "bound")
 
     def __init__(self, coefficients: tuple[Fraction, ...], relation: str, bound: Fraction) -> None:
-        rel = _RELATION_ALIASES.get(str(relation))
+        rel = _RELATION_ALIASES.get(relation) if isinstance(relation, str) else None
         if rel is None:
-            raise DomainError(f"relation must be one of {RELATIONS}, got {relation!r}")
+            raise DomainError(f"relation must be one of {RELATIONS}, got {quote(relation)}")
         setfield(self, "relation", rel)
         setfield(self, "coefficients", tuple(Fraction(c) for c in coefficients))
         setfield(self, "bound", Fraction(bound))

@@ -21,7 +21,7 @@ import reprlib
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from ._record import as_probability
@@ -31,6 +31,7 @@ from .errors import ChoiceTrustError, DomainError, GradeError
 from .info_index import IfsElement, IfsList, choose_from_list, entropy
 from .rationality_outcomes import (
     MEMBERSHIP_VARIANTS,
+    RankClass,
     bar_degrees,
     bar_frequency,
     iter_tau,
@@ -38,10 +39,13 @@ from .rationality_outcomes import (
 )
 from .trust_scoring import (
     D0_ZONE_CHOICES,
+    NarrativeCode,
+    Polarity,
     ReportError,
     Review,
     ReviewerSection,
     TrustReport,
+    Zone,
     build_report,
 )
 
@@ -250,11 +254,93 @@ def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
 # report rendering
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_list(items: Sequence[str], newline: str, brackets: str = "[]") -> str:
+    """The JSON texts `items` as a list, or with `brackets` "{}" as an object's members;
+    the closing bracket sits at the indent that `newline` ends in."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """`value` as JSON text, nested at the indent that `newline` ends in.
+
+    Types are tested as ``json.dumps`` tests them: a bool before an int, a
+    tuple as a list, a str, int or float subclass as its value.
+    """
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):  # NaN, Infinity and float.__repr__, as json.dumps writes them
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        return _json_list([_json_text(item, inner) for item in value], newline)
+    if isinstance(value, dict):
+        return _json_list([_escape(key) + ": " + _json_text(item, inner) for key, item in value.items()], newline, "{}")
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_document(head: dict, key: str, items: Iterable, tail: dict, encode: Callable | None = None) -> Iterator[str]:
+    """``json.dumps({**head, key: list(items), **tail}, indent=2, ensure_ascii=True) + "\\n"``
+    in chunks: the head, then one chunk per item, then the tail.
+
+    `key` is in neither `head` nor `tail`, whose keys are strings. An item is
+    written by `encode`, which returns its JSON text as an item of the list,
+    or else value by value. Strings go through the C escaper, not the
+    pure-Python encoder that ``indent`` selects.
+    """
+    head_fields, tail_fields = (
+        [_escape(name) + ": " + _json_text(value, "\n  ") for name, value in fields.items()] for fields in (head, tail)
+    )
+    yield "{\n  " + "".join(field + ",\n  " for field in head_fields) + _escape(key) + ": ["
+    lead, close = "\n    ", "]"
+    for item in items:
+        yield lead + (encode(item) if encode else _json_text(item, "\n    "))
+        lead, close = ",\n    ", "\n  ]"
+    yield close + "".join(",\n  " + field for field in tail_fields) + "\n}\n"
+
+
+def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[Sequence[Any]]]) -> Iterator[str]:
+    """The header line of a CSV table of `fields`, then each block of rows as one string.
+
+    A row holds its cells in `fields` order; None is written as an empty cell.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    # An empty first block yields the header line on its own.
+    for rows in itertools.chain([()], blocks):
+        writer.writerows(rows)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _csv_row(row: dict, fields: Sequence[str]) -> tuple:
+    """`row`'s cells in `fields` order: a bool is written true/false, and a missing key is an empty cell."""
+    return tuple(
+        ("true" if value else "false") if value is True or value is False else value
+        for value in map(row.get, fields)
+    )
+
+
 @functools.lru_cache(maxsize=256)
 def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str], ...]:
     """(r, probability, at_most, at_least) of Binomial(n, p), built and formatted once per (n, p).
 
-    This is the one cache of the distribution. For p = a/b, the exact term
+    The distribution is computed here only. For p = a/b, the exact term
     ``binomial_rationality(n, r, p)`` is N_r / b**n with N_r = C(n, r) a**r (b - a)**(n - r),
     so each cell divides an integer (N_r or a sum of them) by b**n, which
     rounds exactly as ``_fmt8`` of the Fraction does.
@@ -271,200 +357,92 @@ def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str],
     )
 
 
-def _report_head(report: TrustReport) -> dict:
-    return {
-        "tool": _TOOL,
-        "parameters": {
-            "membership": report.parameters.membership_variant,
-            "d0_zone": report.parameters.d0_zone,
-            "p": _fmt8(report.parameters.p),
-        },
-    }
+@functools.lru_cache(maxsize=256)
+def _distribution_json(n: int, p: Fraction) -> str:
+    """The "distribution" list of a section's JSON, built once per (n, p) from `_distribution_cells`."""
+    rows = [dict(zip(("r", "probability", "at_most", "at_least"), cells)) for cells in _distribution_cells(n, p)]
+    return _json_text(rows, "\n        ")
 
 
-def _section_dict(section: ReviewerSection) -> dict:
-    """One reviewer section as plain JSON values.
+def _json_template(keys: str, newline: str) -> str:
+    """A JSON object of the space-separated `keys` whose values are %s slots, to fill with JSON texts."""
+    return _json_list([f"{_escape(key)}: %s" for key in keys.split()], newline, "{}")
 
-    Its distribution rows are those of Binomial(n, p) for the section's
-    ``overall.n`` and ``overall.p``, taken from ``_distribution_cells``, which
-    builds them once per (n, p); every call returns fresh dicts.
-    """
+
+# A reviewer section and one of its assessments, as items of the report's
+# "reviewers" and "assessments" lists.
+_SECTION_JSON = _json_template(
+    "reviewer_id periods catalog period_patterns joint_pattern assessments overall_rationality", "\n    "
+) % (*["%s"] * 6, _json_template("n p realized_rational_count distribution", "\n      "))
+_ASSESSMENT_JSON = _json_template(
+    "object pattern absent_periods rank_class bar zone degree polarity_match narrative"
+    " single_period_conformant rating comment_polarity annotations",
+    "\n        ",
+)
+
+# The JSON text of each value a report field takes from a fixed set: null,
+# the bools, and the members of the report's enums.
+_JSON_CONSTANT: dict[Any, str] = {None: "null", True: "true", False: "false"}
+_JSON_CONSTANT.update((m, _escape(m.value)) for e in (RankClass, Zone, NarrativeCode, Polarity) for m in e)
+
+
+def _section_json(section: ReviewerSection) -> str:
+    """One reviewer section as an item of the report's "reviewers" list."""
+    periods = section.periods
     assessments = []
     for a in section.assessments:
-        assessments.append(
-            {
-                "object": a.object,
-                "pattern": a.pattern.render(),
-                "absent_periods": [
-                    period
-                    for period, absent in zip(section.periods, a.pattern.absent_flags)
-                    if absent
-                ],
-                "rank_class": a.rank_class.value,
-                "bar": a.bar,
-                "zone": a.zone.value if a.zone else None,
-                "degree": _fmt8(a.degree.value) if a.degree else None,
-                "polarity_match": a.polarity_match,
-                "narrative": a.narrative.value if a.narrative else None,
-                "single_period_conformant": a.single_period_conformant,
-                "rating": a.review.rating if a.review else None,
-                "comment_polarity": a.review.comment_polarity.value if a.review else None,
-                "annotations": list(a.annotations),
-            }
-        )
+        review = a.review
+        absent = [str(period) for period, flag in zip(periods, a.pattern.absent_flags) if flag]
+        assessments.append(_ASSESSMENT_JSON % (
+            _escape(a.object),
+            _escape(a.pattern.render()),
+            _json_list(absent, "\n          "),
+            _JSON_CONSTANT[a.rank_class],
+            "null" if a.bar is None else _escape(a.bar),
+            _JSON_CONSTANT[a.zone],
+            _escape(_fmt8(a.degree.value)) if a.degree else "null",
+            _JSON_CONSTANT[a.polarity_match],
+            _JSON_CONSTANT[a.narrative],
+            _JSON_CONSTANT[a.single_period_conformant],
+            "null" if review is None else review.rating,
+            "null" if review is None else _JSON_CONSTANT[review.comment_polarity],
+            _json_list(list(map(_escape, a.annotations)), "\n          "),
+        ))
     overall = section.overall
-    distribution = [
-        {"r": r, "probability": prob, "at_most": at_most, "at_least": at_least}
-        for r, prob, at_most, at_least in _distribution_cells(overall.n, overall.p)
-    ]
-    return {
-        "reviewer_id": section.reviewer_id,
-        "periods": list(section.periods),
-        "catalog": list(section.catalog),
-        "period_patterns": list(section.period_patterns),
-        "joint_pattern": section.joint_pattern,
-        "assessments": assessments,
-        "overall_rationality": {
-            "n": overall.n,
-            "p": _fmt8(overall.p),
-            "realized_rational_count": overall.realized_r,
-            "distribution": distribution,
-        },
-    }
-
-
-def _report_tail(report: TrustReport) -> dict:
-    return {
-        "flagged_reviews": [
-            {
-                "reviewer_id": f.review.reviewer_id,
-                "object": f.review.object,
-                "rating": f.review.rating,
-                "reason": f.reason,
-            }
-            for f in report.flagged_reviews
-        ],
-        "errors": [
-            {"reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors
-        ],
-    }
-
-
-def report_to_dict(report: TrustReport) -> dict:
-    """The report as plain JSON values: its head, one dict per reviewer section, its tail.
-
-    The renderers below write the same document one section at a time.
-    """
-    return {
-        **_report_head(report),
-        "reviewers": [_section_dict(section) for section in report.reviewers],
-        **_report_tail(report),
-    }
-
-
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _json_document(head: dict, key: str, items: Iterable[Any], tail: dict) -> Iterator[str]:
-    """``json.dumps({**head, key: list(items), **tail}, indent=2, ensure_ascii=True) + "\\n"``
-    in chunks: the head, then one chunk per item, then the tail.
-
-    `key` is in neither `head` nor `tail`, whose keys are strings. Strings go
-    through the C escaper, not the pure-Python encoder that ``indent`` selects.
-    """
-    chunks: list[str] = []
-    lead = "{\n  "
-    for name, value in head.items():
-        _json_chunks(value, f"{lead}{_escape(name)}: ", "\n  ", chunks)
-        lead = ",\n  "
-    yield "".join(chunks) + lead + _escape(key) + ": ["
-    lead, close = "\n    ", "]"
-    for item in items:
-        chunks = []
-        _json_chunks(item, lead, "\n    ", chunks)
-        yield "".join(chunks)
-        lead, close = ",\n    ", "\n  ]"
-    chunks = [close]
-    for name, value in tail.items():
-        _json_chunks(value, f",\n  {_escape(name)}: ", "\n  ", chunks)
-    chunks.append("\n}\n")
-    yield "".join(chunks)
-
-
-def _json_chunks(value: Any, lead: str, newline: str, chunks: list[str]) -> None:
-    """Append `lead` and then `value`, nested at the indent that `newline` ends in.
-
-    Types are tested as ``json.dumps`` tests them: a bool before an int, a
-    tuple as a list, a str, int or float subclass as its value.
-    """
-    if isinstance(value, str):
-        chunks.append(lead + _escape(value))
-    elif value is None:
-        chunks.append(lead + "null")
-    elif value is True:
-        chunks.append(lead + "true")
-    elif value is False:
-        chunks.append(lead + "false")
-    elif isinstance(value, int):
-        chunks.append(lead + int.__repr__(value))
-    elif isinstance(value, float):  # NaN, Infinity and float.__repr__, as json.dumps writes them
-        chunks.append(lead + json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            chunks.append(lead + "[]")
-            return
-        inner = newline + "  "
-        lead += "[" + inner
-        for item in value:
-            _json_chunks(item, lead, inner, chunks)
-            lead = "," + inner
-        chunks.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            chunks.append(lead + "{}")
-            return
-        inner = newline + "  "
-        lead += "{" + inner
-        for key, item in value.items():
-            _json_chunks(item, lead + _escape(key) + ": ", inner, chunks)
-            lead = "," + inner
-        chunks.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
-def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[dict]]) -> Iterator[str]:
-    """The header line of a CSV table of `fields`, then each block of rows as one string.
-
-    Rows may hold other keys too. A bool is written true/false and None as an
-    empty cell.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    # An empty first block yields the header line on its own.
-    for rows in itertools.chain([()], blocks):
-        writer.writerows(
-            [
-                ("true" if value else "false") if value is True or value is False else value
-                for value in map(row.get, fields)
-            ]
-            for row in rows
-        )
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
+    return _SECTION_JSON % (
+        _escape(section.reviewer_id),
+        _json_list(list(map(str, periods)), "\n      "),
+        _json_list(list(map(_escape, section.catalog)), "\n      "),
+        _json_list(list(map(_escape, section.period_patterns)), "\n      "),
+        "null" if section.joint_pattern is None else _escape(section.joint_pattern),
+        _json_list(assessments, "\n      "),
+        overall.n,
+        _escape(_fmt8(overall.p)),
+        "null" if overall.realized_r is None else overall.realized_r,
+        _distribution_json(overall.n, overall.p),
+    )
 
 
 # The report renderers below each yield the report's head, then one chunk per
-# reviewer section, rendered from that section's dict alone, then its tail.
+# reviewer section, rendered from that section's records alone, then its tail.
 
 
 def _json_stream(report: TrustReport) -> Iterator[str]:
-    """``report_to_dict(report)`` as JSON, one reviewer section per chunk."""
-    return _json_document(
-        _report_head(report), "reviewers", map(_section_dict, report.reviewers), _report_tail(report)
-    )
+    """The report as JSON, one reviewer section per chunk."""
+    params = report.parameters
+    head = {
+        "tool": _TOOL,
+        "parameters": {"membership": params.membership_variant, "d0_zone": params.d0_zone, "p": _fmt8(params.p)},
+    }
+    tail = {
+        "flagged_reviews": [
+            {"reviewer_id": f.review.reviewer_id, "object": f.review.object,
+             "rating": f.review.rating, "reason": f.reason}
+            for f in report.flagged_reviews
+        ],
+        "errors": [{"reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors],
+    }
+    return _json_document(head, "reviewers", report.reviewers, tail, _section_json)
 
 
 _CSV_COLUMNS = [
@@ -474,27 +452,35 @@ _CSV_COLUMNS = [
 ]
 
 
-def _csv_blocks(report: TrustReport) -> Iterator[list[dict]]:
-    """The report's CSV records, one per assessment, binomial row, flagged review and error.
+def _csv_blocks(report: TrustReport) -> Iterator[list[tuple]]:
+    """The report's CSV rows, one per assessment, binomial row, flagged review and error.
 
     Each reviewer section is one block, and the flagged reviews and errors together the last.
     """
     for section in report.reviewers:
-        doc = _section_dict(section)
-        rid = doc["reviewer_id"]
+        rid, overall = section.reviewer_id, section.overall
         block = [
-            {**a, "record": "assessment", "reviewer_id": rid, "annotations": " | ".join(a["annotations"])}
-            for a in doc["assessments"]
+            (
+                "assessment", rid, a.object, a.pattern.render(), a.rank_class.value, a.bar,
+                a.zone.value if a.zone else None, _fmt8(a.degree.value) if a.degree else None,
+                None if a.polarity_match is None else "true" if a.polarity_match else "false",
+                a.narrative.value if a.narrative else None, a.review.rating if a.review else None,
+                a.review.comment_polarity.value if a.review else None, " | ".join(a.annotations),
+                None, None, None, None, None, None,
+            )
+            for a in section.assessments
         ]
-        block += (
-            {**row, "record": "overall", "reviewer_id": rid}
-            for row in doc["overall_rationality"]["distribution"]
-        )
+        # An overall row leaves the columns object to annotations empty, and reason and message.
+        cells = _distribution_cells(overall.n, overall.p)
+        block += (("overall", rid, *(None,) * 11, *row, None, None) for row in cells)
         yield block
-    tail = _report_tail(report)
-    yield [{**f, "record": "flagged_review"} for f in tail["flagged_reviews"]] + [
-        {**e, "record": "error"} for e in tail["errors"]
-    ]
+    flagged = (
+        {"record": "flagged_review", "reviewer_id": f.review.reviewer_id, "object": f.review.object,
+         "rating": f.review.rating, "reason": f.reason}
+        for f in report.flagged_reviews
+    )
+    errors = ({"record": "error", "reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors)
+    yield [_csv_row(row, _CSV_COLUMNS) for row in itertools.chain(flagged, errors)]
 
 
 def _csv_stream(report: TrustReport) -> Iterator[str]:
@@ -502,55 +488,47 @@ def _csv_stream(report: TrustReport) -> Iterator[str]:
 
 
 def _text_stream(report: TrustReport) -> Iterator[str]:
-    head = _report_head(report)
-    params = head["parameters"]
-    yield (
-        f"{head['tool']}\n"
-        f"parameters: membership={params['membership']} d0-zone={params['d0_zone']} p={params['p']}\n"
-    )
+    params = report.parameters
+    yield f"{_TOOL}\nparameters: membership={params.membership_variant} d0-zone={params.d0_zone} p={_fmt8(params.p)}\n"
     for section in report.reviewers:
-        doc = _section_dict(section)
         lines = [
             "",
-            f"reviewer {doc['reviewer_id']}  periods {doc['periods']}  catalog [{', '.join(doc['catalog'])}]",
-            "  period patterns: " + " ".join(doc["period_patterns"]),
+            f"reviewer {section.reviewer_id}  periods {list(section.periods)}  catalog [{', '.join(section.catalog)}]",
+            "  period patterns: " + " ".join(section.period_patterns),
         ]
-        if doc["joint_pattern"]:
-            lines.append("  joint pattern:   " + doc["joint_pattern"])
+        if section.joint_pattern:
+            lines.append("  joint pattern:   " + section.joint_pattern)
         lines.append(
             f"  {'object':<10}{'pattern':<12}{'rank':<12}{'bar':<5}{'zone':<12}{'degree':<12}{'match':<7}narrative"
         )
-        for a in doc["assessments"]:
-            match = "" if a["polarity_match"] is None else ("yes" if a["polarity_match"] else "NO")
+        for a in section.assessments:
+            match = "" if a.polarity_match is None else ("yes" if a.polarity_match else "NO")
             lines.append(
-                f"  {a['object']:<10}{a['pattern']:<12}{a['rank_class']:<12}"
-                f"{a['bar'] or '-':<5}{a['zone'] or '-':<12}{a['degree'] or '-':<12}"
-                f"{match:<7}{a['narrative'] or '-'}"
+                f"  {a.object:<10}{a.pattern.render():<12}{a.rank_class.value:<12}{a.bar or '-':<5}"
+                f"{a.zone.value if a.zone else '-':<12}{_fmt8(a.degree.value) if a.degree else '-':<12}"
+                f"{match:<7}{a.narrative.value if a.narrative else '-'}"
             )
-            for note in a["annotations"]:
-                lines.append(f"    note ({a['object']}): {note}")
-        overall = doc["overall_rationality"]
-        realized = overall["realized_rational_count"]
+            lines += (f"    note ({a.object}): {note}" for note in a.annotations)
+        overall = section.overall
         lines.append(
-            f"  overall: n={overall['n']} p={overall['p']}"
-            + (f" realized rational count={realized}" if realized is not None else "")
+            f"  overall: n={overall.n} p={_fmt8(overall.p)}"
+            + (f" realized rational count={overall.realized_r}" if overall.realized_r is not None else "")
         )
-        for row in overall["distribution"]:
-            lines.append(
-                f"    r={row['r']}  f={row['probability']}  "
-                f"f(<= r)={row['at_most']}  f(>= r)={row['at_least']}"
-            )
+        lines += (
+            f"    r={r}  f={prob}  f(<= r)={at_most}  f(>= r)={at_least}"
+            for r, prob, at_most, at_least in _distribution_cells(overall.n, overall.p)
+        )
         yield "\n".join(lines) + "\n"
-    tail = _report_tail(report)
     lines = []
-    if tail["flagged_reviews"]:
+    if report.flagged_reviews:
         lines += ["", "flagged reviews:"]
-        for f in tail["flagged_reviews"]:
-            lines.append(f"  {f['reviewer_id']} / {f['object']} (rating {f['rating']}): {f['reason']}")
-    if tail["errors"]:
+        lines += (
+            f"  {f.review.reviewer_id} / {f.review.object} (rating {f.review.rating}): {f.reason}"
+            for f in report.flagged_reviews
+        )
+    if report.errors:
         lines += ["", "errors:"]
-        for e in tail["errors"]:
-            lines.append(f"  [{e['reviewer_id'] or '-'}] {e['message']}")
+        lines += (f"  [{e.reviewer_id or '-'}] {e.message}" for e in report.errors)
     yield "".join(line + "\n" for line in lines)
 
 
@@ -567,6 +545,11 @@ def report_to_csv(report: TrustReport) -> str:
 
 def report_to_text(report: TrustReport) -> str:
     return "".join(_text_stream(report))
+
+
+def report_to_dict(report: TrustReport) -> dict:
+    """The report as plain JSON values: the document `report_to_json` writes, parsed."""
+    return json.loads(report_to_json(report))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +635,7 @@ def cmd_tau(n: int, t: int, *, membership_variant: str = "minmax", fmt: str = "t
         return _json_document({"n": n, "t": t}, "rows", rows, {})
     if fmt == "csv":
         fields = ["pattern", "rank_class", "bar", "frequency", "membership"][: 5 if t == 2 else 2]
-        return _csv_chunks(fields, ([row] for row in rows))
+        return _csv_chunks(fields, ([_csv_row(row, fields)] for row in rows))
     width = t * (len(str(n - 1)) + 1) + 3  # the widest pattern has all t slots at n - 1
     bar = "bar={bar:<4}f={frequency:<4}degree={membership}" if t == 2 else ""
     lines = (f"{r['pattern']:<{width}}{r['rank_class']:<12}{bar.format_map(r)}\n" for r in rows)
@@ -671,7 +654,8 @@ def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
     if fmt == "json":
         return "".join(_json_document({"chosen": chosen.id}, "elements", rows, {}))
     if fmt == "csv":
-        return "".join(_csv_chunks(["id", "mu", "nu", "H", "chosen"], [rows]))
+        fields = ["id", "mu", "nu", "H", "chosen"]
+        return "".join(_csv_chunks(fields, [[_csv_row(row, fields) for row in rows]]))
     lines = [f"{r['id']:<12}mu={r['mu']:<8}nu={r['nu']:<8}H={r['H']}" for r in rows]
     lines.append(f"chosen: {chosen.id}")
     return "\n".join(lines) + "\n"
@@ -696,7 +680,7 @@ def cmd_check(table_path: str | Path, *, fmt: str = "text") -> str:
             for v in violations
         )
         fields = ["record", "consistent", "small", "large", "chosen_large", "chosen_small", "order"]
-        return "".join(_csv_chunks(fields, [rows]))
+        return "".join(_csv_chunks(fields, [[_csv_row(row, fields) for row in rows]]))
     lines = [f"contraction: {'consistent' if result.consistent else 'VIOLATIONS'}"]
     for v in result.violations:
         lines.append("  " + v.describe())

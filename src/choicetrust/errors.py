@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "ChoiceTrustError",
@@ -17,6 +17,19 @@ __all__ = [
     "GradeError",
     "IncompleteTableError",
 ]
+
+
+def quote(value: Any, form: Callable[[Any], str] = repr) -> str:
+    """``form(value)`` for an error message, or a stand-in when ``value`` is too long to print.
+
+    Python refuses to write an int of more than 4300 digits, and so any value
+    that holds one, with a ValueError; a message quoting such a value says so instead.
+    """
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
 
 # An id holding one of these would make a rendered set ambiguous.
 _SET_SYNTAX = frozenset(",{} '\"")
@@ -47,7 +60,7 @@ class NestingError(ChoiceTrustError):
     """A stage set contains an item missing from its enclosing stage."""
 
     def __init__(self, stage: str, item: str) -> None:
-        super().__init__(f"item {item!r} appears in stage {stage!r} but not in the enclosing stage")
+        super().__init__(f"item {quote(item)} appears in stage {stage!r} but not in the enclosing stage")
         self.stage = stage
         self.item = item
 
@@ -76,7 +89,7 @@ class GradeError(ChoiceTrustError):
     """Fuzzy membership grades violate 0 <= mu, nu and mu + nu <= 1."""
 
     def __init__(self, element_id: str, message: str) -> None:
-        super().__init__(f"element {element_id!r}: {message}")
+        super().__init__(f"element {quote(element_id)}: {message}")
         self.element_id = element_id
 
 

@@ -13,9 +13,19 @@ closed form or a cache, so a report that `report_to_json` renders the same
 way from both pipelines shows the fast paths equal to the paper.
 `report_to_json` takes its distribution rows from one cache keyed by
 (n, p), so the distribution is compared with `reference_distribution` too.
+
+The report's document is built here the dict way too (`report_to_dict`,
+one dict per reviewer section), with the csv and text writers that read it:
+`cli_io` renders straight from the records, and `reference_output` is the
+output each format must equal byte for byte.
 """
 
+import csv
+import io
+import itertools
+import json
 from fractions import Fraction
+from typing import Iterable, Iterator, Sequence
 
 from choicetrust import (
     EPSILON,
@@ -38,6 +48,7 @@ from choicetrust import (
     validate_episode,
     zone,
 )
+from choicetrust.cli_io import _CSV_COLUMNS, _TOOL, _distribution_cells, _fmt8
 from choicetrust.errors import ChoiceTrustError, ShapeError
 from choicetrust.trust_scoring import (
     _NOTE_MINMAX_FLOOR,
@@ -175,3 +186,210 @@ def reference_report(
         )
         flagged.append(FlaggedReview(review, reason))
     return TrustReport(params, tuple(sections), tuple(flagged), tuple(errors))
+
+
+# ---------------------------------------------------------------------------
+# The report as plain JSON values, and the csv and text writers that read it.
+# `cli_io` renders each reviewer section straight from its records; these
+# dict-based writers are the document those renderers must equal.
+
+
+def _report_head(report: TrustReport) -> dict:
+    return {
+        "tool": _TOOL,
+        "parameters": {
+            "membership": report.parameters.membership_variant,
+            "d0_zone": report.parameters.d0_zone,
+            "p": _fmt8(report.parameters.p),
+        },
+    }
+
+
+def _section_dict(section: ReviewerSection) -> dict:
+    """One reviewer section as plain JSON values.
+
+    Its distribution rows are those of Binomial(n, p) for the section's
+    ``overall.n`` and ``overall.p``, taken from ``_distribution_cells``, which
+    builds them once per (n, p); every call returns fresh dicts.
+    """
+    assessments = []
+    for a in section.assessments:
+        assessments.append(
+            {
+                "object": a.object,
+                "pattern": a.pattern.render(),
+                "absent_periods": [
+                    period
+                    for period, absent in zip(section.periods, a.pattern.absent_flags)
+                    if absent
+                ],
+                "rank_class": a.rank_class.value,
+                "bar": a.bar,
+                "zone": a.zone.value if a.zone else None,
+                "degree": _fmt8(a.degree.value) if a.degree else None,
+                "polarity_match": a.polarity_match,
+                "narrative": a.narrative.value if a.narrative else None,
+                "single_period_conformant": a.single_period_conformant,
+                "rating": a.review.rating if a.review else None,
+                "comment_polarity": a.review.comment_polarity.value if a.review else None,
+                "annotations": list(a.annotations),
+            }
+        )
+    overall = section.overall
+    distribution = [
+        {"r": r, "probability": prob, "at_most": at_most, "at_least": at_least}
+        for r, prob, at_most, at_least in _distribution_cells(overall.n, overall.p)
+    ]
+    return {
+        "reviewer_id": section.reviewer_id,
+        "periods": list(section.periods),
+        "catalog": list(section.catalog),
+        "period_patterns": list(section.period_patterns),
+        "joint_pattern": section.joint_pattern,
+        "assessments": assessments,
+        "overall_rationality": {
+            "n": overall.n,
+            "p": _fmt8(overall.p),
+            "realized_rational_count": overall.realized_r,
+            "distribution": distribution,
+        },
+    }
+
+
+def _report_tail(report: TrustReport) -> dict:
+    return {
+        "flagged_reviews": [
+            {
+                "reviewer_id": f.review.reviewer_id,
+                "object": f.review.object,
+                "rating": f.review.rating,
+                "reason": f.reason,
+            }
+            for f in report.flagged_reviews
+        ],
+        "errors": [
+            {"reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors
+        ],
+    }
+
+
+def report_to_dict(report: TrustReport) -> dict:
+    """The report as plain JSON values: its head, one dict per reviewer section, its tail.
+
+    The renderers below write the same document one section at a time.
+    """
+    return {
+        **_report_head(report),
+        "reviewers": [_section_dict(section) for section in report.reviewers],
+        **_report_tail(report),
+    }
+
+
+def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[dict]]) -> Iterator[str]:
+    """The header line of a CSV table of `fields`, then each block of rows as one string.
+
+    Rows may hold other keys too. A bool is written true/false and None as an
+    empty cell.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    # An empty first block yields the header line on its own.
+    for rows in itertools.chain([()], blocks):
+        writer.writerows(
+            [
+                ("true" if value else "false") if value is True or value is False else value
+                for value in map(row.get, fields)
+            ]
+            for row in rows
+        )
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _csv_blocks(report: TrustReport) -> Iterator[list[dict]]:
+    """The report's CSV records, one per assessment, binomial row, flagged review and error.
+
+    Each reviewer section is one block, and the flagged reviews and errors together the last.
+    """
+    for section in report.reviewers:
+        doc = _section_dict(section)
+        rid = doc["reviewer_id"]
+        block = [
+            {**a, "record": "assessment", "reviewer_id": rid, "annotations": " | ".join(a["annotations"])}
+            for a in doc["assessments"]
+        ]
+        block += (
+            {**row, "record": "overall", "reviewer_id": rid}
+            for row in doc["overall_rationality"]["distribution"]
+        )
+        yield block
+    tail = _report_tail(report)
+    yield [{**f, "record": "flagged_review"} for f in tail["flagged_reviews"]] + [
+        {**e, "record": "error"} for e in tail["errors"]
+    ]
+
+
+def _csv_stream(report: TrustReport) -> Iterator[str]:
+    return _csv_chunks(_CSV_COLUMNS, _csv_blocks(report))
+
+
+def _text_stream(report: TrustReport) -> Iterator[str]:
+    head = _report_head(report)
+    params = head["parameters"]
+    yield (
+        f"{head['tool']}\n"
+        f"parameters: membership={params['membership']} d0-zone={params['d0_zone']} p={params['p']}\n"
+    )
+    for section in report.reviewers:
+        doc = _section_dict(section)
+        lines = [
+            "",
+            f"reviewer {doc['reviewer_id']}  periods {doc['periods']}  catalog [{', '.join(doc['catalog'])}]",
+            "  period patterns: " + " ".join(doc["period_patterns"]),
+        ]
+        if doc["joint_pattern"]:
+            lines.append("  joint pattern:   " + doc["joint_pattern"])
+        lines.append(
+            f"  {'object':<10}{'pattern':<12}{'rank':<12}{'bar':<5}{'zone':<12}{'degree':<12}{'match':<7}narrative"
+        )
+        for a in doc["assessments"]:
+            match = "" if a["polarity_match"] is None else ("yes" if a["polarity_match"] else "NO")
+            lines.append(
+                f"  {a['object']:<10}{a['pattern']:<12}{a['rank_class']:<12}"
+                f"{a['bar'] or '-':<5}{a['zone'] or '-':<12}{a['degree'] or '-':<12}"
+                f"{match:<7}{a['narrative'] or '-'}"
+            )
+            for note in a["annotations"]:
+                lines.append(f"    note ({a['object']}): {note}")
+        overall = doc["overall_rationality"]
+        realized = overall["realized_rational_count"]
+        lines.append(
+            f"  overall: n={overall['n']} p={overall['p']}"
+            + (f" realized rational count={realized}" if realized is not None else "")
+        )
+        for row in overall["distribution"]:
+            lines.append(
+                f"    r={row['r']}  f={row['probability']}  "
+                f"f(<= r)={row['at_most']}  f(>= r)={row['at_least']}"
+            )
+        yield "\n".join(lines) + "\n"
+    tail = _report_tail(report)
+    lines = []
+    if tail["flagged_reviews"]:
+        lines += ["", "flagged reviews:"]
+        for f in tail["flagged_reviews"]:
+            lines.append(f"  {f['reviewer_id']} / {f['object']} (rating {f['rating']}): {f['reason']}")
+    if tail["errors"]:
+        lines += ["", "errors:"]
+        for e in tail["errors"]:
+            lines.append(f"  [{e['reviewer_id'] or '-'}] {e['message']}")
+    yield "".join(line + "\n" for line in lines)
+
+
+def reference_output(report: TrustReport, fmt: str) -> str:
+    """The report as `score --format fmt` should write it, from the dict document."""
+    if fmt == "json":
+        return json.dumps(report_to_dict(report), indent=2, ensure_ascii=True) + "\n"
+    return "".join({"csv": _csv_stream, "text": _text_stream}[fmt](report))

@@ -250,6 +250,15 @@ _CHAIN, _VIOLATING = str(FIXTURES / "choice_table_chain.json"), str(FIXTURES / "
             ["score", _E, _R, "--membership", "smoothed", "--d0-zone", "irrational", "--p", "0.3", "--format", "csv"],
             "607709964524a8e952b8582fc6e3f1b941c3a0aab751e271474e6c59f7eb55f4",
         ),
+        # Taken before score's reviewer sections were rendered from their records.
+        (
+            ["score", _E, _R, "--membership", "smoothed", "--d0-zone", "irrational", "--p", "0.3", "--format", "json"],
+            "7e1baf819e14005d807c73952545293f1a69dc5300d0f28116340daba93caf95",
+        ),
+        (
+            ["score", _E, _R, "--membership", "smoothed", "--d0-zone", "irrational", "--p", "0.3", "--format", "text"],
+            "4fc2b32a69c0708c4d2ac46e40daa8b6e021e9cdb00b9dc8977f32b2c70d5015",
+        ),
         (["info-index", _IFS, "--format", "json"], "519c5b665457c1fbd9779383353ff9bddcb76534da95889a9dd92e947d70d627"),
         (["info-index", _IFS, "--format", "csv"], "29508743df9248f56a74f92dfcc9ce25fc69a4129b785cf3e34ec720f2f48506"),
         (["info-index", _IFS, "--format", "text"], "a64ca00de86614fc21b634e1146538aaf850415e1f81dc131251c4062bc8a27e"),
@@ -282,6 +291,23 @@ _CHAIN, _VIOLATING = str(FIXTURES / "choice_table_chain.json"), str(FIXTURES / "
 def test_main_output_is_unchanged(capsys, argv, digest):
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+# sha256 of a partial report (flagged reviews and an errors tail), taken
+# before score's reviewer sections were rendered from their records.
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("json", "6943456eb997e9fcd830081c571ec4e0751cd8cf0c1eb5071b0491211d889227"),
+        ("csv", "5b1d5b097ac949f861d654cdbfcf20440a7af8bf243997383d6f1e7bd7572183"),
+        ("text", "dd75b302dfe7521d1e564dfec2a867bee87660acafac833fb46b2a9e348c2ee3"),
+    ],
+)
+def test_partial_report_output_is_unchanged(capsys, fmt, digest):
+    assert main(["score", str(FIXTURES / "episodes_invalid.jsonl"), _R, "--format", fmt]) == EXIT_PARTIAL
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert err == ""
 
 
 def test_tau_refuses_outcome_sets_above_the_cap(monkeypatch, capsys):

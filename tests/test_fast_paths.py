@@ -41,6 +41,7 @@ from choicetrust import (
 from choicetrust.cli_io import (
     _REPORT_RENDERERS,
     _distribution_cells,
+    _distribution_json,
     _fmt8,
     report_to_csv,
     report_to_dict,
@@ -50,7 +51,8 @@ from choicetrust.cli_io import (
 
 from helpers import episode
 from choicetrust.trust_scoring import _degree_and_notes, _score_totals
-from reference_report import reference_distribution, reference_overall, reference_report
+from reference_report import reference_distribution, reference_output, reference_overall, reference_report
+from reference_report import report_to_dict as reference_report_to_dict
 
 IDS = tuple(f"o{i}" for i in range(12))
 
@@ -190,9 +192,15 @@ def test_joint_pattern_gate_equals_matrix_order_gate(catalog_list, data):
 def test_mutating_a_report_dict_leaves_later_reports_unchanged(canonical_episodes, canonical_reviews):
     report = build_report(canonical_episodes, canonical_reviews)
     before = report_to_json(report)
-    for section in report_to_dict(report)["reviewers"]:
-        for row in section["overall_rationality"]["distribution"]:
+    (section,) = report.reviewers
+    fragment = _distribution_json(section.overall.n, section.overall.p)
+    for doc in report_to_dict(report)["reviewers"]:
+        doc["overall_rationality"]["distribution"].append({"r": 99})
+        for row in doc["overall_rationality"]["distribution"]:
             row["probability"] = "mutated"
+    # The cached fragment is the one the next report is written from.
+    assert _distribution_json(section.overall.n, section.overall.p) is fragment
+    assert '"mutated"' not in fragment and '"r": 99' not in fragment
     assert report_to_json(report) == before
 
 
@@ -261,12 +269,13 @@ def test_report_equals_the_paper_pipeline(batch, variant, d0_zone, p):
 
 
 def _assert_streamed_report_equals_its_document(report):
-    assert report_to_json(report) == json.dumps(report_to_dict(report), indent=2, ensure_ascii=True) + "\n"
     # The head, one chunk per reviewer section, and the tail.
     for fmt, render in _REPORT_RENDERERS.items():
         chunks = list(render(report))
         assert len(chunks) == len(report.reviewers) + 2
+        assert "".join(chunks) == reference_output(report, fmt)
         assert "".join(chunks) == {"json": report_to_json, "csv": report_to_csv, "text": report_to_text}[fmt](report)
+    assert report_to_dict(report) == reference_report_to_dict(report)
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,8 +26,10 @@ from choicetrust import (
     Degree,
     DomainError,
     FlaggedReview,
+    GradeError,
     IfsElement,
     IfsList,
+    NestingError,
     OverallRationality,
     PatternVector,
     Polarity,
@@ -190,6 +192,20 @@ TOO_LONG_TO_PRINT = {
 @pytest.mark.parametrize("call", TOO_LONG_TO_PRINT.values(), ids=TOO_LONG_TO_PRINT)
 def test_a_number_too_long_to_print_is_still_a_domain_error(call):
     with pytest.raises(DomainError, match="<int too long to print>|<Fraction too long to print>"):
+        call()
+
+
+# A caller's id or relation that Python refuses to print, and the error it must raise.
+UNPRINTABLE_ARGUMENT = {
+    "NestingError": (NestingError, lambda: validate_episode(ChoiceEpisode("r", 1, (1,), (HUGE,), (), ()))),
+    "GradeError": (GradeError, lambda: IfsElement(HUGE, 2, 0)),
+    "ConstraintRow-relation": (DomainError, lambda: ConstraintRow((1,), HUGE, 3)),
+}
+
+
+@pytest.mark.parametrize("error, call", UNPRINTABLE_ARGUMENT.values(), ids=UNPRINTABLE_ARGUMENT)
+def test_an_argument_too_long_to_print_raises_the_package_error(error, call):
+    with pytest.raises(error, match="<int too long to print>"):
         call()
 
 
