@@ -85,14 +85,31 @@ def _read_text(path: str | Path) -> str:
         raise ParseError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's members as a dict; a repeated key raises KeyError naming it."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen: set[str] = set()
+        raise KeyError(next(key for key, _ in pairs if key in seen or seen.add(key)))
+    return record
+
+
+# Built once: json.loads builds a new decoder on every call that passes a hook.
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+
+
 def _decode(text: str, path: str | Path, line: int | None = None) -> Any:
     """The JSON value in `text`, from `path`, or from its `line` for a JSONL record.
 
-    Every decoding fault is a ParseError; in a whole document a syntax error
-    names the line it sits on.
+    Every decoding fault is a ParseError, a repeated key in an object too; in
+    a whole document a syntax error names the line it sits on.
     """
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):  # as json.loads refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
+    except KeyError as exc:
+        problem = f"repeated key {reprlib.repr(exc.args[0])}"
     except json.JSONDecodeError as exc:
         line, problem = line or exc.lineno, exc.msg
     except ValueError:  # an integer literal over sys.get_int_max_str_digits()
@@ -266,48 +283,29 @@ def _json_list(items: Sequence[str], newline: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-def _json_text(value: Any, newline: str) -> str:
-    """`value` as JSON text, nested at the indent that `newline` ends in.
-
-    Types are tested as ``json.dumps`` tests them: a bool before an int, a
-    tuple as a list, a str, int or float subclass as its value.
-    """
-    if isinstance(value, str):
-        return _escape(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):  # NaN, Infinity and float.__repr__, as json.dumps writes them
-        return json.dumps(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        return _json_list([_json_text(item, inner) for item in value], newline)
-    if isinstance(value, dict):
-        return _json_list([_escape(key) + ": " + _json_text(item, inner) for key, item in value.items()], newline, "{}")
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+def _json_template(keys: str, newline: str) -> str:
+    """A JSON object of the space-separated `keys` whose values are %s slots, to fill with JSON texts."""
+    return _json_list([f"{_escape(key)}: %s" for key in keys.split()], newline, "{}")
 
 
 def _json_document(head: dict, key: str, items: Iterable, tail: dict, encode: Callable | None = None) -> Iterator[str]:
-    """``json.dumps({**head, key: list(items), **tail}, indent=2, ensure_ascii=True) + "\\n"``
+    """``json.dumps({**head, key: list(items), **tail}, indent=2) + "\\n"``
     in chunks: the head, then one chunk per item, then the tail.
 
     `key` is in neither `head` nor `tail`, whose keys are strings. An item is
     written by `encode`, which returns its JSON text as an item of the list,
-    or else value by value. Strings go through the C escaper, not the
-    pure-Python encoder that ``indent`` selects.
+    or else by ``json.dumps``. Its ``ensure_ascii`` escapes every newline in a
+    string, so each raw newline in its text breaks a line of the layout, and
+    replacing them re-indents a value to its depth.
     """
     head_fields, tail_fields = (
-        [_escape(name) + ": " + _json_text(value, "\n  ") for name, value in fields.items()] for fields in (head, tail)
+        [_escape(name) + ": " + json.dumps(value, indent=2).replace("\n", "\n  ") for name, value in fields.items()]
+        for fields in (head, tail)
     )
     yield "{\n  " + "".join(field + ",\n  " for field in head_fields) + _escape(key) + ": ["
     lead, close = "\n    ", "]"
     for item in items:
-        yield lead + (encode(item) if encode else _json_text(item, "\n    "))
+        yield lead + (encode(item) if encode else json.dumps(item, indent=2).replace("\n", "\n    "))
         lead, close = ",\n    ", "\n  ]"
     yield close + "".join(",\n  " + field for field in tail_fields) + "\n}\n"
 
@@ -357,16 +355,14 @@ def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str],
     )
 
 
+_DISTRIBUTION_ROW_JSON = _json_template("r probability at_most at_least", "\n          ")
+
+
 @functools.lru_cache(maxsize=256)
 def _distribution_json(n: int, p: Fraction) -> str:
     """The "distribution" list of a section's JSON, built once per (n, p) from `_distribution_cells`."""
-    rows = [dict(zip(("r", "probability", "at_most", "at_least"), cells)) for cells in _distribution_cells(n, p)]
-    return _json_text(rows, "\n        ")
-
-
-def _json_template(keys: str, newline: str) -> str:
-    """A JSON object of the space-separated `keys` whose values are %s slots, to fill with JSON texts."""
-    return _json_list([f"{_escape(key)}: %s" for key in keys.split()], newline, "{}")
+    rows = [_DISTRIBUTION_ROW_JSON % (r, *map(_escape, texts)) for r, *texts in _distribution_cells(n, p)]
+    return _json_list(rows, "\n        ")
 
 
 # A reviewer section and one of its assessments, as items of the report's
@@ -504,9 +500,9 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
         for a in section.assessments:
             match = "" if a.polarity_match is None else ("yes" if a.polarity_match else "NO")
             lines.append(
-                f"  {a.object:<10}{a.pattern.render():<12}{a.rank_class.value:<12}{a.bar or '-':<5}"
-                f"{a.zone.value if a.zone else '-':<12}{_fmt8(a.degree.value) if a.degree else '-':<12}"
-                f"{match:<7}{a.narrative.value if a.narrative else '-'}"
+                f"  {a.object:<9} {a.pattern.render():<11} {a.rank_class.value:<11} {a.bar or '-':<4} "
+                f"{a.zone.value if a.zone else '-':<11} {_fmt8(a.degree.value) if a.degree else '-':<11} "
+                f"{match:<6} {a.narrative.value if a.narrative else '-'}"
             )
             lines += (f"    note ({a.object}): {note}" for note in a.annotations)
         overall = section.overall
@@ -631,10 +627,13 @@ def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> Iterator[dic
 def cmd_tau(n: int, t: int, *, membership_variant: str = "minmax", fmt: str = "text") -> Iterator[str]:
     """The listing of the outcome set in chunks, each rendered as its row is enumerated."""
     rows = tau_rows(n, t, membership_variant)
+    fields = ["pattern", "rank_class", "bar", "frequency", "membership"][: 5 if t == 2 else 2]
     if fmt == "json":
-        return _json_document({"n": n, "t": t}, "rows", rows, {})
+        row_json = _json_template(" ".join(fields), "\n    ")
+        # Every value of a row is a string but the frequency, an int.
+        encode = lambda row: row_json % tuple(v if isinstance(v, int) else _escape(v) for v in row.values())
+        return _json_document({"n": n, "t": t}, "rows", rows, {}, encode)
     if fmt == "csv":
-        fields = ["pattern", "rank_class", "bar", "frequency", "membership"][: 5 if t == 2 else 2]
         return _csv_chunks(fields, ([_csv_row(row, fields)] for row in rows))
     width = t * (len(str(n - 1)) + 1) + 3  # the widest pattern has all t slots at n - 1
     bar = "bar={bar:<4}f={frequency:<4}degree={membership}" if t == 2 else ""
@@ -656,7 +655,7 @@ def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
     if fmt == "csv":
         fields = ["id", "mu", "nu", "H", "chosen"]
         return "".join(_csv_chunks(fields, [[_csv_row(row, fields) for row in rows]]))
-    lines = [f"{r['id']:<12}mu={r['mu']:<8}nu={r['nu']:<8}H={r['H']}" for r in rows]
+    lines = [f"{r['id']:<11} mu={r['mu']:<8}nu={r['nu']:<8}H={r['H']}" for r in rows]
     lines.append(f"chosen: {chosen.id}")
     return "\n".join(lines) + "\n"
 

@@ -357,9 +357,9 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
         for a in doc["assessments"]:
             match = "" if a["polarity_match"] is None else ("yes" if a["polarity_match"] else "NO")
             lines.append(
-                f"  {a['object']:<10}{a['pattern']:<12}{a['rank_class']:<12}"
-                f"{a['bar'] or '-':<5}{a['zone'] or '-':<12}{a['degree'] or '-':<12}"
-                f"{match:<7}{a['narrative'] or '-'}"
+                f"  {a['object']:<9} {a['pattern']:<11} {a['rank_class']:<11} "
+                f"{a['bar'] or '-':<4} {a['zone'] or '-':<11} {a['degree'] or '-':<11} "
+                f"{match:<6} {a['narrative'] or '-'}"
             )
             for note in a["annotations"]:
                 lines.append(f"    note ({a['object']}): {note}")

@@ -149,6 +149,46 @@ def test_score_keeps_scoring_past_a_deeply_nested_episode_line(fixtures_dir, tmp
     ]
 
 
+def test_a_byte_order_mark_is_invalid_json(fixtures_dir, tmp_path):
+    path = tmp_path / "episodes.jsonl"
+    path.write_text("\ufeff" + (fixtures_dir / EPISODES).read_text(encoding="utf-8"), encoding="utf-8")
+    episodes, problems = load_episodes(path)
+    assert [e.period for e in episodes] == [2]
+    assert problems == [f"{path}:1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"]
+
+
+def test_score_reports_an_episode_line_with_a_repeated_key(fixtures_dir, tmp_path):
+    first, second = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(first + "\n" + second[:-1] + ', "period": 1}\n', encoding="utf-8")
+    output, code = cmd_score(path, fixtures_dir / REVIEWS)
+    assert code == EXIT_PARTIAL
+    doc = json.loads(output)
+    assert [e["message"] for e in doc["errors"]] == [f"{path}:2: invalid JSON (repeated key 'period')"]
+    assert doc["reviewers"][0]["periods"] == [1]
+
+
+@pytest.mark.parametrize(
+    "document, text, key",
+    [
+        ("reviews", '[{"reviewer_id": "rev-1", "object": "M", "rating": 1,\n  "rating": 5}]', "rating"),
+        ("graded list", '[{"id": "a", "mu": 0.2, "nu": 0.1, "id": "b"}]', "id"),
+        ("choice table", '{"ground_set": ["a"], "choices": [], "ground_set": ["a"]}', "ground_set"),
+    ],
+    ids=["reviews", "graded list", "choice table"],
+)
+def test_main_refuses_a_document_with_a_repeated_key(fixtures_dir, tmp_path, capsys, document, text, key):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    argv = {
+        "reviews": ["score", str(fixtures_dir / EPISODES), str(path)],
+        "graded list": ["info-index", str(path)],
+        "choice table": ["check", str(path)],
+    }[document]
+    assert main(argv) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {path}: invalid JSON (repeated key {key!r})\n"
+
+
 def test_cmd_score_canonical(fixtures_dir):
     output, code = cmd_score(fixtures_dir / EPISODES, fixtures_dir / REVIEWS, fmt="json")
     assert code == EXIT_OK
@@ -395,6 +435,28 @@ def test_cmd_info_index_rejects_grades_beyond_float_range(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: element #0: field 'mu' must be number, got 1000")
     assert err.count("\n") == 1
+
+
+def test_text_columns_end_in_a_space(fixtures_dir, tmp_path):
+    # Each value fills its column: a 10-character object id, a 5-character bar, a 12-character element id.
+    episodes, reviews = tmp_path / "episodes.jsonl", tmp_path / "reviews.json"
+    for path, fixture in ((episodes, EPISODES), (reviews, REVIEWS)):
+        text = (fixtures_dir / fixture).read_text(encoding="utf-8")
+        path.write_text(text.replace('"M"', '"B07XJ8C8F5"'), encoding="utf-8")
+    output, code = cmd_score(episodes, reviews, fmt="text")
+    assert code == EXIT_OK
+    row = "  B07XJ8C8F5 {3,\u03b5}       Decreasing  C    Irrational  0.00000000  yes    complete-rejection"
+    assert f"\n{row}\n" in output
+    catalog = [f"o{i}" for i in range(1200)]
+    report = choicetrust.build_report(
+        [ChoiceEpisode("r", 1, catalog, ["o0"], ["o0"], ["o0"]), ChoiceEpisode("r", 2, catalog, *[catalog[1:]] * 3)]
+    )
+    assert "\n  o0        {1199,\u03b5}    Decreasing  -1199 Irrational  0.00000000         -\n" in (
+        cli_io.report_to_text(report)
+    )
+    graded = tmp_path / "graded.json"
+    graded.write_text(json.dumps([{"id": "abcdefghijkl", "mu": 0.2, "nu": 0.1}]), encoding="utf-8")
+    assert cmd_info_index(graded).startswith("abcdefghijkl mu=0.2     nu=0.1     H=")
 
 
 def test_cmd_check_chain_and_violation(fixtures_dir):

@@ -156,9 +156,11 @@ def test_cached_cdf_equals_exact_prefix_sums(n, p):
 def test_distribution_cells_are_formatted_exact_terms_and_sums(n, p):
     terms = [binomial_rationality(n, r, p) for r in range(n + 1)]
     below = list(itertools.accumulate(terms, initial=Fraction(0)))
-    assert _distribution_cells(n, p) == tuple(
-        (r, _fmt8(terms[r]), _fmt8(below[r + 1]), _fmt8(1 - below[r])) for r in range(n + 1)
-    )
+    cells = tuple((r, _fmt8(terms[r]), _fmt8(below[r + 1]), _fmt8(1 - below[r])) for r in range(n + 1))
+    assert _distribution_cells(n, p) == cells
+    # The section's "distribution" list sits four levels deep in the report.
+    rows = [dict(zip(("r", "probability", "at_most", "at_least"), row)) for row in cells]
+    assert _distribution_json(n, p) == json.dumps(rows, indent=2).replace("\n", "\n        ")
 
 
 @settings(deadline=None)
