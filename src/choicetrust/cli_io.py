@@ -636,7 +636,7 @@ def cmd_tau(n: int, t: int, *, membership_variant: str = "minmax", fmt: str = "t
     if fmt == "csv":
         return _csv_chunks(fields, ([_csv_row(row, fields)] for row in rows))
     width = t * (len(str(n - 1)) + 1) + 3  # the widest pattern has all t slots at n - 1
-    bar = "bar={bar:<4}f={frequency:<4}degree={membership}" if t == 2 else ""
+    bar = "bar={bar:<3} f={frequency:<3} degree={membership}" if t == 2 else ""
     lines = (f"{r['pattern']:<{width}}{r['rank_class']:<12}{bar.format_map(r)}\n" for r in rows)
     return itertools.chain([f"rationality outcome set: n={n} t={t} size={n**t}\n"], lines)
 
@@ -655,7 +655,7 @@ def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
     if fmt == "csv":
         fields = ["id", "mu", "nu", "H", "chosen"]
         return "".join(_csv_chunks(fields, [[_csv_row(row, fields) for row in rows]]))
-    lines = [f"{r['id']:<11} mu={r['mu']:<8}nu={r['nu']:<8}H={r['H']}" for r in rows]
+    lines = [f"{r['id']:<11} mu={r['mu']:<7} nu={r['nu']:<7} H={r['H']}" for r in rows]
     lines.append(f"chosen: {chosen.id}")
     return "\n".join(lines) + "\n"
 

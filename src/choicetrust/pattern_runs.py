@@ -3,16 +3,17 @@
 Reading a joint pattern vector left to right, a 0 is a "stop" and a 1 is a
 "run". Every maximal block of 1s belongs to the n-bit row it lies in, and a
 row's run total is the number of objects that row's object is preferred to
-in that period. A row of n zeros yields run total 0. Per object and period
-the totals collapse into the run pattern omega, where a zero total and
-absence from the period's catalog both normalize to the empty-run symbol.
+in that period. A row of n zeros yields run total 0. Per object the totals
+collapse into its run pattern omega, where a zero total and absence from
+the period's catalog both normalize to the empty-run symbol; the pattern is
+a function of the totals alone, so objects with equal totals share one.
 
 A row's run total is its row sum: the number of catalog objects with a
 strictly lower stage rank. Scoring uses that count (:func:`run_totals`),
-which takes O(n) per period, and turns totals into slots by
-:func:`slot_rule`, as :func:`omega` does; :func:`scan_runs` over
-:func:`flatten` of :func:`derive_matrix` is the paper-literal scanner, kept
-as the reference tests compare against.
+which takes O(n) per period, and turns each distinct tuple of totals into
+its run pattern by :func:`slot_rule`, as :func:`omega` does;
+:func:`scan_runs` over :func:`flatten` of :func:`derive_matrix` is the
+paper-literal scanner, kept as the reference tests compare against.
 """
 
 from __future__ import annotations
@@ -75,27 +76,23 @@ EPSILON = RunCount(None)
 
 
 class RunPattern(Record):
-    """Per-object run totals across periods, plus absence bookkeeping.
+    """The paper's omega of an object: per-period run totals plus absence flags.
 
-    ``absent_flags[k]`` distinguishes "present but never preferred" from
-    "not offered in period k"; both render as the empty run downstream.
+    Objects with the same totals share one pattern. ``absent_flags[k]``
+    distinguishes "present but never preferred" from "not offered in period
+    k"; both render as the empty run downstream.
     """
 
-    __slots__ = ("object", "slots", "absent_flags")
+    __slots__ = ("slots", "absent_flags")
 
-    def __init__(self, object: str, slots: tuple[RunCount, ...], absent_flags: tuple[bool, ...]) -> None:
+    def __init__(self, slots: tuple[RunCount, ...], absent_flags: tuple[bool, ...]) -> None:
         if len(slots) != len(absent_flags):
             raise DomainError("slots and absent_flags must have equal length")
         for slot, absent in zip(slots, absent_flags):
             if absent and not slot.is_epsilon:
                 raise DomainError("an absent period must carry the empty run")
-        setfield(self, "object", object)
         setfield(self, "slots", slots)
         setfield(self, "absent_flags", absent_flags)
-
-    @property
-    def periods(self) -> int:
-        return len(self.slots)
 
     def render(self) -> str:
         """Report form, e.g. ``{3,ε}``."""
@@ -140,13 +137,13 @@ def run_totals(episode: ValidatedEpisode) -> tuple[int, ...]:
     return tuple([below[rank] for rank in ranks])
 
 
-def slot_rule(counts: Sequence[int | None]) -> tuple[tuple[RunCount, ...], tuple[bool, ...]]:
-    """Slots and absence flags of per-period run totals, None where the object is absent.
+def slot_rule(counts: Sequence[int | None]) -> RunPattern:
+    """The run pattern of per-period run totals, None where the object is absent.
 
     A total of 0 and an absence both become the empty run; only an absence
     sets its flag.
     """
-    return (
+    return RunPattern(
         tuple(RunCount(count) if count else EPSILON for count in counts),
         tuple(count is None for count in counts),
     )
@@ -173,7 +170,7 @@ def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:
     counts = [dict(zip(e.attainable, run_totals(e))).get(obj) for e in episodes]
     if all(count is None for count in counts):
         raise UnknownObjectError(f"object {obj!r} appears in no period's catalog")
-    return RunPattern(obj, *slot_rule(counts))
+    return slot_rule(counts)
 
 
 def single_period_rationality_pattern(n: int) -> tuple[int, ...]:

@@ -79,10 +79,6 @@ class TauPattern(Record):
     def bin(self) -> str | None:
         return bin_pattern(self.slots) if len(self.slots) == 2 else None
 
-    @property
-    def periods(self) -> int:
-        return len(self.slots)
-
     def render(self) -> str:
         return "{" + ",".join(str(s) for s in self.slots) + "}"
 

@@ -190,15 +190,20 @@ class OverallRationality(Record):
         return 1 - self.at_most(r - 1)
 
 
+# Row r of a period's matrix maps each stage rank q to "1" when r > q, else "0".
+_ROW_OF_RANK = [bytes.maketrans(b"\0\1\2\3", (b"1" * r).ljust(4, b"0")) for r in range(4)]
+
+
 def period_string(episode: ValidatedEpisode) -> str:
     """The period's preference matrix as a row-major 0/1 string, from its rank tuple.
 
     Entry (i, j) is 1 exactly when ranks[i] > ranks[j] (catalog order), and
     ranks take only the values 0..3, so the matrix has at most four distinct
-    rows; each is built once. Equals ``flatten(derive_matrix(episode)).as_string()``.
+    rows; each is built once, by translating the rank bytes. Equals
+    ``flatten(derive_matrix(episode)).as_string()``.
     """
-    ranks = episode.ranks
-    rows = ["".join("1" if r > q else "0" for q in ranks) for r in range(4)]
+    ranks = bytes(episode.ranks)
+    rows = [ranks.translate(table).decode() for table in _ROW_OF_RANK]
     return "".join([rows[r] for r in ranks])
 
 
@@ -297,25 +302,10 @@ def _catalog_union(episodes: Sequence[ValidatedEpisode]) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def _degree_and_notes(
-    d: int, ns: tuple[int, int] | None, variant: str
-) -> tuple[str | None, Degree | None, tuple[str, ...]]:
-    if ns is None:
-        return None, None, (_NOTE_SMALL_CATALOG,)
-    degree = bar_degrees(ns, variant)[d]
-    notes: tuple[str, ...] = ()
-    if variant == "minmax" and degree.value == 0:
-        notes = (_NOTE_MINMAX_FLOOR,)
-        if ns == (4, 4):
-            notes += (_NOTE_REFERENCE_TABLE,)
-    return bar_label(d), degree, notes
-
-
 class _Scored(NamedTuple):
     """What an assessment takes from its run totals alone."""
 
-    slots: tuple[RunCount, ...]
-    absent_flags: tuple[bool, ...]
+    pattern: RunPattern
     rank_class: RankClass
     zone: Zone | None
     bar: str | None
@@ -332,25 +322,30 @@ def _score_totals(
     """Score one object's per-period run totals (None where it is absent).
 
     A stage rank is 0..3, so a period holds at most four distinct totals,
-    and tuples repeat across objects and reviewers; each is scored once.
-    ``ns`` is the two periods' catalog sizes, None when a period has fewer
-    than two objects.
+    and tuples repeat across objects and reviewers; each is scored once,
+    and every object with that tuple shares its run pattern. ``ns`` is the
+    two periods' catalog sizes, None when a period has fewer than two objects.
     """
-    slots, absent_flags = slot_rule(totals)
+    pattern = slot_rule(totals)
+    slots = pattern.slots
     obj_zone = bar = degree = conformant = None
     notes: tuple[str, ...] = ()
     counts_rational = False
     if len(slots) == 2:
         d = signed_difference(slots)
         obj_zone = _zone_of_difference(d)
-        bar, degree, notes = _degree_and_notes(d, ns, variant)
+        if ns is None:
+            notes = (_NOTE_SMALL_CATALOG,)
+        else:
+            bar, degree = bar_label(d), bar_degrees(ns, variant)[d]
+            if variant == "minmax" and degree.value == 0:
+                notes = (_NOTE_MINMAX_FLOOR,)
+                if ns == (4, 4):
+                    notes += (_NOTE_REFERENCE_TABLE,)
         counts_rational = d > 0 or (d == 0 and d0_zone == "rational")
     elif len(slots) == 1:
         conformant = not slots[0].is_epsilon
-    return _Scored(
-        slots, absent_flags, classify_rank(slots), obj_zone, bar, degree, notes,
-        counts_rational, conformant,
-    )
+    return _Scored(pattern, classify_rank(slots), obj_zone, bar, degree, notes, counts_rational, conformant)
 
 
 def _assess_reviewer(
@@ -376,16 +371,15 @@ def _assess_reviewer(
         scored = _score_totals(
             tuple([period.get(obj) for period in totals]), ns, params.membership_variant, params.d0_zone
         )
-        pattern = RunPattern(obj, scored.slots, scored.absent_flags)
         rational_count += scored.counts_rational
         review = review_for.get(obj)
         matched = narrative = None
         if two_period and review is not None:
-            matched, narrative = match_review(review, pattern.slots)
+            matched, narrative = match_review(review, scored.pattern.slots)
         # Positional, in slot order: the record's fastest constructor call.
         assessments.append(
             TrustAssessment(
-                obj, pattern, scored.rank_class, scored.bar, scored.zone, scored.degree,
+                obj, scored.pattern, scored.rank_class, scored.bar, scored.zone, scored.degree,
                 matched, narrative, scored.conformant, review, scored.notes,
             )
         )

@@ -102,7 +102,7 @@ def reference_section(reviewer_id, episodes, review_for, params):
     for obj in catalog:
         counts = [period.get(obj) for period in totals]
         slots = tuple(RunCount(c) if c else EPSILON for c in counts)
-        pattern = RunPattern(obj, slots, tuple(c is None for c in counts))
+        pattern = RunPattern(slots, tuple(c is None for c in counts))
         review = review_for.get(obj)
         fields = {
             **dict.fromkeys(("bar", "zone", "degree", "polarity_match", "narrative", "single_period_conformant")),

@@ -457,6 +457,12 @@ def test_text_columns_end_in_a_space(fixtures_dir, tmp_path):
     graded = tmp_path / "graded.json"
     graded.write_text(json.dumps([{"id": "abcdefghijkl", "mu": 0.2, "nu": 0.1}]), encoding="utf-8")
     assert cmd_info_index(graded).startswith("abcdefghijkl mu=0.2     nu=0.1     H=")
+    # A value that fills or overflows a labeled column: mu, a frequency, a bar.
+    graded.write_text(json.dumps([{"id": "a", "mu": 0.123456789, "nu": 0.1}]), encoding="utf-8")
+    assert cmd_info_index(graded).startswith("a           mu=0.123456789 nu=0.1     H=0.70477576\n")
+    head = "".join(itertools.islice(cmd_tau(1000, 2), 2))
+    assert head.endswith("\n{\u03b5,\u03b5}      Reflexive   bar=D   f=1000 degree=1.00000000\n")
+    assert "\n{100,\u03b5}    Decreasing  bar=-100 f=1   degree=0.00000000\n" in "".join(cmd_tau(101, 2))
 
 
 def test_cmd_check_chain_and_violation(fixtures_dir):

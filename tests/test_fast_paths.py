@@ -50,7 +50,7 @@ from choicetrust.cli_io import (
 )
 
 from helpers import episode
-from choicetrust.trust_scoring import _degree_and_notes, _score_totals
+from choicetrust.trust_scoring import _NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE, _NOTE_SMALL_CATALOG, _score_totals
 from reference_report import reference_distribution, reference_output, reference_overall, reference_report
 from reference_report import report_to_dict as reference_report_to_dict
 
@@ -102,7 +102,6 @@ def test_omega_equals_scanner_oracle(eps):
     for obj in dict.fromkeys(o for ep in eps for o in ep.attainable):
         pattern = omega(eps, obj)
         slots, absent = zip(*(oracle_slot(ep, obj) for ep in eps))
-        assert pattern.object == obj
         assert pattern.slots == slots
         assert pattern.absent_flags == absent
 
@@ -319,17 +318,26 @@ def run_total_tuples(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(run_total_tuples(), st.sampled_from(["minmax", "smoothed"]), st.sampled_from(["rational", "irrational"]))
+@example(((3, None), (4, 4)), "minmax", "rational")  # the reference-table note's only catalog sizes
 def test_run_total_memo_equals_uncached_derivation(case, variant, d0_zone):
     totals, ns = case
     scored = _score_totals(totals, ns, variant, d0_zone)
     slots = tuple(RunCount(t) if t else EPSILON for t in totals)
-    assert scored.slots == slots
-    assert scored.absent_flags == tuple(t is None for t in totals)
+    assert scored.pattern.slots == slots
+    assert scored.pattern.absent_flags == tuple(t is None for t in totals)
     assert scored.rank_class == classify_rank(slots)
     if len(totals) == 2:
         d = signed_difference(slots)
         assert scored.zone == zone(slots)
-        assert (scored.bar, scored.degree, scored.notes) == _degree_and_notes(d, ns, variant)
+        if ns is None:
+            assert (scored.bar, scored.degree, scored.notes) == (None, None, (_NOTE_SMALL_CATALOG,))
+        else:
+            table = bin_table(ns)
+            degree = membership(d, table, variant)
+            notes = ()
+            if variant == "minmax" and degree.value == 0:
+                notes = (_NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE) if ns == (4, 4) else (_NOTE_MINMAX_FLOOR,)
+            assert (scored.bar, scored.degree, scored.notes) == (table.by_difference(d).label, degree, notes)
         assert scored.counts_rational == (d > 0 or d == 0 and d0_zone == "rational")
         assert scored.conformant is None
     else:

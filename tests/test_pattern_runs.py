@@ -163,4 +163,4 @@ def test_run_count_validation_and_display():
 
 def test_run_pattern_absent_slot_must_be_epsilon():
     with pytest.raises(DomainError):
-        RunPattern(object="M", slots=(RunCount(2),), absent_flags=(True,))
+        RunPattern(slots=(RunCount(2),), absent_flags=(True,))

@@ -385,3 +385,14 @@ def test_new_objects_append_to_catalog_end():
     assert section.catalog == ("A", "B", "C")
     pattern = assessment_for(build_report(eps), "r", "C").pattern
     assert pattern.absent_flags == (True, False)
+
+
+def test_objects_with_equal_run_totals_share_one_pattern():
+    eps = (
+        episode("r", 1, "abcd", "a", "a", "a"),
+        episode("r", 2, "abcd", "a", "a", "a"),
+    )
+    report = build_report(eps)
+    b, c, d = (assessment_for(report, "r", obj).pattern for obj in "bcd")
+    assert b is c is d
+    assert b.slots == (EPSILON, EPSILON) and b.absent_flags == (False, False)
