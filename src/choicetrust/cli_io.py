@@ -14,7 +14,6 @@ import functools
 import io
 import itertools
 import json
-import operator
 import os
 import re
 import reprlib
@@ -32,7 +31,7 @@ from .info_index import IfsElement, IfsList, choose_from_list, entropy
 from .rationality_outcomes import (
     MEMBERSHIP_VARIANTS,
     RankClass,
-    bar_degrees,
+    bar_degree,
     bar_frequency,
     iter_tau,
     signed_difference,
@@ -334,33 +333,31 @@ def _csv_row(row: dict, fields: Sequence[str]) -> tuple:
     )
 
 
-@functools.lru_cache(maxsize=256)
 def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str], ...]:
-    """(r, probability, at_most, at_least) of Binomial(n, p), built and formatted once per (n, p).
+    """(r, probability, at_most, at_least) of Binomial(n, p), formatted by `_fmt8`; each renderer memoizes it.
 
-    The distribution is computed here only. For p = a/b, the exact term
-    ``binomial_rationality(n, r, p)`` is N_r / b**n with N_r = C(n, r) a**r (b - a)**(n - r),
-    so each cell divides an integer (N_r or a sum of them) by b**n, which
-    rounds exactly as ``_fmt8`` of the Fraction does.
+    For p = a/b, the exact term ``binomial_rationality(n, r, p)`` is N_r / b**n with
+    N_r = C(n, r) a**r (b - a)**(n - r), so each cell divides an integer (N_r or a sum
+    of them) by b**n, which rounds exactly as ``_fmt8`` of the Fraction does. The exact
+    walk N_{r+1} = N_r (n - r) a / ((r + 1)(b - a)) holds one term and one running sum,
+    so memory is O(n digits(p)); at p = 1 (a = b) only N_n = b**n is nonzero.
     """
     a, b = p.numerator, p.denominator
-    ups = list(itertools.accumulate(itertools.repeat(a, n), operator.mul, initial=1))
-    downs = list(itertools.accumulate(itertools.repeat(b - a, n), operator.mul, initial=1))
-    combs = itertools.accumulate(range(n), lambda c, r: c * (n - r) // (r + 1), initial=1)
-    terms = [c * ups[r] * downs[n - r] for r, c in enumerate(combs)]
-    below, whole = list(itertools.accumulate(terms, initial=0)), b**n
-    return tuple(
-        (r, _fmt8(term / whole), _fmt8(below[r + 1] / whole), _fmt8((whole - below[r]) / whole))
-        for r, term in enumerate(terms)
-    )
+    whole = b**n
+    step = lambda t, r: t * ((n - r) * a) // ((r + 1) * (b - a))
+    terms = [0] * n + [whole] if a == b else itertools.accumulate(range(n), step, initial=(b - a) ** n)
+    cells, below = [], 0
+    for r, term in enumerate(terms):
+        cells.append((r, _fmt8(term / whole), _fmt8((below + term) / whole), _fmt8((whole - below) / whole)))
+        below += term
+    return tuple(cells)
 
 
 _DISTRIBUTION_ROW_JSON = _json_template("r probability at_most at_least", "\n          ")
 
 
-@functools.lru_cache(maxsize=256)
 def _distribution_json(n: int, p: Fraction) -> str:
-    """The "distribution" list of a section's JSON, built once per (n, p) from `_distribution_cells`."""
+    """The "distribution" list of a section's JSON, from `_distribution_cells`; the JSON renderer memoizes it."""
     rows = [_DISTRIBUTION_ROW_JSON % (r, *map(_escape, texts)) for r, *texts in _distribution_cells(n, p)]
     return _json_list(rows, "\n        ")
 
@@ -382,8 +379,8 @@ _JSON_CONSTANT: dict[Any, str] = {None: "null", True: "true", False: "false"}
 _JSON_CONSTANT.update((m, _escape(m.value)) for e in (RankClass, Zone, NarrativeCode, Polarity) for m in e)
 
 
-def _section_json(section: ReviewerSection) -> str:
-    """One reviewer section as an item of the report's "reviewers" list."""
+def _section_json(section: ReviewerSection, distribution: Callable[[int, Fraction], str]) -> str:
+    """A reviewer section as an item of the report's "reviewers" list; `distribution` memoizes `_distribution_json`."""
     periods = section.periods
     assessments = []
     for a in section.assessments:
@@ -415,7 +412,7 @@ def _section_json(section: ReviewerSection) -> str:
         overall.n,
         _escape(_fmt8(overall.p)),
         "null" if overall.realized_r is None else overall.realized_r,
-        _distribution_json(overall.n, overall.p),
+        distribution(overall.n, overall.p),
     )
 
 
@@ -438,7 +435,8 @@ def _json_stream(report: TrustReport) -> Iterator[str]:
         ],
         "errors": [{"reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors],
     }
-    return _json_document(head, "reviewers", report.reviewers, tail, _section_json)
+    encode = functools.partial(_section_json, distribution=functools.cache(_distribution_json))
+    return _json_document(head, "reviewers", report.reviewers, tail, encode)
 
 
 _CSV_COLUMNS = [
@@ -453,6 +451,7 @@ def _csv_blocks(report: TrustReport) -> Iterator[list[tuple]]:
 
     Each reviewer section is one block, and the flagged reviews and errors together the last.
     """
+    distribution = functools.cache(_distribution_cells)
     for section in report.reviewers:
         rid, overall = section.reviewer_id, section.overall
         block = [
@@ -467,7 +466,7 @@ def _csv_blocks(report: TrustReport) -> Iterator[list[tuple]]:
             for a in section.assessments
         ]
         # An overall row leaves the columns object to annotations empty, and reason and message.
-        cells = _distribution_cells(overall.n, overall.p)
+        cells = distribution(overall.n, overall.p)
         block += (("overall", rid, *(None,) * 11, *row, None, None) for row in cells)
         yield block
     flagged = (
@@ -485,6 +484,7 @@ def _csv_stream(report: TrustReport) -> Iterator[str]:
 
 def _text_stream(report: TrustReport) -> Iterator[str]:
     params = report.parameters
+    distribution = functools.cache(_distribution_cells)
     yield f"{_TOOL}\nparameters: membership={params.membership_variant} d0-zone={params.d0_zone} p={_fmt8(params.p)}\n"
     for section in report.reviewers:
         lines = [
@@ -512,7 +512,7 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
         )
         lines += (
             f"    r={r}  f={prob}  f(<= r)={at_most}  f(>= r)={at_least}"
-            for r, prob, at_most, at_least in _distribution_cells(overall.n, overall.p)
+            for r, prob, at_most, at_least in distribution(overall.n, overall.p)
         )
         yield "\n".join(lines) + "\n"
     lines = []
@@ -615,12 +615,13 @@ def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> Iterator[dic
     patterns = iter_tau([n] * t)
     if t != 2:
         return ({"pattern": pat.render(), "rank_class": pat.rank_class.value} for pat in patterns)
-    degrees = bar_degrees((n, n), membership_variant)
+    ns = (n, n)
+    bars = {d: (bar_frequency(ns, d), _fmt8(bar_degree(ns, d, membership_variant).value)) for d in range(1 - n, n)}
     return (
         {"pattern": pat.render(), "rank_class": pat.rank_class.value, "bar": pat.bin,
-         "frequency": bar_frequency((n, n), d), "membership": _fmt8(degrees[d].value)}
+         "frequency": frequency, "membership": degree}
         for pat in patterns
-        for d in [signed_difference(pat.slots)]
+        for frequency, degree in [bars[signed_difference(pat.slots)]]
     )
 
 
@@ -762,6 +763,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_FATAL
     except (ChoiceTrustError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FATAL
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_FATAL
 
 

@@ -6,8 +6,8 @@ patterns additionally bin by the signed difference of their run totals
 (second minus first, empty counting as 0), which partitions the product into
 2n - 1 bars whose frequencies form the degree-of-membership table.
 
-Scoring and ``tau`` read bar frequencies and degrees from their closed form
-(:func:`bar_frequency`, :func:`bar_degrees`). The enumerated outcome set
+Scoring and ``tau`` read each bar's frequency and degree from its closed form
+(:func:`bar_frequency`, :func:`bar_degree`), in O(1) per bar. The enumerated outcome set
 (:func:`iter_tau`, :func:`build_tau`, :func:`bin_table`, :func:`membership`)
 is the paper-literal reference: ``tau`` streams its patterns from
 :func:`iter_tau`, and tests check the closed form against it.
@@ -15,13 +15,11 @@ is the paper-literal reference: ``tau`` streams its patterns from
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from ._record import Record, as_int, quote
 from .errors import DomainError
@@ -45,7 +43,7 @@ __all__ = [
     "bin_table",
     "bin_frequencies",
     "bar_frequency",
-    "bar_degrees",
+    "bar_degree",
     "membership",
 ]
 
@@ -262,15 +260,11 @@ def membership(bar: str | int, table: BinTable, variant: str = "minmax") -> Degr
     return _degree(b.frequency, table.min_frequency, table.max_frequency, variant)
 
 
-@functools.lru_cache(maxsize=64)
-def bar_degrees(ns: tuple[int, int], variant: str = "minmax") -> Mapping[int, Degree]:
-    """Read-only map from each bar's difference d to its degree, for ns=(a, b).
+def bar_degree(ns: Sequence[int], d: int, variant: str = "minmax") -> Degree:
+    """Degree of bar d of the two-period outcome set for ns=(a, b).
 
     Uses the rule of :func:`membership` on :func:`bar_frequency`, whose
     minimum is 1 and maximum min(a, b), so no outcome set is enumerated.
-    Entry d equals ``membership(d, bin_table(ns), variant)``.
+    Equals ``membership(d, bin_table(ns), variant)``.
     """
-    a, b = ns
-    return MappingProxyType(
-        {d: _degree(bar_frequency(ns, d), 1, min(a, b), variant) for d in range(1 - a, b)}
-    )
+    return _degree(bar_frequency(ns, d), 1, min(ns), variant)

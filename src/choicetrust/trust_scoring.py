@@ -15,7 +15,7 @@ import functools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._record import Record, as_int, as_probability, quote, setfield
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
@@ -29,7 +29,7 @@ from .rationality_outcomes import (
     Degree,
     MEMBERSHIP_VARIANTS,
     RankClass,
-    bar_degrees,
+    bar_degree,
     bar_label,
     bin_table,
     classify_rank,
@@ -315,16 +315,16 @@ class _Scored(NamedTuple):
     conformant: bool | None
 
 
-@functools.lru_cache(maxsize=256)
 def _score_totals(
     totals: tuple[int | None, ...], ns: tuple[int, int] | None, variant: str, d0_zone: str
 ) -> _Scored:
     """Score one object's per-period run totals (None where it is absent).
 
     A stage rank is 0..3, so a period holds at most four distinct totals,
-    and tuples repeat across objects and reviewers; each is scored once,
-    and every object with that tuple shares its run pattern. ``ns`` is the
-    two periods' catalog sizes, None when a period has fewer than two objects.
+    and tuples repeat across objects and reviewers; :func:`build_report`
+    memoizes this per report, so each is scored once per report and every
+    object with that tuple shares its run pattern. ``ns`` is the two
+    periods' catalog sizes, None when a period has fewer than two objects.
     """
     pattern = slot_rule(totals)
     slots = pattern.slots
@@ -337,7 +337,7 @@ def _score_totals(
         if ns is None:
             notes = (_NOTE_SMALL_CATALOG,)
         else:
-            bar, degree = bar_label(d), bar_degrees(ns, variant)[d]
+            bar, degree = bar_label(d), bar_degree(ns, d, variant)
             if variant == "minmax" and degree.value == 0:
                 notes = (_NOTE_MINMAX_FLOOR,)
                 if ns == (4, 4):
@@ -353,7 +353,8 @@ def _assess_reviewer(
     episodes: Sequence[ValidatedEpisode],
     catalog: tuple[str, ...],
     review_for: Mapping[str, Review],
-    params: ReportParameters,
+    score: Callable[..., _Scored],
+    p: Fraction,
 ) -> ReviewerSection:
     period_patterns = tuple(period_string(ep) for ep in episodes)
     homogeneous = all(ep.attainable == episodes[0].attainable for ep in episodes)
@@ -368,9 +369,7 @@ def _assess_reviewer(
     assessments = []
     rational_count = 0
     for obj in catalog:
-        scored = _score_totals(
-            tuple([period.get(obj) for period in totals]), ns, params.membership_variant, params.d0_zone
-        )
+        scored = score(tuple([period.get(obj) for period in totals]), ns)
         rational_count += scored.counts_rational
         review = review_for.get(obj)
         matched = narrative = None
@@ -385,7 +384,7 @@ def _assess_reviewer(
         )
 
     overall = OverallRationality.from_parameters(
-        n=len(catalog), p=params.p, realized_r=rational_count if two_period else None
+        n=len(catalog), p=p, realized_r=rational_count if two_period else None
     )
     return ReviewerSection(
         reviewer_id, tuple(ep.period for ep in episodes), catalog, period_patterns, joint,
@@ -406,7 +405,7 @@ def build_report(
     Every episode is validated from its stage sets, a ``ValidatedEpisode``
     too. Per reviewer, in order: write every period's pattern string from its
     stage ranks, count each object's run totals from a stage-rank histogram,
-    and score each distinct tuple of totals once (its slots, rank class,
+    and score each distinct tuple of totals once per report (its slots, rank class,
     zone, bar, and the bar's membership degree from the closed-form
     frequency table); then attach review verdicts and the
     overall-rationality record: the catalog size n, p and the realized
@@ -416,6 +415,8 @@ def build_report(
     rest of the batch.
     """
     params = ReportParameters(membership_variant=membership_variant, d0_zone=d0_zone, p=p)
+    # One entry per distinct (totals, ns) key of this input, freed with the report.
+    score = functools.cache(functools.partial(_score_totals, variant=params.membership_variant, d0_zone=params.d0_zone))
 
     groups: dict[str, list[ValidatedEpisode]] = {}
     errors: list[ReportError] = []
@@ -447,7 +448,7 @@ def build_report(
         review_for = {
             obj: pending.pop((reviewer_id, obj)) for obj in catalog if (reviewer_id, obj) in pending
         }
-        sections.append(_assess_reviewer(reviewer_id, eps, catalog, review_for, params))
+        sections.append(_assess_reviewer(reviewer_id, eps, catalog, review_for, score, params.p))
 
     sectioned = {s.reviewer_id for s in sections}
     for (reviewer_id, obj), review in pending.items():

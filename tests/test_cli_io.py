@@ -515,6 +515,16 @@ def test_main_directory_as_input_is_one_line_error(fixtures_dir, tmp_path, capsy
     assert err == f"error: {tmp_path}: Is a directory\n"
 
 
+def test_main_out_of_memory_is_one_line_error(fixtures_dir, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_io, "build_report", exhausted)
+    code = main(["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS)])
+    assert code == EXIT_FATAL
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 def test_main_non_utf8_input_names_the_file(fixtures_dir, tmp_path, capsys):
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b'{"reviewer_id": "r\xff"}\n')

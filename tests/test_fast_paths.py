@@ -4,13 +4,16 @@ The oracles are the constructs as the paper states them: the stop/run
 scanner over flattened 0/1 matrices, the enumerated two-period bar table,
 and exact prefix sums of the binomial pmf. One property holds whole reports
 against the reference pipeline in `reference_report.py`; the last ones hold
-the per-tuple score cache against the uncached derivation.
+the per-report score memo against the uncached derivation.
 """
 
 import itertools
 import json
+import math
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +24,7 @@ from choicetrust import (
     Review,
     RunCount,
     ShapeError,
-    bar_degrees,
+    bar_degree,
     bar_frequency,
     bin_table,
     binomial_rationality,
@@ -50,6 +53,7 @@ from choicetrust.cli_io import (
 )
 
 from helpers import episode
+from choicetrust import trust_scoring
 from choicetrust.trust_scoring import _NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE, _NOTE_SMALL_CATALOG, _score_totals
 from reference_report import reference_distribution, reference_output, reference_overall, reference_report
 from reference_report import report_to_dict as reference_report_to_dict
@@ -126,9 +130,8 @@ def test_bar_frequencies_and_degrees_equal_enumerated_table():
             ]
             assert (table.min_frequency, table.max_frequency) == (1, min(a, b))
             for variant in ("minmax", "smoothed"):
-                assert dict(bar_degrees((a, b), variant)) == {
-                    bar.difference: membership(bar.difference, table, variant) for bar in table.bins
-                }
+                for bar in table.bins:
+                    assert bar_degree((a, b), bar.difference, variant) == membership(bar.difference, table, variant)
 
 
 @settings(deadline=None)
@@ -141,8 +144,6 @@ def test_cached_cdf_equals_exact_prefix_sums(n, p):
         assert overall.at_most(r) == prefix
         assert overall.at_least(r) == sum(terms[max(r, 0) :], Fraction(0))
     assert overall == reference_overall(n, p, None)
-    # The report's rows come from one cache keyed by (n, p).
-    assert _distribution_cells(n, p) is _distribution_cells(n, p)
     rows = [dict(zip(("r", "probability", "at_most", "at_least"), cells)) for cells in _distribution_cells(n, p)]
     assert rows == reference_distribution(overall)
 
@@ -160,6 +161,17 @@ def test_distribution_cells_are_formatted_exact_terms_and_sums(n, p):
     # The section's "distribution" list sits four levels deep in the report.
     rows = [dict(zip(("r", "probability", "at_most", "at_least"), row)) for row in cells]
     assert _distribution_json(n, p) == json.dumps(rows, indent=2).replace("\n", "\n        ")
+
+
+def test_distribution_cells_hold_one_term_at_a_time():
+    # A numerator has up to n * 133 bits here (about 17 KB); lists of all n + 1 of them peaked at about 34 MB.
+    tracemalloc.start()
+    try:
+        _distribution_cells(1000, Fraction(1, 10**40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @settings(deadline=None)
@@ -194,13 +206,11 @@ def test_mutating_a_report_dict_leaves_later_reports_unchanged(canonical_episode
     report = build_report(canonical_episodes, canonical_reviews)
     before = report_to_json(report)
     (section,) = report.reviewers
-    fragment = _distribution_json(section.overall.n, section.overall.p)
     for doc in report_to_dict(report)["reviewers"]:
         doc["overall_rationality"]["distribution"].append({"r": 99})
         for row in doc["overall_rationality"]["distribution"]:
             row["probability"] = "mutated"
-    # The cached fragment is the one the next report is written from.
-    assert _distribution_json(section.overall.n, section.overall.p) is fragment
+    fragment = _distribution_json(section.overall.n, section.overall.p)
     assert '"mutated"' not in fragment and '"r": 99' not in fragment
     assert report_to_json(report) == before
 
@@ -344,24 +354,57 @@ def test_run_total_memo_equals_uncached_derivation(case, variant, d0_zone):
         assert (scored.zone, scored.bar, scored.degree, scored.notes) == (None, None, None, ())
         assert scored.counts_rational is False
         assert scored.conformant == (not slots[0].is_epsilon if len(totals) == 1 else None)
-    info = _score_totals.cache_info()
-    assert info.currsize <= info.maxsize
 
 
 @settings(max_examples=60, deadline=None)
-@given(batches(), st.sampled_from(["minmax", "smoothed"]), st.sampled_from(["rational", "irrational"]))
-def test_report_is_the_same_from_a_cold_and_a_warm_memo(batch, variant, d0_zone):
+@given(batches())
+def test_report_is_the_same_from_a_cold_and_a_warm_memo(batch):
     episodes, reviews = batch
-    _score_totals.cache_clear()
-    cold = build_report(episodes, reviews, membership_variant=variant, d0_zone=d0_zone)
-    warm = build_report(episodes, reviews, membership_variant=variant, d0_zone=d0_zone)
-    assert warm == cold
-    assert report_to_json(warm) == report_to_json(cold)
+    first = build_report(episodes, reviews)
+    other = build_report(episodes, reviews, membership_variant="smoothed", d0_zone="irrational")
+    report_to_json(other)
+    later = build_report(episodes, reviews)
+    assert later == first
+    assert report_to_json(later) == report_to_json(first)
 
 
-def test_run_total_memo_stays_within_its_bound():
-    maxsize = _score_totals.cache_info().maxsize
-    for total in range(maxsize + 10):
-        _score_totals((total,), None, "minmax", "rational")
-        assert _score_totals.cache_info().currsize <= maxsize
-    assert _score_totals.cache_info().currsize == maxsize
+def _score_keys(report):
+    """The (totals, ns) key of each assessment of `report`, read back from its records."""
+    keys = []
+    for section in report.reviewers:
+        sizes = tuple(math.isqrt(len(pattern)) for pattern in section.period_patterns)
+        ns = sizes if len(sizes) == 2 and min(sizes) >= 2 else None
+        for a in section.assessments:
+            slots = zip(a.pattern.slots, a.pattern.absent_flags)
+            keys.append((tuple(None if absent else slot.numeric for slot, absent in slots), ns))
+    return keys
+
+
+def _assert_each_key_is_scored_once_per_report(episodes, reviews):
+    calls = []
+
+    def counting(totals, ns, variant, d0_zone):
+        calls.append((totals, ns))
+        return _score_totals(totals, ns, variant, d0_zone)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trust_scoring, "_score_totals", counting)
+        report = build_report(episodes, reviews)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(_score_keys(report))
+        # The memo does not outlive its report: the next one scores every key again.
+        first = list(calls)
+        build_report(episodes, reviews)
+    assert calls == first + first
+
+
+def test_run_total_memo_scores_each_key_once_per_report(canonical_raw_episodes, canonical_reviews):
+    # A second reviewer with the same episodes repeats every key of the first.
+    twin = [ChoiceEpisode("rev-2", e.period, e.attainable, e.wishlist, e.cart, e.final) for e in canonical_raw_episodes]
+    _assert_each_key_is_scored_once_per_report([*canonical_raw_episodes, *twin], canonical_reviews)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches())
+def test_run_total_memo_scores_each_key_once_per_report_on_any_batch(batch):
+    _assert_each_key_is_scored_once_per_report(*batch)
