@@ -9,6 +9,7 @@ so identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -17,6 +18,7 @@ import json
 import os
 import re
 import reprlib
+import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +45,7 @@ from .trust_scoring import (
     ReportError,
     Review,
     ReviewerSection,
+    TrustAssessment,
     TrustReport,
     Zone,
     build_report,
@@ -379,29 +382,60 @@ _JSON_CONSTANT: dict[Any, str] = {None: "null", True: "true", False: "false"}
 _JSON_CONSTANT.update((m, _escape(m.value)) for e in (RankClass, Zone, NarrativeCode, Polarity) for m in e)
 
 
-def _section_json(section: ReviewerSection, distribution: Callable[[int, Fraction], str]) -> str:
-    """A reviewer section as an item of the report's "reviewers" list; `distribution` memoizes `_distribution_json`."""
-    periods = section.periods
-    assessments = []
-    for a in section.assessments:
-        review = a.review
-        absent = [str(period) for period, flag in zip(periods, a.pattern.absent_flags) if flag]
-        assessments.append(_ASSESSMENT_JSON % (
-            _escape(a.object),
+def _overall_json(n: int, p: Fraction) -> tuple[str, str]:
+    """The JSON texts of a section's "p" and "distribution"; the JSON renderer memoizes them per (n, p)."""
+    return _escape(_fmt8(p)), _distribution_json(n, p)
+
+
+def _assessment_json(a: TrustAssessment, periods: tuple[int, ...]) -> str:
+    """`_ASSESSMENT_JSON` filled with what `a`'s run-total key decides, with %s holes
+    left for the object, polarity_match, narrative, rating and comment_polarity."""
+    absent = [str(period) for period, flag in zip(periods, a.pattern.absent_flags) if flag]
+    pattern, absent, rank, bar, zone, degree, conformant, notes = (
+        text.replace("%", "%%")
+        for text in (
             _escape(a.pattern.render()),
             _json_list(absent, "\n          "),
             _JSON_CONSTANT[a.rank_class],
             "null" if a.bar is None else _escape(a.bar),
             _JSON_CONSTANT[a.zone],
             _escape(_fmt8(a.degree.value)) if a.degree else "null",
+            _JSON_CONSTANT[a.single_period_conformant],
+            _json_list(list(map(_escape, a.annotations)), "\n          "),
+        )
+    )
+    return _ASSESSMENT_JSON % ("%s", pattern, absent, rank, bar, zone, degree, "%s", "%s", conformant, "%s", "%s", notes)
+
+
+def _section_json(
+    section: ReviewerSection, overall_json: Callable[[int, Fraction], tuple[str, str]], fragments: dict
+) -> str:
+    """A reviewer section as an item of the report's "reviewers" list.
+
+    `overall_json` memoizes `_overall_json`, and `fragments` holds one render's
+    `_assessment_json` templates. A template is keyed on the identity of the
+    pattern and degree records it reads, which the report keeps alive for the
+    whole render, and on the value of every other field it reads.
+    """
+    periods = section.periods
+    assessments = []
+    for a in section.assessments:
+        key = (
+            id(a.pattern), id(a.degree), a.rank_class, a.bar, a.zone, a.single_period_conformant, a.annotations, periods
+        )
+        template = fragments.get(key)
+        if template is None:
+            template = fragments[key] = _assessment_json(a, periods)
+        review = a.review
+        assessments.append(template % (
+            _escape(a.object),
             _JSON_CONSTANT[a.polarity_match],
             _JSON_CONSTANT[a.narrative],
-            _JSON_CONSTANT[a.single_period_conformant],
             "null" if review is None else review.rating,
             "null" if review is None else _JSON_CONSTANT[review.comment_polarity],
-            _json_list(list(map(_escape, a.annotations)), "\n          "),
         ))
     overall = section.overall
+    p, distribution = overall_json(overall.n, overall.p)
     return _SECTION_JSON % (
         _escape(section.reviewer_id),
         _json_list(list(map(str, periods)), "\n      "),
@@ -410,9 +444,9 @@ def _section_json(section: ReviewerSection, distribution: Callable[[int, Fractio
         "null" if section.joint_pattern is None else _escape(section.joint_pattern),
         _json_list(assessments, "\n      "),
         overall.n,
-        _escape(_fmt8(overall.p)),
+        p,
         "null" if overall.realized_r is None else overall.realized_r,
-        distribution(overall.n, overall.p),
+        distribution,
     )
 
 
@@ -435,7 +469,7 @@ def _json_stream(report: TrustReport) -> Iterator[str]:
         ],
         "errors": [{"reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors],
     }
-    encode = functools.partial(_section_json, distribution=functools.cache(_distribution_json))
+    encode = functools.partial(_section_json, overall_json=functools.cache(_overall_json), fragments={})
     return _json_document(head, "reviewers", report.reviewers, tail, encode)
 
 
@@ -725,10 +759,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(chunks: Iterable[str], out: str | None) -> None:
-    """Write `chunks` in order to the file `out`, or to stdout, each as it comes."""
+    """Write `chunks` in order to the file `out`, or to stdout, each as it comes.
+
+    A regular file `out` that fails part way is removed, so no partial report
+    is left; a device, a FIFO or a symbolic link such as /dev/stdout is kept.
+    """
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        fh = open(out, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.writelines(chunks)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(out).st_mode):
+                    os.unlink(out)
+            raise
         return
     try:
         sys.stdout.writelines(chunks)

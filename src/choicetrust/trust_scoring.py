@@ -216,17 +216,18 @@ def match_review(review: Review, slots: Sequence[RunCount]) -> tuple[bool, Narra
     shows (complete rejection, continuity either way, sudden adoption, or
     steady).
     """
+    return _verdicts(slots)[review.comment_polarity]
+
+
+def _verdicts(slots: Sequence[RunCount]) -> dict[Polarity, tuple[bool, NarrativeCode]]:
+    """The verdict of :func:`match_review` for each polarity; scoring keeps one such table per run-total key."""
     z = zone(slots)
-    polarity = review.comment_polarity
-    if polarity is Polarity.POSITIVE:
-        matched = z in (Zone.RATIONAL, Zone.REFLEXIVE)
-    elif polarity is Polarity.NEGATIVE:
-        matched = z is Zone.IRRATIONAL
-    else:
-        return True, NarrativeCode.WEAK_MATCH
-    if not matched:
-        return False, NarrativeCode.DISPUTED
-    return True, _trajectory_code(slots)
+    matched, disputed = (True, _trajectory_code(slots)), (False, NarrativeCode.DISPUTED)
+    return {
+        Polarity.POSITIVE: disputed if z is Zone.IRRATIONAL else matched,
+        Polarity.NEGATIVE: matched if z is Zone.IRRATIONAL else disputed,
+        Polarity.NEUTRAL: (True, NarrativeCode.WEAK_MATCH),
+    }
 
 
 def _trajectory_code(slots: Sequence[RunCount]) -> NarrativeCode:
@@ -313,6 +314,7 @@ class _Scored(NamedTuple):
     notes: tuple[str, ...]
     counts_rational: bool
     conformant: bool | None
+    verdicts: Mapping[Polarity, tuple[bool, NarrativeCode]] | None  # two periods only
 
 
 def _score_totals(
@@ -323,12 +325,13 @@ def _score_totals(
     A stage rank is 0..3, so a period holds at most four distinct totals,
     and tuples repeat across objects and reviewers; :func:`build_report`
     memoizes this per report, so each is scored once per report and every
-    object with that tuple shares its run pattern. ``ns`` is the two
-    periods' catalog sizes, None when a period has fewer than two objects.
+    object with that tuple shares its run pattern and its verdict on each
+    review polarity. ``ns`` is the two periods' catalog sizes, None when a
+    period has fewer than two objects.
     """
     pattern = slot_rule(totals)
     slots = pattern.slots
-    obj_zone = bar = degree = conformant = None
+    obj_zone = bar = degree = conformant = verdicts = None
     notes: tuple[str, ...] = ()
     counts_rational = False
     if len(slots) == 2:
@@ -343,9 +346,10 @@ def _score_totals(
                 if ns == (4, 4):
                     notes += (_NOTE_REFERENCE_TABLE,)
         counts_rational = d > 0 or (d == 0 and d0_zone == "rational")
+        verdicts = _verdicts(slots)
     elif len(slots) == 1:
         conformant = not slots[0].is_epsilon
-    return _Scored(pattern, classify_rank(slots), obj_zone, bar, degree, notes, counts_rational, conformant)
+    return _Scored(pattern, classify_rank(slots), obj_zone, bar, degree, notes, counts_rational, conformant, verdicts)
 
 
 def _assess_reviewer(
@@ -354,7 +358,7 @@ def _assess_reviewer(
     catalog: tuple[str, ...],
     review_for: Mapping[str, Review],
     score: Callable[..., _Scored],
-    p: Fraction,
+    overall: Callable[..., OverallRationality],
 ) -> ReviewerSection:
     period_patterns = tuple(period_string(ep) for ep in episodes)
     homogeneous = all(ep.attainable == episodes[0].attainable for ep in episodes)
@@ -374,7 +378,7 @@ def _assess_reviewer(
         review = review_for.get(obj)
         matched = narrative = None
         if two_period and review is not None:
-            matched, narrative = match_review(review, scored.pattern.slots)
+            matched, narrative = scored.verdicts[review.comment_polarity]
         # Positional, in slot order: the record's fastest constructor call.
         assessments.append(
             TrustAssessment(
@@ -383,12 +387,9 @@ def _assess_reviewer(
             )
         )
 
-    overall = OverallRationality.from_parameters(
-        n=len(catalog), p=p, realized_r=rational_count if two_period else None
-    )
     return ReviewerSection(
         reviewer_id, tuple(ep.period for ep in episodes), catalog, period_patterns, joint,
-        tuple(assessments), overall,
+        tuple(assessments), overall(len(catalog), rational_count if two_period else None),
     )
 
 
@@ -406,10 +407,11 @@ def build_report(
     too. Per reviewer, in order: write every period's pattern string from its
     stage ranks, count each object's run totals from a stage-rank histogram,
     and score each distinct tuple of totals once per report (its slots, rank class,
-    zone, bar, and the bar's membership degree from the closed-form
-    frequency table); then attach review verdicts and the
-    overall-rationality record: the catalog size n, p and the realized
-    rational count, from which the binomial distribution follows. No
+    zone, bar, the bar's membership degree from the closed-form frequency
+    table, and the verdict on each review polarity); then look up review
+    verdicts and attach the overall-rationality record: the catalog size n,
+    p and the realized rational count, from which the binomial distribution
+    follows, built once per report for each distinct (n, count). No
     preference matrix or pattern vector is built.
     Record-level problems are collected and reported, never fatal for the
     rest of the batch.
@@ -417,6 +419,8 @@ def build_report(
     params = ReportParameters(membership_variant=membership_variant, d0_zone=d0_zone, p=p)
     # One entry per distinct (totals, ns) key of this input, freed with the report.
     score = functools.cache(functools.partial(_score_totals, variant=params.membership_variant, d0_zone=params.d0_zone))
+    # One record per distinct (n, realized_r), likewise; p was checked once, above.
+    overall = functools.cache(lambda n, realized_r: OverallRationality.from_parameters(n, params.p, realized_r))
 
     groups: dict[str, list[ValidatedEpisode]] = {}
     errors: list[ReportError] = []
@@ -448,7 +452,7 @@ def build_report(
         review_for = {
             obj: pending.pop((reviewer_id, obj)) for obj in catalog if (reviewer_id, obj) in pending
         }
-        sections.append(_assess_reviewer(reviewer_id, eps, catalog, review_for, score, params.p))
+        sections.append(_assess_reviewer(reviewer_id, eps, catalog, review_for, score, overall))
 
     sectioned = {s.reviewer_id for s in sections}
     for (reviewer_id, obj), review in pending.items():

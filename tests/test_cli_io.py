@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1073,3 +1074,37 @@ def test_a_fatal_score_leaves_out_as_it_was(fixtures_dir, tmp_path, capsys, faul
     assert main(["score", str(episodes), str(reviews), "--out", str(out)]) == EXIT_FATAL
     assert out.read_bytes() == b"an earlier report\n"
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def _failing_mid_stream(fault):
+    """A json renderer that writes the report's head and first section, then raises `fault`."""
+
+    def render(report):
+        yield from itertools.islice(cli_io._json_stream(report), 2)
+        raise fault
+
+    return render
+
+
+@pytest.mark.parametrize(
+    "fault", [MemoryError(), OSError(28, "No space left on device"), DomainError("broken renderer")]
+)
+def test_a_score_that_fails_mid_stream_leaves_no_out_file(fixtures_dir, tmp_path, monkeypatch, capsys, fault):
+    monkeypatch.setitem(cli_io._REPORT_RENDERERS, "json", _failing_mid_stream(fault))
+    out = tmp_path / "report.json"
+    out.write_bytes(b"an earlier report\n")
+    assert main(["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(out)]) == EXIT_FATAL
+    assert not out.exists()
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_a_score_that_fails_mid_stream_keeps_a_device_out(fixtures_dir, monkeypatch, capsys):
+    removed = []
+    monkeypatch.setattr(os, "unlink", removed.append)
+    monkeypatch.setattr(os, "remove", removed.append)
+    monkeypatch.setitem(cli_io._REPORT_RENDERERS, "json", _failing_mid_stream(MemoryError()))
+    argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", os.devnull]
+    assert main(argv) == EXIT_FATAL
+    assert removed == []
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert capsys.readouterr() == ("", "error: out of memory\n")

@@ -20,10 +20,19 @@ from hypothesis import strategies as st
 from choicetrust import (
     EPSILON,
     ChoiceEpisode,
+    Degree,
+    NarrativeCode,
     OverallRationality,
+    Polarity,
+    ReportParameters,
     Review,
+    ReviewerSection,
     RunCount,
+    RunPattern,
     ShapeError,
+    TrustAssessment,
+    TrustReport,
+    Zone,
     bar_degree,
     bar_frequency,
     bin_table,
@@ -33,6 +42,7 @@ from choicetrust import (
     concat_patterns,
     derive_matrix,
     flatten,
+    match_review,
     membership,
     omega,
     period_string,
@@ -316,6 +326,46 @@ def test_streamed_report_equals_its_document_where_a_list_is_empty(canonical_epi
         _assert_streamed_report_equals_its_document(report)
 
 
+def test_assessments_that_share_a_pattern_render_their_own_fields():
+    # One RunPattern object under two assessments whose bar, degree, zone and
+    # annotations differ, and under sections whose periods differ.
+    pattern = RunPattern((RunCount(2), EPSILON), (False, True))
+    rank = classify_rank(pattern.slots)
+    plain = TrustAssessment(
+        "a", pattern, rank, "-2", Zone.IRRATIONAL, Degree(Fraction(1, 3), False), None, None, None, None, ()
+    )
+    review = Review("r1", "b", 4, "positive")
+    odd = TrustAssessment(
+        "b", pattern, rank, "D", Zone.REFLEXIVE, Degree(Fraction(0), True), True, NarrativeCode.STEADY, None,
+        review, ("100% hand-written", "%s"),
+    )
+    sections = (
+        ReviewerSection("r1", (1, 2), ("a", "b"), ("0100", "0000"), None, (plain, odd), OverallRationality(2, "1/2", 1)),
+        ReviewerSection("r2", (3, 7), ("a",), ("0",), None, (plain,), OverallRationality(1, "1/2", 0)),
+    )
+    report = TrustReport(ReportParameters(), sections, (), ())
+    for fmt, render in _REPORT_RENDERERS.items():
+        assert "".join(render(report)) == reference_output(report, fmt)
+
+
+def test_a_json_render_renders_each_pattern_once_per_distinct_key(canonical_raw_episodes, canonical_reviews):
+    # A second reviewer with the same episodes repeats every key of the first.
+    twin = [ChoiceEpisode("rev-2", e.period, e.attainable, e.wishlist, e.cart, e.final) for e in canonical_raw_episodes]
+    report = build_report([*canonical_raw_episodes, *twin], canonical_reviews)
+    assessments = [(a, s.periods) for s in report.reviewers for a in s.assessments]
+    keys = {
+        (id(a.pattern), id(a.degree), a.rank_class, a.bar, a.zone, a.single_period_conformant, a.annotations, periods)
+        for a, periods in assessments
+    }
+    calls = []
+    render = RunPattern.render
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunPattern, "render", lambda pattern: calls.append(pattern) or render(pattern))
+        rendered = report_to_json(report)
+    assert len(calls) == len(keys) < len(assessments)
+    assert rendered == reference_output(report, "json")
+
+
 @st.composite
 def run_total_tuples(draw):
     """Per-period run totals of one object (None where absent) and its two-period catalog sizes."""
@@ -378,6 +428,38 @@ def _score_keys(report):
             slots = zip(a.pattern.slots, a.pattern.absent_flags)
             keys.append((tuple(None if absent else slot.numeric for slot, absent in slots), ns))
     return keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches(), st.sampled_from(["minmax", "smoothed"]), st.sampled_from(["rational", "irrational"]))
+def test_each_verdict_in_the_table_equals_match_review(batch, variant, d0_zone):
+    for totals, ns in set(_score_keys(build_report(*batch))):
+        scored = _score_totals(totals, ns, variant, d0_zone)
+        if len(totals) != 2:
+            assert scored.verdicts is None
+            continue
+        assert set(scored.verdicts) == set(Polarity)
+        slots = scored.pattern.slots
+        irrational = zone(slots) is Zone.IRRATIONAL
+        first, second = slots
+        d = signed_difference(slots)
+        trajectory = (
+            NarrativeCode.COMPLETE_REJECTION if second.is_epsilon and not first.is_epsilon
+            else NarrativeCode.SUDDEN_ADOPTION if first.is_epsilon and not second.is_epsilon
+            else NarrativeCode.CONTINUITY_DOWN if d < 0
+            else NarrativeCode.CONTINUITY_UP if d > 0
+            else NarrativeCode.STEADY
+        )
+        for polarity, (matched, narrative) in scored.verdicts.items():
+            # match_review reads the same table, so this equality pins only its
+            # public signature; the assertions after it check the rule itself.
+            assert (matched, narrative) == match_review(Review("r", "o", 3, polarity), slots)
+            if polarity is Polarity.NEUTRAL:
+                assert (matched, narrative) == (True, NarrativeCode.WEAK_MATCH)
+            elif irrational == (polarity is Polarity.NEGATIVE):
+                assert (matched, narrative) == (True, trajectory)
+            else:
+                assert (matched, narrative) == (False, NarrativeCode.DISPUTED)
 
 
 def _assert_each_key_is_scored_once_per_report(episodes, reviews):
