@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import itertools
@@ -27,17 +26,8 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from . import __version__
 from ._record import as_probability
 from .choice_model import ChoiceEpisode
-from .consistency import ChoiceFunctionTable, check_contraction, rationalizable
-from .errors import ChoiceTrustError, DomainError, GradeError
-from .info_index import IfsElement, IfsList, choose_from_list, entropy
-from .rationality_outcomes import (
-    MEMBERSHIP_VARIANTS,
-    RankClass,
-    bar_degree,
-    bar_frequency,
-    iter_tau,
-    signed_difference,
-)
+from .errors import ChoiceTrustError
+from .rationality_outcomes import MEMBERSHIP_VARIANTS, RankClass
 from .trust_scoring import (
     D0_ZONE_CHOICES,
     NarrativeCode,
@@ -57,9 +47,6 @@ EXIT_PARTIAL = 2
 
 # Output formats every command renders.
 FORMATS = ("json", "csv", "text")
-
-# Largest outcome set `tau` lists; it holds n**t patterns.
-MAX_TAU_ROWS = 10**6
 
 _TOOL = f"choicetrust {__version__}"
 
@@ -229,46 +216,6 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
     return reviews, problems
 
 
-def load_ifs_list(path: str | Path) -> IfsList:
-    doc = _shape(_decode(_read_text(path), path), list, path, "graded list")
-    elements: dict[str, IfsElement] = {}
-    for idx, record in enumerate(doc):
-        where = f"{path}: element #{idx}"
-        record = _shape(record, dict, where, "element")
-        oid = _field(record, "id", "id", where)
-        if oid in elements:
-            raise ParseError(where, f"id {oid!r} is already listed")
-        try:
-            elements[oid] = IfsElement(
-                id=oid,
-                mu=float(_field(record, "mu", "number", where)),
-                nu=float(_field(record, "nu", "number", where)),
-            )
-        except GradeError as exc:
-            raise ParseError(where, str(exc)) from None
-    return IfsList(elements=tuple(elements.values()))
-
-
-def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
-    doc = _shape(_decode(_read_text(path), path), dict, path, "choice table")
-    ground = _field(doc, "ground_set", "a list of id strings", path)
-    choices: dict[frozenset[str], str] = {}
-    for idx, record in enumerate(_field(doc, "choices", "a list", path)):
-        where = f"{path}: choice #{idx}"
-        record = _shape(record, dict, where, "choice")
-        ids = _field(record, "set", "a list of id strings", where)
-        key = frozenset(ids)
-        if len(key) != len(ids):
-            raise ParseError(where, f"'set' repeats an id: {reprlib.repr(ids)}")
-        if key in choices:
-            raise ParseError(where, f"'set' {reprlib.repr(ids)} is already listed")
-        choices[key] = _field(record, "choice", "id", where)
-    try:
-        return ChoiceFunctionTable(ground_set=ground, choices=choices)
-    except DomainError as exc:
-        raise ParseError(path, str(exc)) from None
-
-
 # ---------------------------------------------------------------------------
 # report rendering
 
@@ -317,6 +264,8 @@ def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[Sequence[Any]]]
 
     A row holds its cells in `fields` order; None is written as an empty cell.
     """
+    import csv  # here, so that a run that writes no CSV never loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
@@ -637,91 +586,6 @@ def _score(
     return _REPORT_RENDERERS[fmt](report), EXIT_PARTIAL if report.has_errors else EXIT_OK
 
 
-def tau_rows(n: int, t: int, membership_variant: str = "minmax") -> Iterator[dict]:
-    """The rows `tau n t` lists, as the outcome set is enumerated; `n`, `t` and the cap are checked at once."""
-    if t < 1:
-        raise DomainError(f"need at least one period, got t={t}")
-    if n < 2:
-        raise DomainError(f"need at least 2 objects per period, got {n}")
-    # n >= 2, so t >= bit_length(cap) already means n**t > cap; n**t is never built huge.
-    if t >= MAX_TAU_ROWS.bit_length() or n**t > MAX_TAU_ROWS:
-        raise DomainError(f"tau {n} {t} would list n**t > {MAX_TAU_ROWS} patterns")
-    patterns = iter_tau([n] * t)
-    if t != 2:
-        return ({"pattern": pat.render(), "rank_class": pat.rank_class.value} for pat in patterns)
-    ns = (n, n)
-    bars = {d: (bar_frequency(ns, d), _fmt8(bar_degree(ns, d, membership_variant).value)) for d in range(1 - n, n)}
-    return (
-        {"pattern": pat.render(), "rank_class": pat.rank_class.value, "bar": pat.bin,
-         "frequency": frequency, "membership": degree}
-        for pat in patterns
-        for frequency, degree in [bars[signed_difference(pat.slots)]]
-    )
-
-
-def cmd_tau(n: int, t: int, *, membership_variant: str = "minmax", fmt: str = "text") -> Iterator[str]:
-    """The listing of the outcome set in chunks, each rendered as its row is enumerated."""
-    rows = tau_rows(n, t, membership_variant)
-    fields = ["pattern", "rank_class", "bar", "frequency", "membership"][: 5 if t == 2 else 2]
-    if fmt == "json":
-        row_json = _json_template(" ".join(fields), "\n    ")
-        # Every value of a row is a string but the frequency, an int.
-        encode = lambda row: row_json % tuple(v if isinstance(v, int) else _escape(v) for v in row.values())
-        return _json_document({"n": n, "t": t}, "rows", rows, {}, encode)
-    if fmt == "csv":
-        return _csv_chunks(fields, ([_csv_row(row, fields)] for row in rows))
-    width = t * (len(str(n - 1)) + 1) + 3  # the widest pattern has all t slots at n - 1
-    bar = "bar={bar:<3} f={frequency:<3} degree={membership}" if t == 2 else ""
-    lines = (f"{r['pattern']:<{width}}{r['rank_class']:<12}{bar.format_map(r)}\n" for r in rows)
-    return itertools.chain([f"rationality outcome set: n={n} t={t} size={n**t}\n"], lines)
-
-
-def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
-    lst = load_ifs_list(list_path)
-    if not lst.elements:
-        raise ParseError(list_path, "graded list is empty")
-    chosen = choose_from_list(lst)
-    rows = [
-        {"id": e.id, "mu": e.mu, "nu": e.nu, "H": _fmt8(entropy(e)), "chosen": e is chosen}
-        for e in lst.elements
-    ]
-    if fmt == "json":
-        return "".join(_json_document({"chosen": chosen.id}, "elements", rows, {}))
-    if fmt == "csv":
-        fields = ["id", "mu", "nu", "H", "chosen"]
-        return "".join(_csv_chunks(fields, [[_csv_row(row, fields) for row in rows]]))
-    lines = [f"{r['id']:<11} mu={r['mu']:<7} nu={r['nu']:<7} H={r['H']}" for r in rows]
-    lines.append(f"chosen: {chosen.id}")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_check(table_path: str | Path, *, fmt: str = "text") -> str:
-    table = load_choice_table(table_path)
-    result = check_contraction(table)
-    order = rationalizable(table)
-    ranking = " > ".join(order) if order else "none"
-    violations = [
-        {"small": v.small, "large": v.large, "chosen_large": v.chosen_large, "chosen_small": v.chosen_small}
-        for v in result.violations
-    ]
-    if fmt == "json":
-        tail = {"rationalizing_order": list(order) if order else None}
-        return "".join(_json_document({"contraction_consistent": result.consistent}, "violations", violations, tail))
-    if fmt == "csv":
-        rows = [{"record": "verdict", "consistent": result.consistent, "order": ranking}]
-        rows += (
-            {**v, "record": "violation", "small": " ".join(v["small"]), "large": " ".join(v["large"])}
-            for v in violations
-        )
-        fields = ["record", "consistent", "small", "large", "chosen_large", "chosen_small", "order"]
-        return "".join(_csv_chunks(fields, [[_csv_row(row, fields) for row in rows]]))
-    lines = [f"contraction: {'consistent' if result.consistent else 'VIOLATIONS'}"]
-    for v in result.violations:
-        lines.append("  " + v.describe())
-    lines.append("rationalizing order: " + ranking)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -794,12 +658,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "score":
             p = as_probability(args.p, "--p")
             chunks, code = _score(args.episodes, args.reviews, args.membership, args.d0_zone, p, args.format)
-        elif args.command == "tau":
-            chunks = cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format)
-        elif args.command == "info-index":
-            chunks = [cmd_info_index(args.list, fmt=args.format)]
         else:
-            chunks = [cmd_check(args.table, fmt=args.format)]
+            # The other commands live apart, so that `score` never imports them.
+            from .cli_commands import cmd_check, cmd_info_index, cmd_tau
+
+            if args.command == "tau":
+                chunks = cmd_tau(args.n, args.t, membership_variant=args.membership, fmt=args.format)
+            elif args.command == "info-index":
+                chunks = [cmd_info_index(args.list, fmt=args.format)]
+            else:
+                chunks = [cmd_check(args.table, fmt=args.format)]
         _write(chunks, args.out)
         return code
     except OSError as exc:

@@ -1,6 +1,11 @@
+import sys
 from pathlib import Path
 
 import pytest
+
+# Set before the package is first imported: no test run leaves bytecode beside
+# its sources (child interpreters take the same rule from helpers.child_env).
+sys.dont_write_bytecode = True
 
 from choicetrust import ChoiceEpisode, Review, validate_episode
 

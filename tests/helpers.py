@@ -1,8 +1,20 @@
-"""Shared constructors for episodes and matrices used across the test suite."""
+"""Shared constructors for episodes and matrices, and the environment of child interpreters, used across the test suite."""
 
 import random
+from pathlib import Path
 
+import choicetrust
 from choicetrust import ChoiceEpisode, PreferenceMatrix, ValidatedEpisode, validate_episode
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """The whole environment of a child interpreter that imports the package under test.
+
+    The child writes no bytecode, so that no test leaves `.pyc` files beside the
+    sources, where they would speed up every later run from the same tree.
+    """
+    src = Path(choicetrust.__file__).parents[1]
+    return {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", **extra}
 
 
 def episode(reviewer, period, attainable, wishlist, cart, final) -> ValidatedEpisode:

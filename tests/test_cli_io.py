@@ -20,24 +20,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import choicetrust
-from choicetrust import ChoiceEpisode, DomainError, IfsElement, IfsList, Polarity, Review, cli_io, iter_tau
+from choicetrust import ChoiceEpisode, DomainError, IfsElement, IfsList, Polarity, Review, cli_commands, cli_io, iter_tau
+from choicetrust.cli_commands import cmd_check, cmd_info_index, cmd_tau, load_choice_table, load_ifs_list, tau_rows
 from choicetrust.cli_io import (
     EXIT_FATAL,
     EXIT_OK,
     EXIT_PARTIAL,
     FORMATS,
     ParseError,
-    cmd_check,
-    cmd_info_index,
     cmd_score,
-    cmd_tau,
-    load_choice_table,
     load_episodes,
-    load_ifs_list,
     load_reviews,
     main,
-    tau_rows,
 )
+from helpers import child_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EPISODES = "episodes_canonical.jsonl"
@@ -352,7 +348,7 @@ def test_partial_report_output_is_unchanged(capsys, fmt, digest):
 
 
 def test_tau_refuses_outcome_sets_above_the_cap(monkeypatch, capsys):
-    monkeypatch.setattr(cli_io, "MAX_TAU_ROWS", 16)
+    monkeypatch.setattr(cli_commands, "MAX_TAU_ROWS", 16)
     assert len(list(tau_rows(4, 2))) == 16
     for n, t in ((17, 1), (2, 5)):
         with pytest.raises(DomainError):
@@ -374,7 +370,7 @@ def test_tau_enumerates_only_the_patterns_it_has_written(monkeypatch, fmt):
             enumerated.append(pattern)
             yield pattern
 
-    monkeypatch.setattr(cli_io, "iter_tau", counting_iter_tau)
+    monkeypatch.setattr(cli_commands, "iter_tau", counting_iter_tau)
     chunks = cmd_tau(1000, 2, fmt=fmt)
     first = list(itertools.islice(chunks, 3))
     assert len(first) == 3 and len(enumerated) <= 5
@@ -694,12 +690,11 @@ def test_score_is_byte_identical_across_hash_seeds(tmp_path):
     episodes.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     reviews_path = tmp_path / "reviews.json"
     reviews_path.write_text(json.dumps(reviews), encoding="utf-8")
-    src = Path(choicetrust.__file__).parents[1]
     outputs = [
         subprocess.run(
             [sys.executable, "-c", _SCORE_EVERY_FORMAT, "score", str(episodes), str(reviews_path)],
             capture_output=True,
-            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            env=child_env(PYTHONHASHSEED=seed),
             timeout=60,
         )
         for seed in ("0", "1")
@@ -722,12 +717,11 @@ def test_score_is_byte_identical_across_hash_seeds(tmp_path):
     ],
 )
 def test_every_command_is_byte_identical_across_hash_seeds(argv, code):
-    src = Path(choicetrust.__file__).parents[1]
     outputs = [
         subprocess.run(
             [sys.executable, "-c", _SCORE_EVERY_FORMAT, *argv],
             capture_output=True,
-            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            env=child_env(PYTHONHASHSEED=seed),
             timeout=60,
         )
         for seed in ("0", "1")
@@ -986,12 +980,11 @@ raise SystemExit(code)
 def test_score_runs_without_numpy(fixtures_dir, tmp_path):
     out = tmp_path / "report.json"
     argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(out)]
-    src = Path(choicetrust.__file__).parents[1]
     child = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY, *argv],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(src)},
+        env=child_env(),
         timeout=60,
     )
     assert (child.returncode, child.stderr) == (EXIT_OK, "")
@@ -1025,9 +1018,7 @@ def test_a_closed_stdout_is_a_one_line_error(fixtures_dir, tmp_path, command, un
         argv = ["score", *map(str, _many_reviewers(tmp_path, 400))]
     else:
         argv = ["tau", "4", "2"]
-    env = {"PYTHONPATH": str(Path(choicetrust.__file__).parents[1])}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = child_env(PYTHONUNBUFFERED="1") if unbuffered else child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -1053,12 +1044,31 @@ def test_score_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, fmt):
     child = subprocess.run(
         [sys.executable, "-m", "choicetrust.cli_io", *argv],
         capture_output=True,
-        env={"PYTHONPATH": str(Path(choicetrust.__file__).parents[1])},
+        env=child_env(),
         timeout=60,
     )
     assert (child.returncode, child.stderr) == (EXIT_PARTIAL, b"")
     assert child.stdout == out.read_bytes()
     assert b"r39" in child.stdout and b"zz" in child.stdout  # the last section and the tail
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "argv",
+    [["tau", "4", "2"], ["tau", "3", "3"], ["info-index", _IFS], ["check", _VIOLATING], ["info-index", "empty.json"]],
+)
+def test_the_other_commands_run_alike_under_python_m(tmp_path, monkeypatch, capsys, argv, fmt):
+    # Under -m, cli_commands imports a second copy of cli_io, with its own ParseError.
+    monkeypatch.chdir(tmp_path)
+    Path("empty.json").write_text("[]", encoding="utf-8")
+    argv = [*argv, "--format", fmt]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    child = subprocess.run(
+        [sys.executable, "-m", "choicetrust.cli_io", *argv], capture_output=True, env=child_env(), timeout=60
+    )
+    assert (child.returncode, child.stdout.decode("utf-8"), child.stderr.decode("utf-8")) == (code, out, err)
+    assert code == (EXIT_FATAL if "empty.json" in argv else EXIT_OK)
 
 
 @pytest.mark.parametrize("fault", ["no reviewer could be scored", "missing reviews file"])

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import child_env
+
 ROOT = Path(__file__).parents[1]
 
 
@@ -28,7 +30,7 @@ def test_demo_output_is_unchanged(demo, digest):
     child = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         capture_output=True,
-        env={"PYTHONPATH": str(ROOT / "src")},
+        env=child_env(),
         timeout=60,
     )
     assert child.returncode == 0, child.stderr.decode("utf-8")

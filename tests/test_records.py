@@ -10,7 +10,6 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -60,6 +59,7 @@ from choicetrust import (
     validate_episode,
 )
 from choicetrust._record import Record, as_int, as_probability
+from helpers import child_env
 
 RECORD_TYPES = [
     obj
@@ -231,21 +231,29 @@ def test_integer_fields_are_never_truncated(build, read):
         assert field == 4 and type(field) is int
 
 
+# Modules that importing the CLI must not load: each costs start-up time on
+# every run of `score`, which uses none of them.
+_NOT_ON_THE_SCORE_PATH = (
+    "dataclasses",
+    "inspect",
+    "csv",
+    "choicetrust.cli_commands",
+    "choicetrust.consistency",
+    "choicetrust.info_index",
+)
 _IMPORTED = """
 import sys
 import choicetrust.cli_io
-print(" ".join(sorted({"dataclasses", "inspect"} & set(sys.modules))))
-"""
+print(" ".join(sorted(set(%r) & set(sys.modules))))
+""" % (_NOT_ON_THE_SCORE_PATH,)
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # Both cost start-up time on every run of the command.
-    src = Path(choicetrust.__file__).parents[1]
+def test_importing_the_cli_loads_only_what_score_runs():
     child = subprocess.run(
         [sys.executable, "-c", _IMPORTED],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(src)},
+        env=child_env(),
         timeout=60,
     )
     assert (child.returncode, child.stderr, child.stdout) == (0, "", "\n")
