@@ -31,6 +31,7 @@ from .rationality_outcomes import MEMBERSHIP_VARIANTS, RankClass
 from .trust_scoring import (
     D0_ZONE_CHOICES,
     NarrativeCode,
+    OverallRationality,
     Polarity,
     ReportError,
     Review,
@@ -288,21 +289,13 @@ def _csv_row(row: dict, fields: Sequence[str]) -> tuple:
 def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str], ...]:
     """(r, probability, at_most, at_least) of Binomial(n, p), formatted by `_fmt8`; each renderer memoizes it.
 
-    For p = a/b, the exact term ``binomial_rationality(n, r, p)`` is N_r / b**n with
-    N_r = C(n, r) a**r (b - a)**(n - r), so each cell divides an integer (N_r or a sum
-    of them) by b**n, which rounds exactly as ``_fmt8`` of the Fraction does. The exact
-    walk N_{r+1} = N_r (n - r) a / ((r + 1)(b - a)) holds one term and one running sum,
-    so memory is O(n digits(p)); at p = 1 (a = b) only N_n = b**n is nonzero.
+    Each cell divides integers of `OverallRationality.numerators` by b**n, which rounds as `_fmt8` of the Fraction.
     """
-    a, b = p.numerator, p.denominator
-    whole = b**n
-    step = lambda t, r: t * ((n - r) * a) // ((r + 1) * (b - a))
-    terms = [0] * n + [whole] if a == b else itertools.accumulate(range(n), step, initial=(b - a) ** n)
-    cells, below = [], 0
-    for r, term in enumerate(terms):
-        cells.append((r, _fmt8(term / whole), _fmt8((below + term) / whole), _fmt8((whole - below) / whole)))
-        below += term
-    return tuple(cells)
+    whole = p.denominator**n
+    return tuple(
+        (r, _fmt8(term / whole), _fmt8((below + term) / whole), _fmt8((whole - below) / whole))
+        for r, (term, below) in enumerate(OverallRationality(n, p).numerators())
+    )
 
 
 _DISTRIBUTION_ROW_JSON = _json_template("r probability at_most at_least", "\n          ")
@@ -683,4 +676,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # Under `python -m`, `cli_commands` imports its helpers from this module rather than compiling a second copy.
+    sys.modules.setdefault("choicetrust.cli_io", sys.modules[__name__])
     raise SystemExit(main())

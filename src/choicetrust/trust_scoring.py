@@ -12,10 +12,11 @@ up the trust report.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._record import Record, as_int, as_probability, quote, setfield
 from .choice_model import ChoiceEpisode, ValidatedEpisode, validate_episode
@@ -153,10 +154,10 @@ class OverallRationality(Record):
     """Binomial(n, p) of rational-zone counts, plus the realized count.
 
     The distribution is a function of ``(n, p)`` alone, so only those and the
-    realized count are stored; :meth:`prob`, :meth:`at_most` and
-    :meth:`at_least` sum exact :func:`binomial_rationality` terms on demand.
-    ``n`` is an integer >= 0 (never a bool), ``p`` lies in [0, 1], and
-    ``realized_r`` is None or an integer in 0..n.
+    realized count are stored; :meth:`prob` is the :func:`binomial_rationality`
+    term, and :meth:`at_most`, :meth:`at_least` and the report renderers read
+    the exact walk of :meth:`numerators`. ``n`` is an integer >= 0 (never a
+    bool), ``p`` lies in [0, 1], and ``realized_r`` is None or in 0..n.
     """
 
     __slots__ = ("n", "p", "realized_r")
@@ -183,11 +184,28 @@ class OverallRationality(Record):
     def prob(self, r: int) -> Fraction:
         return binomial_rationality(self.n, r, self.p)
 
+    def numerators(self) -> Iterator[tuple[int, int]]:
+        """``(N_r, N_0 + ... + N_(r-1))`` for r = 0..n, each over the one denominator ``b**n`` (p = a/b).
+
+        ``binomial_rationality(n, r, p)`` is N_r / b**n with N_r = C(n, r) a**r (b - a)**(n - r). The exact
+        walk N_(r+1) = N_r (n - r) a / ((r + 1)(b - a)) holds one term and one running sum, so memory is
+        O(n digits(p)) and no Fraction is built per term; at p = 1 (a = b) only N_n = b**n is nonzero.
+        """
+        n, a, b = self.n, self.p.numerator, self.p.denominator
+        step = lambda t, r: t * ((n - r) * a) // ((r + 1) * (b - a))
+        terms = [0] * n + [b**n] if a == b else itertools.accumulate(range(n), step, initial=(b - a) ** n)
+        below = 0
+        for term in terms:
+            yield term, below
+            below += term
+
     def at_most(self, r: int) -> Fraction:
-        return sum((self.prob(k) for k in range(min(r, self.n) + 1)), Fraction(0))
+        r = as_int(r, "r")
+        term, below = next(itertools.islice(self.numerators(), min(r, self.n), None)) if r >= 0 else (0, 0)
+        return Fraction(below + term, self.p.denominator**self.n)
 
     def at_least(self, r: int) -> Fraction:
-        return 1 - self.at_most(r - 1)
+        return 1 - self.at_most(as_int(r, "r") - 1)
 
 
 # Row r of a period's matrix maps each stage rank q to "1" when r > q, else "0".

@@ -12,8 +12,9 @@ term from `binomial_rationality`. Nothing here reads a stage-rank count, a
 closed form or a cache, so a report that `report_to_json` renders the same
 way from both pipelines shows the fast paths equal to the paper.
 `report_to_json` takes its distribution rows from a memo of
-`_distribution_cells` keyed by (n, p), so the distribution is compared with
-`reference_distribution` too.
+`_distribution_cells` keyed by (n, p), which formats the exact numerator
+walk of `OverallRationality.numerators`, so the distribution is compared
+with `reference_distribution` too.
 
 The report's document is built here the dict way too (`report_to_dict`,
 one dict per reviewer section), with the csv and text writers that read it:

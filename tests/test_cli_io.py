@@ -1058,7 +1058,6 @@ def test_score_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, fmt):
     [["tau", "4", "2"], ["tau", "3", "3"], ["info-index", _IFS], ["check", _VIOLATING], ["info-index", "empty.json"]],
 )
 def test_the_other_commands_run_alike_under_python_m(tmp_path, monkeypatch, capsys, argv, fmt):
-    # Under -m, cli_commands imports a second copy of cli_io, with its own ParseError.
     monkeypatch.chdir(tmp_path)
     Path("empty.json").write_text("[]", encoding="utf-8")
     argv = [*argv, "--format", fmt]
@@ -1069,6 +1068,19 @@ def test_the_other_commands_run_alike_under_python_m(tmp_path, monkeypatch, caps
     )
     assert (child.returncode, child.stdout.decode("utf-8"), child.stderr.decode("utf-8")) == (code, out, err)
     assert code == (EXIT_FATAL if "empty.json" in argv else EXIT_OK)
+
+
+def test_python_m_loads_cli_io_once():
+    # The running module stands in for `choicetrust.cli_io` when `cli_commands` imports its helpers.
+    child = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "choicetrust.cli_io", "tau", "4", "2"],
+        capture_output=True,
+        env=child_env(),
+        timeout=60,
+    )
+    imported = [line.rpartition("|")[2].strip() for line in child.stderr.decode("utf-8").splitlines()]
+    assert child.returncode == EXIT_OK and "choicetrust.cli_commands" in imported
+    assert "choicetrust.cli_io" not in imported
 
 
 @pytest.mark.parametrize("fault", ["no reviewer could be scored", "missing reviews file"])

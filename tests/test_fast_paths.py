@@ -145,8 +145,11 @@ def test_bar_frequencies_and_degrees_equal_enumerated_table():
 
 
 @settings(deadline=None)
+@example(300, Fraction(3, 10))
+@example(40, Fraction(0))
+@example(40, Fraction(1))
 @given(st.integers(0, 40), st.fractions(min_value=0, max_value=1, max_denominator=50))
-def test_cached_cdf_equals_exact_prefix_sums(n, p):
+def test_cdf_equals_exact_prefix_sums(n, p):
     overall = OverallRationality.from_parameters(n, p)
     terms = [binomial_rationality(n, r, p) for r in range(n + 1)]
     for r in range(-1, n + 2):
@@ -171,6 +174,23 @@ def test_distribution_cells_are_formatted_exact_terms_and_sums(n, p):
     # The section's "distribution" list sits four levels deep in the report.
     rows = [dict(zip(("r", "probability", "at_most", "at_least"), row)) for row in cells]
     assert _distribution_json(n, p) == json.dumps(rows, indent=2).replace("\n", "\n        ")
+
+
+def test_one_numerator_walk_serves_the_cdf_and_the_rows(monkeypatch):
+    # `prob` is the one reader of the paper term; the CDF and the rows walk `OverallRationality.numerators`.
+    n, p = 300, Fraction(3, 10)
+    terms = [binomial_rationality(n, r, p) for r in range(n + 1)]
+    below = list(itertools.accumulate(terms, initial=Fraction(0)))
+    cells = tuple((r, _fmt8(terms[r]), _fmt8(below[r + 1]), _fmt8(1 - below[r])) for r in range(n + 1))
+
+    def refuse(*args):
+        raise AssertionError("binomial_rationality called")
+
+    monkeypatch.setattr(trust_scoring, "binomial_rationality", refuse)
+    overall = OverallRationality(n, p)
+    assert [overall.at_most(r) for r in range(-1, n + 2)] == [0, *below[1:], 1]
+    assert [overall.at_least(r) for r in range(-1, n + 2)] == [1, *(1 - b for b in below[:-1]), 0]
+    assert _distribution_cells(n, p) == cells
 
 
 def test_distribution_cells_hold_one_term_at_a_time():

@@ -81,6 +81,10 @@ def test_overall_rationality_cumulative_queries():
     assert overall.at_most(1) == Fraction(5, 16)
     assert overall.at_least(1) == Fraction(15, 16)
     assert overall.at_most(4) == 1 and overall.at_least(0) == 1
+    assert overall.at_most(-3) == 0 and overall.at_least(9) == 0 and overall.at_most(10**30) == 1
+    # An integral r of another type reads as that integer, as it does in `prob`.
+    assert overall.at_least(2.0) == overall.at_least(2) == Fraction(11, 16)
+    assert overall.at_most(Fraction(1)) == overall.at_most(1) and overall.prob(2.0) == overall.prob(2)
 
 
 def test_overall_rationality_rejects_a_negative_n():
@@ -171,6 +175,11 @@ _MALFORMED = {
     "bool-n": lambda: binomial_rationality(True, 1, "1/2"),
     "None-r": lambda: binomial_rationality(3, None, "1/2"),
     "float-r": lambda: binomial_rationality(3, 1.5, "1/2"),
+    "bool-r-at-most": lambda: OverallRationality(4, "1/2").at_most(True),
+    "float-r-at-most": lambda: OverallRationality(4, "1/2").at_most(1.5),
+    "bool-r-at-least": lambda: OverallRationality(4, "1/2").at_least(True),
+    "float-r-at-least": lambda: OverallRationality(4, "1/2").at_least(2.5),
+    "None-r-at-least": lambda: OverallRationality(4, "1/2").at_least(None),
 }
 
 
