@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import io
 import itertools
 import json
@@ -21,7 +22,7 @@ import stat
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__
 from ._record import as_probability
@@ -675,7 +676,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_FATAL
 
 
-if __name__ == "__main__":
+def entry() -> NoReturn:
+    """Run `main` as the process: the `choicetrust` script and `python -m choicetrust.cli_io`.
+
+    What is alive now (the interpreter, the stdlib, the package) lives until
+    exit, so it is frozen: the collector's sweeps during the run, and its full
+    collection at shutdown, then walk only what the run itself made. `main`
+    does not freeze, because tests and library callers run it in-process,
+    where a freeze would keep their own cycles from ever being collected.
+    """
     # Under `python -m`, `cli_commands` imports its helpers from this module rather than compiling a second copy.
     sys.modules.setdefault("choicetrust.cli_io", sys.modules[__name__])
+    gc.freeze()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -1068,6 +1069,53 @@ def test_the_other_commands_run_alike_under_python_m(tmp_path, monkeypatch, caps
     )
     assert (child.returncode, child.stdout.decode("utf-8"), child.stderr.decode("utf-8")) == (code, out, err)
     assert code == (EXIT_FATAL if "empty.json" in argv else EXIT_OK)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "episodes, reviews, code",
+    [(_E, _R, EXIT_OK), (str(FIXTURES / "episodes_invalid.jsonl"), _R, EXIT_PARTIAL), (_E, "missing.json", EXIT_FATAL)],
+)
+def test_score_runs_alike_under_python_m(tmp_path, monkeypatch, capsys, episodes, reviews, code, fmt):
+    monkeypatch.chdir(tmp_path)
+    argv = ["score", episodes, reviews, "--format", fmt]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    child = subprocess.run(
+        [sys.executable, "-m", "choicetrust.cli_io", *argv], capture_output=True, env=child_env(), timeout=60
+    )
+    assert (child.returncode, child.stdout.decode("utf-8"), child.stderr.decode("utf-8")) == (code, out, err)
+
+
+def test_entry_freezes_the_heap_once_then_exits_with_mains_code(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli_io, "main", lambda: calls.append("main") or EXIT_PARTIAL)
+    with pytest.raises(SystemExit) as exited:
+        cli_io.entry()
+    assert calls == ["freeze", "main"]
+    assert exited.value.code == EXIT_PARTIAL
+
+
+def test_main_in_process_freezes_nothing(fixtures_dir, tmp_path):
+    before = gc.get_freeze_count()
+    argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(tmp_path / "r.json")]
+    try:
+        assert main(argv) == EXIT_OK
+        assert gc.get_freeze_count() == before
+    finally:
+        if gc.get_freeze_count() != before:
+            gc.unfreeze()
+
+
+def test_importing_cli_io_freezes_nothing():
+    child = subprocess.run(
+        [sys.executable, "-c", "import gc, choicetrust.cli_io; print(gc.get_freeze_count())"],
+        capture_output=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (EXIT_OK, b"0\n", b"")
 
 
 def test_python_m_loads_cli_io_once():
