@@ -202,8 +202,13 @@ def attainable_set(
     )
 
 
-def validate_episode(episode: ChoiceEpisode) -> ValidatedEpisode:
-    """Certify the stage nesting of an episode and rank its objects (see :class:`ValidatedEpisode`)."""
+def validate_episode(episode: ChoiceEpisode | ValidatedEpisode) -> ValidatedEpisode:
+    """Certify the stage nesting of an episode and rank its objects (see :class:`ValidatedEpisode`).
+
+    A ``ValidatedEpisode`` is returned as it is: its constructor walked its stage sets, and it cannot change.
+    """
+    if isinstance(episode, ValidatedEpisode):
+        return episode
     return ValidatedEpisode(
         episode.reviewer_id, episode.period, episode.attainable, episode.wishlist, episode.cart, episode.final
     )

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__
 from ._record import as_probability
-from .choice_model import ChoiceEpisode
+from .choice_model import ValidatedEpisode
 from .errors import ChoiceTrustError
 from .rationality_outcomes import MEMBERSHIP_VARIANTS, RankClass
 from .trust_scoring import (
@@ -163,10 +163,14 @@ def _field(record: dict, key: str, kind: str, where: str | Path, default: Any = 
     return value
 
 
-def parse_episode_record(record: Any, path: str | Path = "<memory>", line: int | None = None) -> ChoiceEpisode:
+def parse_episode_record(record: Any, path: str | Path = "<memory>", line: int | None = None) -> ValidatedEpisode:
+    """One JSONL record as a :class:`ValidatedEpisode`, whose constructor walks its stage sets once.
+
+    A bad field is a ParseError naming `path` and `line`; a bad stage set, the constructor's ChoiceTrustError.
+    """
     where = path if line is None else f"{path}:{line}"
     record = _shape(record, dict, where, "episode record")
-    return ChoiceEpisode(
+    return ValidatedEpisode(
         reviewer_id=_field(record, "reviewer_id", "id", where),
         period=_field(record, "period", "int", where),
         attainable=_field(record, "catalog", "a list of id strings", where),
@@ -176,9 +180,9 @@ def parse_episode_record(record: Any, path: str | Path = "<memory>", line: int |
     )
 
 
-def load_episodes(path: str | Path) -> tuple[list[ChoiceEpisode], list[str]]:
-    """Read a JSONL episode file; malformed lines become diagnostics, not aborts."""
-    episodes: list[ChoiceEpisode] = []
+def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
+    """Read a JSONL episode file; malformed or invalid lines become `path:line` diagnostics, not aborts."""
+    episodes: list[ValidatedEpisode] = []
     problems: list[str] = []
     # Lines end at "\n" only: splitlines() would also split at a U+2028 inside a string.
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
@@ -554,21 +558,9 @@ def _score(
     if not episodes and not episode_problems:
         raise ParseError(episodes_path, "episode file contains no records")
     reviews, review_problems = load_reviews(reviews_path)
-    report = build_report(
-        episodes,
-        reviews,
-        membership_variant=membership_variant,
-        d0_zone=d0_zone,
-        p=p,
-    )
-    if episode_problems or review_problems:
-        extra = tuple(ReportError(reviewer_id=None, message=m) for m in episode_problems + review_problems)
-        report = TrustReport(
-            report.parameters,
-            report.reviewers,
-            report.flagged_reviews,
-            report.errors + extra,
-        )
+    report = build_report(episodes, reviews, membership_variant=membership_variant, d0_zone=d0_zone, p=p)
+    extra = tuple(ReportError(reviewer_id=None, message=m) for m in episode_problems + review_problems)
+    report = TrustReport(report.parameters, report.reviewers, report.flagged_reviews, report.errors + extra)
     if not report.reviewers:
         # Every episode is then in report.errors, as a parse or validation problem.
         count, first = len(report.errors), report.errors[0]

@@ -421,16 +421,17 @@ def build_report(
 ) -> TrustReport:
     """Run the full scoring pipeline over a batch of episodes and reviews.
 
-    Every episode is validated from its stage sets, a ``ValidatedEpisode``
-    too. Per reviewer, in order: write every period's pattern string from its
-    stage ranks, count each object's run totals from a stage-rank histogram,
-    and score each distinct tuple of totals once per report (its slots, rank class,
-    zone, bar, the bar's membership degree from the closed-form frequency
-    table, and the verdict on each review polarity); then look up review
-    verdicts and attach the overall-rationality record: the catalog size n,
-    p and the realized rational count, from which the binomial distribution
-    follows, built once per report for each distinct (n, count). No
-    preference matrix or pattern vector is built.
+    Each episode is validated once: a ``ChoiceEpisode`` here, a
+    ``ValidatedEpisode`` (which ``load_episodes`` returns) by its own
+    constructor. Per reviewer, in order: write every period's pattern string
+    from its stage ranks, count each object's run totals from a stage-rank
+    histogram, and score each distinct tuple of totals once per report (its
+    slots, rank class, zone, bar, the bar's membership degree from the
+    closed-form frequency table, and the verdict on each review polarity);
+    then look up review verdicts and attach the overall-rationality record:
+    the catalog size n, p and the realized rational count, from which the
+    binomial distribution follows, built once per report for each distinct
+    (n, count). No preference matrix or pattern vector is built.
     Record-level problems are collected and reported, never fatal for the
     rest of the batch.
     """

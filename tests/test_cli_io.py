@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import gc
 import hashlib
 import io
@@ -21,7 +22,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import choicetrust
-from choicetrust import ChoiceEpisode, DomainError, IfsElement, IfsList, Polarity, Review, cli_commands, cli_io, iter_tau
+from choicetrust import (
+    ChoiceEpisode,
+    DomainError,
+    IfsElement,
+    IfsList,
+    Polarity,
+    Review,
+    ValidatedEpisode,
+    cli_commands,
+    cli_io,
+    iter_tau,
+    validate_episode,
+)
 from choicetrust.cli_commands import cmd_check, cmd_info_index, cmd_tau, load_choice_table, load_ifs_list, tau_rows
 from choicetrust.cli_io import (
     EXIT_FATAL,
@@ -44,10 +57,29 @@ REVIEWS = "reviews_canonical.json"
 def test_episode_roundtrip(fixtures_dir):
     episodes, problems = load_episodes(fixtures_dir / EPISODES)
     assert problems == []
+    # Parsing certifies each episode: the loader returns its stage ranks too.
     assert episodes == [
-        ChoiceEpisode("rev-1", 1, ("M", "N", "V", "Z"), ("M", "N", "V"), ("M", "N"), ("M",)),
-        ChoiceEpisode("rev-1", 2, ("M", "N", "V", "Z"), ("Z", "V", "N"), ("Z", "V"), ("Z",)),
+        ValidatedEpisode("rev-1", 1, ("M", "N", "V", "Z"), ("M", "N", "V"), ("M", "N"), ("M",), (3, 2, 1, 0)),
+        ValidatedEpisode("rev-1", 2, ("M", "N", "V", "Z"), ("Z", "V", "N"), ("Z", "V"), ("Z",), (0, 1, 2, 3)),
     ]
+
+
+def test_score_builds_each_episode_once(fixtures_dir, monkeypatch, capsys):
+    # The parser certifies each line; build_report takes that record as it is.
+    calls = []
+    init = ChoiceEpisode.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChoiceEpisode, "__init__", counted)
+    assert main(["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS)]) == EXIT_OK
+    assert calls == [ValidatedEpisode] * len((fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines())
+    episodes, _ = load_episodes(fixtures_dir / EPISODES)
+    assert all(validate_episode(episode) is episode for episode in episodes)
+    raw = ChoiceEpisode(*(getattr(episodes[0], name) for name in ChoiceEpisode.__slots__))
+    assert validate_episode(raw) == episodes[0]
 
 
 def test_reviews_roundtrip(fixtures_dir):
@@ -93,8 +125,15 @@ def test_episode_parse_error_carries_line_number(tmp_path):
 def test_episode_problems_name_their_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     record = {"reviewer_id": "r", "period": 0, "catalog": ["M"], "wishlist": ["M"], "cart": ["M"], "final": ["M"]}
-    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    assert load_episodes(path) == ([], [f"{path}:1: period must be a positive integer, got 0"])
+    unnested = {**record, "period": 1, "cart": ["N"]}
+    path.write_text(json.dumps(record) + "\n" + json.dumps(unnested) + "\n", encoding="utf-8")
+    assert load_episodes(path) == (
+        [],
+        [
+            f"{path}:1: period must be a positive integer, got 0",
+            f"{path}:2: item 'N' appears in stage 'cart' but not in the enclosing stage",
+        ],
+    )
 
 
 def test_load_episodes_splits_lines_at_newlines_only(fixtures_dir, tmp_path):
@@ -331,18 +370,20 @@ def test_main_output_is_unchanged(capsys, argv, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
-# sha256 of a partial report (flagged reviews and an errors tail), taken
-# before score's reviewer sections were rendered from their records.
+# sha256 of a partial report (flagged reviews and an errors tail), run from
+# the tests directory so that the episode path in its error lines is relative.
 @pytest.mark.parametrize(
     "fmt, digest",
     [
-        ("json", "6943456eb997e9fcd830081c571ec4e0751cd8cf0c1eb5071b0491211d889227"),
-        ("csv", "5b1d5b097ac949f861d654cdbfcf20440a7af8bf243997383d6f1e7bd7572183"),
-        ("text", "dd75b302dfe7521d1e564dfec2a867bee87660acafac833fb46b2a9e348c2ee3"),
+        ("json", "973624649c3de69cfecb91bfe112a09807854cec455bb3641e46226f30f0fcce"),
+        ("csv", "408c57c38635eccef21b8d22f9b9a4ec2be560855befaf30441392ee3b8315db"),
+        ("text", "ef1bf88b13ea4269dd4aa325e8419c34468bdf9c2bf5d5c2d47c344e41fc98fc"),
     ],
 )
-def test_partial_report_output_is_unchanged(capsys, fmt, digest):
-    assert main(["score", str(FIXTURES / "episodes_invalid.jsonl"), _R, "--format", fmt]) == EXIT_PARTIAL
+def test_partial_report_output_is_unchanged(capsys, monkeypatch, fmt, digest):
+    monkeypatch.chdir(FIXTURES.parent)
+    argv = ["score", "fixtures/episodes_invalid.jsonl", "fixtures/reviews_canonical.json", "--format", fmt]
+    assert main(argv) == EXIT_PARTIAL
     out, err = capsys.readouterr()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
     assert err == ""
@@ -758,23 +799,31 @@ def test_score_names_a_non_object_review_once(fixtures_dir, tmp_path):
 
 
 def test_score_reports_each_invalid_episode_in_validation_order(fixtures_dir, tmp_path):
-    # One line per validation failure; where a stage has a repeat and an
-    # unknown id, the repeat is named, and a stage is checked before the next.
-    out = tmp_path / "report.txt"
-    argv = ["score", str(fixtures_dir / "episodes_invalid.jsonl"), str(fixtures_dir / REVIEWS)]
-    assert main([*argv, "--format", "text", "--out", str(out)]) == EXIT_PARTIAL
-    report = out.read_text(encoding="utf-8")
+    # One line per validation failure, named by its file and line in every
+    # format; where a stage has a repeat and an unknown id, the repeat is
+    # named, and a stage is checked before the next.
+    episodes = fixtures_dir / "episodes_invalid.jsonl"
+    messages = [
+        f"{episodes}:3: attainable set is empty",
+        f"{episodes}:4: item 'M' occurs twice in stage 'attainable'",
+        f"{episodes}:5: item 'N' occurs twice in stage 'wishlist'",
+        f"{episodes}:6: item 'V' appears in stage 'cart' but not in the enclosing stage",
+        f"{episodes}:7: item 'N' occurs twice in stage 'final'",
+        f"{episodes}:8: item 'N' appears in stage 'final' but not in the enclosing stage",
+        f"{episodes}:9: episode (reviewer 'empty-final', period 1) has an empty final set",
+    ]
+    argv = ["score", str(episodes), str(fixtures_dir / REVIEWS)]
+    out = {fmt: tmp_path / f"report.{fmt}" for fmt in FORMATS}
+    for fmt, path in out.items():
+        assert main([*argv, "--format", fmt, "--out", str(path)]) == EXIT_PARTIAL
+    report = out["text"].read_text(encoding="utf-8")
     assert "reviewer rev-1" in report
-    assert report[report.index("\nerrors:\n") :] == (
-        "\nerrors:\n"
-        "  [empty-catalog] attainable set is empty\n"
-        "  [catalog-repeat] item 'M' occurs twice in stage 'attainable'\n"
-        "  [wishlist-unknown-and-repeat] item 'N' occurs twice in stage 'wishlist'\n"
-        "  [cart-not-in-wishlist] item 'V' appears in stage 'cart' but not in the enclosing stage\n"
-        "  [final-repeat] item 'N' occurs twice in stage 'final'\n"
-        "  [final-not-in-cart] item 'N' appears in stage 'final' but not in the enclosing stage\n"
-        "  [empty-final] episode (reviewer 'empty-final', period 1) has an empty final set\n"
-    )
+    assert report[report.index("\nerrors:\n") :] == "\nerrors:\n" + "".join(f"  [-] {m}\n" for m in messages)
+    errors = json.loads(out["json"].read_text(encoding="utf-8"))["errors"]
+    assert errors == [{"reviewer_id": None, "message": m} for m in messages]
+    with out["csv"].open(encoding="utf-8", newline="") as f:
+        rows = [row for row in csv.DictReader(f) if row["record"] == "error"]
+    assert [(row["reviewer_id"], row["message"]) for row in rows] == [("", m) for m in messages]
 
 
 @pytest.mark.parametrize(
@@ -783,7 +832,7 @@ def test_score_reports_each_invalid_episode_in_validation_order(fixtures_dir, tm
         (["not json"], "1 problem; first: {path}:1: invalid JSON (Expecting value)"),
         (
             [json.dumps({"reviewer_id": "r", "period": 1, "catalog": ["a"], "wishlist": ["b"], "cart": [], "final": []})],
-            "1 problem; first: reviewer 'r': item 'b' appears in stage 'wishlist' but not in the enclosing stage",
+            "1 problem; first: {path}:1: item 'b' appears in stage 'wishlist' but not in the enclosing stage",
         ),
         (["[]", "not json"], "2 problems; first: {path}:1: episode record must be a JSON object"),
     ],
