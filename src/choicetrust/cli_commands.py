@@ -9,6 +9,7 @@ the same layout rules as `score`.
 from __future__ import annotations
 
 import itertools
+import json
 import reprlib
 from pathlib import Path
 from typing import Iterator
@@ -124,7 +125,7 @@ def cmd_info_index(list_path: str | Path, *, fmt: str = "text") -> str:
         for e in lst.elements
     ]
     if fmt == "json":
-        return "".join(_json_document({"chosen": chosen.id}, "elements", rows, {}))
+        return json.dumps({"chosen": chosen.id, "elements": rows}, indent=2) + "\n"
     if fmt == "csv":
         fields = ["id", "mu", "nu", "H", "chosen"]
         return "".join(_csv_chunks(fields, [[_csv_row(row, fields) for row in rows]]))
@@ -143,8 +144,8 @@ def cmd_check(table_path: str | Path, *, fmt: str = "text") -> str:
         for v in result.violations
     ]
     if fmt == "json":
-        tail = {"rationalizing_order": list(order) if order else None}
-        return "".join(_json_document({"contraction_consistent": result.consistent}, "violations", violations, tail))
+        doc = {"contraction_consistent": result.consistent, "violations": violations, "rationalizing_order": order}
+        return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
         rows = [{"record": "verdict", "consistent": result.consistent, "order": ranking}]
         rows += (

@@ -163,37 +163,35 @@ def _field(record: dict, key: str, kind: str, where: str | Path, default: Any = 
     return value
 
 
-def parse_episode_record(record: Any, path: str | Path = "<memory>", line: int | None = None) -> ValidatedEpisode:
-    """One JSONL record as a :class:`ValidatedEpisode`, whose constructor walks its stage sets once.
-
-    A bad field is a ParseError naming `path` and `line`; a bad stage set, the constructor's ChoiceTrustError.
-    """
-    where = path if line is None else f"{path}:{line}"
-    record = _shape(record, dict, where, "episode record")
-    return ValidatedEpisode(
-        reviewer_id=_field(record, "reviewer_id", "id", where),
-        period=_field(record, "period", "int", where),
-        attainable=_field(record, "catalog", "a list of id strings", where),
-        wishlist=_field(record, "wishlist", "a list of id strings", where),
-        cart=_field(record, "cart", "a list of id strings", where),
-        final=_field(record, "final", "a list of id strings", where),
-    )
-
-
 def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
-    """Read a JSONL episode file; malformed or invalid lines become `path:line` diagnostics, not aborts."""
+    """Read a JSONL episode file; malformed or invalid lines, and repeats of an accepted line's reviewer
+    and period, become `path:line` diagnostics, not aborts."""
     episodes: list[ValidatedEpisode] = []
     problems: list[str] = []
+    accepted: dict[tuple[str, int], int] = {}
     # Lines end at "\n" only: splitlines() would also split at a U+2028 inside a string.
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         if not raw.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
-            episodes.append(parse_episode_record(_decode(raw, path, lineno), path, lineno))
+            record = _shape(_decode(raw, path, lineno), dict, where, "episode record")
+            episode = ValidatedEpisode(
+                reviewer_id=_field(record, "reviewer_id", "id", where),
+                period=_field(record, "period", "int", where),
+                attainable=_field(record, "catalog", "a list of id strings", where),
+                wishlist=_field(record, "wishlist", "a list of id strings", where),
+                cart=_field(record, "cart", "a list of id strings", where),
+                final=_field(record, "final", "a list of id strings", where),
+            )
+            key = episode.reviewer_id, episode.period
+            if accepted.setdefault(key, lineno) != lineno:
+                raise ParseError(where, "reviewer %r already has period %d (line %d)" % (*key, accepted[key]))
+            episodes.append(episode)
         except ParseError as exc:
             problems.append(str(exc))
         except ChoiceTrustError as exc:
-            problems.append(f"{path}:{lineno}: {exc}")
+            problems.append(f"{where}: {exc}")
     return episodes, problems
 
 
@@ -243,14 +241,14 @@ def _json_template(keys: str, newline: str) -> str:
     return _json_list([f"{_escape(key)}: %s" for key in keys.split()], newline, "{}")
 
 
-def _json_document(head: dict, key: str, items: Iterable, tail: dict, encode: Callable | None = None) -> Iterator[str]:
+def _json_document(head: dict, key: str, items: Iterable, tail: dict, encode: Callable) -> Iterator[str]:
     """``json.dumps({**head, key: list(items), **tail}, indent=2) + "\\n"``
     in chunks: the head, then one chunk per item, then the tail.
 
-    `key` is in neither `head` nor `tail`, whose keys are strings. An item is
-    written by `encode`, which returns its JSON text as an item of the list,
-    or else by ``json.dumps``. Its ``ensure_ascii`` escapes every newline in a
-    string, so each raw newline in its text breaks a line of the layout, and
+    `key` is in neither `head` nor `tail`, whose keys are strings. `encode`
+    returns an item's JSON text as an item of the list; a head or tail field
+    is written by ``json.dumps``. Its ``ensure_ascii`` escapes every newline in
+    a string, so each raw newline in its text breaks a line of the layout, and
     replacing them re-indents a value to its depth.
     """
     head_fields, tail_fields = (
@@ -260,7 +258,7 @@ def _json_document(head: dict, key: str, items: Iterable, tail: dict, encode: Ca
     yield "{\n  " + "".join(field + ",\n  " for field in head_fields) + _escape(key) + ": ["
     lead, close = "\n    ", "]"
     for item in items:
-        yield lead + (encode(item) if encode else json.dumps(item, indent=2).replace("\n", "\n    "))
+        yield lead + encode(item)
         lead, close = ",\n    ", "\n  ]"
     yield close + "".join(",\n  " + field for field in tail_fields) + "\n}\n"
 
@@ -533,24 +531,10 @@ def report_to_dict(report: TrustReport) -> dict:
 # subcommands
 
 
-def cmd_score(
-    episodes_path: str | Path,
-    reviews_path: str | Path,
-    *,
-    membership_variant: str = "minmax",
-    d0_zone: str = "rational",
-    p: Fraction = Fraction(1, 2),
-    fmt: str = "json",
-) -> tuple[str, int]:
-    """Full pipeline on an episode file plus a reviews document."""
-    chunks, code = _score(episodes_path, reviews_path, membership_variant, d0_zone, p, fmt)
-    return "".join(chunks), code
-
-
 def _score(
     episodes_path: str | Path, reviews_path: str | Path, membership_variant: str, d0_zone: str, p: Fraction, fmt: str
 ) -> tuple[Iterator[str], int]:
-    """`cmd_score`'s report as its renderer's chunks, not yet rendered, and its exit code.
+    """The report of the episode and review files as its renderer's chunks, not yet rendered, and its exit code.
 
     A report without a reviewer section is a ParseError.
     """

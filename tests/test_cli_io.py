@@ -42,7 +42,6 @@ from choicetrust.cli_io import (
     EXIT_PARTIAL,
     FORMATS,
     ParseError,
-    cmd_score,
     load_episodes,
     load_reviews,
     main,
@@ -52,6 +51,12 @@ from helpers import child_env
 FIXTURES = Path(__file__).parent / "fixtures"
 EPISODES = "episodes_canonical.jsonl"
 REVIEWS = "reviews_canonical.json"
+
+
+def run_score(capsys, episodes, reviews, *options):
+    """`score` run through `main` on the two files: its stdout and exit code."""
+    code = main(["score", str(episodes), str(reviews), *options])
+    return capsys.readouterr().out, code
 
 
 def test_episode_roundtrip(fixtures_dir):
@@ -136,6 +141,49 @@ def test_episode_problems_name_their_line(tmp_path):
     )
 
 
+def _episode_line(period, **stages):
+    record = {"reviewer_id": "r", "period": period, "catalog": ["a", "b"], "wishlist": ["a"], "cart": ["a"],
+              "final": ["a"]}
+    return json.dumps({**record, **stages}) + "\n"
+
+
+def test_score_names_a_repeated_period_at_its_line(fixtures_dir, tmp_path, capsys):
+    # The second period-1 line is a problem at its own line, after the nesting problem of the line before it,
+    # and the reviewer is scored from the line that was accepted.
+    path = tmp_path / "dup.jsonl"
+    path.write_text(_episode_line(1) + _episode_line(1, wishlist=["c"]) + _episode_line(1), encoding="utf-8")
+    messages = [
+        f"{path}:2: item 'c' appears in stage 'wishlist' but not in the enclosing stage",
+        f"{path}:3: reviewer 'r' already has period 1 (line 1)",
+    ]
+    output, code = run_score(capsys, path, fixtures_dir / REVIEWS, "--format", "json")
+    assert code == EXIT_PARTIAL
+    doc = json.loads(output)
+    assert [(s["reviewer_id"], s["periods"]) for s in doc["reviewers"]] == [("r", [1])]
+    assert doc["errors"] == [{"reviewer_id": None, "message": m} for m in messages]
+    output, code = run_score(capsys, path, fixtures_dir / REVIEWS, "--format", "text")
+    assert code == EXIT_PARTIAL
+    assert output.endswith("\nerrors:\n" + "".join(f"  [-] {m}\n" for m in messages))
+
+
+def test_only_an_accepted_line_holds_its_period(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    # Line 1 is refused, so line 2 holds period 1, and line 4 repeats it with other stages.
+    lines = [
+        _episode_line(1, final=[]),
+        _episode_line(1),
+        _episode_line(2),
+        _episode_line(1, wishlist=["b"], cart=["b"], final=["b"]),
+    ]
+    path.write_text("".join(lines), encoding="utf-8")
+    episodes, problems = load_episodes(path)
+    assert [(e.period, e.final) for e in episodes] == [(1, ("a",)), (2, ("a",))]
+    assert problems == [
+        f"{path}:1: episode (reviewer 'r', period 1) has an empty final set",
+        f"{path}:4: reviewer 'r' already has period 1 (line 2)",
+    ]
+
+
 def test_load_episodes_splits_lines_at_newlines_only(fixtures_dir, tmp_path):
     # U+2028 is a line boundary to str.splitlines() but may stand raw inside a JSON string
     # (here a field the reader ignores: ids may not hold it).
@@ -150,13 +198,13 @@ def test_load_episodes_splits_lines_at_newlines_only(fixtures_dir, tmp_path):
     assert problems == [f"{path}:3: invalid JSON (Expecting value)"]
 
 
-def test_score_reports_an_overlong_integer_at_its_line(fixtures_dir, tmp_path):
+def test_score_reports_an_overlong_integer_at_its_line(fixtures_dir, tmp_path, capsys):
     path = tmp_path / "episodes.jsonl"
     path.write_text(
         (fixtures_dir / EPISODES).read_text(encoding="utf-8") + '{"period": ' + "1" * 5000 + "}\n",
         encoding="utf-8",
     )
-    output, code = cmd_score(path, fixtures_dir / REVIEWS)
+    output, code = run_score(capsys, path, fixtures_dir / REVIEWS)
     assert code == EXIT_PARTIAL
     assert [e["message"] for e in json.loads(output)["errors"]] == [
         f"{path}:3: invalid JSON (integer literal too long)"
@@ -176,10 +224,10 @@ def test_main_rejects_deeply_nested_json_in_one_line(fixtures_dir, tmp_path, cap
     assert capsys.readouterr().err == f"error: {deep}: invalid JSON (nested too deeply)\n"
 
 
-def test_score_keeps_scoring_past_a_deeply_nested_episode_line(fixtures_dir, tmp_path):
+def test_score_keeps_scoring_past_a_deeply_nested_episode_line(fixtures_dir, tmp_path, capsys):
     path = tmp_path / "episodes.jsonl"
     path.write_text((fixtures_dir / EPISODES).read_text(encoding="utf-8") + "[" * 200_000 + "\n", encoding="utf-8")
-    output, code = cmd_score(path, fixtures_dir / REVIEWS)
+    output, code = run_score(capsys, path, fixtures_dir / REVIEWS)
     assert code == EXIT_PARTIAL
     assert [e["message"] for e in json.loads(output)["errors"]] == [
         f"{path}:3: invalid JSON (nested too deeply)"
@@ -194,11 +242,11 @@ def test_a_byte_order_mark_is_invalid_json(fixtures_dir, tmp_path):
     assert problems == [f"{path}:1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"]
 
 
-def test_score_reports_an_episode_line_with_a_repeated_key(fixtures_dir, tmp_path):
+def test_score_reports_an_episode_line_with_a_repeated_key(fixtures_dir, tmp_path, capsys):
     first, second = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()
     path = tmp_path / "episodes.jsonl"
     path.write_text(first + "\n" + second[:-1] + ', "period": 1}\n', encoding="utf-8")
-    output, code = cmd_score(path, fixtures_dir / REVIEWS)
+    output, code = run_score(capsys, path, fixtures_dir / REVIEWS)
     assert code == EXIT_PARTIAL
     doc = json.loads(output)
     assert [e["message"] for e in doc["errors"]] == [f"{path}:2: invalid JSON (repeated key 'period')"]
@@ -226,8 +274,8 @@ def test_main_refuses_a_document_with_a_repeated_key(fixtures_dir, tmp_path, cap
     assert capsys.readouterr().err == f"error: {path}: invalid JSON (repeated key {key!r})\n"
 
 
-def test_cmd_score_canonical(fixtures_dir):
-    output, code = cmd_score(fixtures_dir / EPISODES, fixtures_dir / REVIEWS, fmt="json")
+def test_cmd_score_canonical(fixtures_dir, capsys):
+    output, code = run_score(capsys, fixtures_dir / EPISODES, fixtures_dir / REVIEWS, "--format", "json")
     assert code == EXIT_OK
     doc = json.loads(output)
     assert doc["tool"].startswith("choicetrust ")
@@ -242,36 +290,36 @@ def test_cmd_score_canonical(fixtures_dir):
     assert section["overall_rationality"]["realized_rational_count"] == 2
 
 
-def test_cmd_score_empty_episode_file(tmp_path, fixtures_dir):
+def test_cmd_score_empty_episode_file(tmp_path, fixtures_dir, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
-    with pytest.raises(ParseError):
-        cmd_score(empty, fixtures_dir / REVIEWS)
+    assert main(["score", str(empty), str(fixtures_dir / REVIEWS)]) == EXIT_FATAL
+    assert capsys.readouterr() == ("", f"error: {empty}: episode file contains no records\n")
 
 
-def test_cmd_score_unknown_object_flagged(tmp_path, fixtures_dir):
+def test_cmd_score_unknown_object_flagged(tmp_path, fixtures_dir, capsys):
     reviews = json.loads((fixtures_dir / REVIEWS).read_text())
     reviews.append({"reviewer_id": "rev-1", "object": "QQ", "rating": 4})
     path = tmp_path / "reviews.json"
     path.write_text(json.dumps(reviews), encoding="utf-8")
-    output, code = cmd_score(fixtures_dir / EPISODES, path, fmt="json")
+    output, code = run_score(capsys, fixtures_dir / EPISODES, path, "--format", "json")
     assert code == EXIT_PARTIAL
     doc = json.loads(output)
     assert doc["flagged_reviews"][0]["object"] == "QQ"
     assert len(doc["reviewers"][0]["assessments"]) == 4
 
 
-def test_cmd_score_formats_are_renderable(fixtures_dir):
+def test_cmd_score_formats_are_renderable(fixtures_dir, capsys):
     for fmt in ("json", "csv", "text"):
-        output, code = cmd_score(fixtures_dir / EPISODES, fixtures_dir / REVIEWS, fmt=fmt)
+        output, code = run_score(capsys, fixtures_dir / EPISODES, fixtures_dir / REVIEWS, "--format", fmt)
         assert code == EXIT_OK and output
 
 
-def test_cmd_score_partial_on_malformed_episode_line(tmp_path, fixtures_dir):
+def test_cmd_score_partial_on_malformed_episode_line(tmp_path, fixtures_dir, capsys):
     good = (fixtures_dir / EPISODES).read_text()
     path = tmp_path / "episodes.jsonl"
     path.write_text(good + "this is not json\n", encoding="utf-8")
-    output, code = cmd_score(path, fixtures_dir / REVIEWS, fmt="json")
+    output, code = run_score(capsys, path, fixtures_dir / REVIEWS, "--format", "json")
     assert code == EXIT_PARTIAL
     doc = json.loads(output)
     assert len(doc["reviewers"]) == 1
@@ -308,6 +356,7 @@ def test_cmd_tau_rejects_bad_arguments():
 _E, _R = str(FIXTURES / EPISODES), str(FIXTURES / REVIEWS)
 _IFS = str(FIXTURES / "ifs_list.json")
 _CHAIN, _VIOLATING = str(FIXTURES / "choice_table_chain.json"), str(FIXTURES / "choice_table_violating.json")
+_ESC_IFS, _ESC_TABLE = str(FIXTURES / "ifs_list_escaped.json"), str(FIXTURES / "choice_table_escaped.json")
 
 
 @pytest.mark.parametrize(
@@ -345,6 +394,14 @@ _CHAIN, _VIOLATING = str(FIXTURES / "choice_table_chain.json"), str(FIXTURES / "
         (["check", _VIOLATING, "--format", "json"], "7a396d2960311d401277311f29faf8e5583dca3e8a6a373aea0e659c2da75906"),
         (["check", _VIOLATING, "--format", "csv"], "56c732ff11598777bbc50eaacda14556956c7378c884f0c36ebc36fac30e4e03"),
         (["check", _VIOLATING, "--format", "text"], "52f60b723c134f76ae9dc94db15571c36b908e06be5f38c2b375a27f7c05119a"),
+        # Ids and numbers that JSON escapes or spells out; taken while info-index and check wrote json through the
+        # streaming writer.
+        (["info-index", _ESC_IFS, "--format", "json"], "59d62515b3fa416204f35dbf80fc0e1bb306c88c70dab01718a64075febe4676"),
+        (["info-index", _ESC_IFS, "--format", "csv"], "49a77255ec7bfe82af940621fae4eb999cdae992005b4a2b8ea99fda9c50eaaa"),
+        (["info-index", _ESC_IFS, "--format", "text"], "8bfa9ec38c1aa3f9bf2bae15d703d24cef13ba9358058736d64dfec63acab2c3"),
+        (["check", _ESC_TABLE, "--format", "json"], "fa98089768cebf821e3bdc36a650b50197d493b2311c938ce48d5f44b2e6e786"),
+        (["check", _ESC_TABLE, "--format", "csv"], "f3c04c3fc118728538f645f44c6fb26c073b035493aae2002e8d6ad527f9b64b"),
+        (["check", _ESC_TABLE, "--format", "text"], "e362c92b303f824fca082addeb771881dbb82c96f045df286c49ae198373ea8f"),
         (["tau", "2", "1", "--format", "json"], "b8cc8787792a1dc559b5bbfb95ff742d5e1efe8493e5beb99652cf12974d6602"),
         (["tau", "2", "1", "--format", "csv"], "c534f35f26cccf6518f7ae2e4efade24420350d4b19072b28ec6a59b970b408a"),
         (["tau", "2", "1"], "4b6043ad329a81808eac76066bd6fc861dd9ca6768fc2c11b8754c440115ea15"),
@@ -476,13 +533,13 @@ def test_cmd_info_index_rejects_grades_beyond_float_range(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_text_columns_end_in_a_space(fixtures_dir, tmp_path):
+def test_text_columns_end_in_a_space(fixtures_dir, tmp_path, capsys):
     # Each value fills its column: a 10-character object id, a 5-character bar, a 12-character element id.
     episodes, reviews = tmp_path / "episodes.jsonl", tmp_path / "reviews.json"
     for path, fixture in ((episodes, EPISODES), (reviews, REVIEWS)):
         text = (fixtures_dir / fixture).read_text(encoding="utf-8")
         path.write_text(text.replace('"M"', '"B07XJ8C8F5"'), encoding="utf-8")
-    output, code = cmd_score(episodes, reviews, fmt="text")
+    output, code = run_score(capsys, episodes, reviews, "--format", "text")
     assert code == EXIT_OK
     row = "  B07XJ8C8F5 {3,\u03b5}       Decreasing  C    Irrational  0.00000000  yes    complete-rejection"
     assert f"\n{row}\n" in output
@@ -663,7 +720,7 @@ def test_check_messages_quote_ids_that_hold_a_comma(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ["\n", "\r", "\x00", "\x1e", "\x7f", "\x85", "\u2028", "\u2029", "\ud800"])
 @pytest.mark.parametrize("field", ["reviewer_id", "catalog"])
-def test_score_rejects_an_episode_id_that_breaks_a_line(fixtures_dir, tmp_path, field, bad):
+def test_score_rejects_an_episode_id_that_breaks_a_line(fixtures_dir, tmp_path, capsys, field, bad):
     first, second = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()
     record = json.loads(first)
     if field == "reviewer_id":
@@ -672,7 +729,7 @@ def test_score_rejects_an_episode_id_that_breaks_a_line(fixtures_dir, tmp_path, 
         record["catalog"].append(f"x{bad}y")
     path = tmp_path / "episodes.jsonl"
     path.write_text(json.dumps(record) + "\n" + second + "\n", encoding="utf-8")
-    output, code = cmd_score(path, fixtures_dir / REVIEWS, fmt="text")
+    output, code = run_score(capsys, path, fixtures_dir / REVIEWS, "--format", "text")
     assert code == EXIT_PARTIAL
     assert output.splitlines() == output.split("\n")[:-1]
     assert output.split("\n")[-2].startswith(f"  [-] {path}:1: field {field!r} must be ")
@@ -680,12 +737,12 @@ def test_score_rejects_an_episode_id_that_breaks_a_line(fixtures_dir, tmp_path, 
 
 
 @pytest.mark.parametrize("field", ["reviewer_id", "object"])
-def test_score_rejects_a_review_id_that_breaks_a_line(fixtures_dir, tmp_path, field):
+def test_score_rejects_a_review_id_that_breaks_a_line(fixtures_dir, tmp_path, capsys, field):
     records = json.loads((fixtures_dir / REVIEWS).read_text(encoding="utf-8"))
     records[0][field] += "\u2028"
     reviews = tmp_path / "reviews.json"
     reviews.write_text(json.dumps(records), encoding="utf-8")
-    output, code = cmd_score(fixtures_dir / EPISODES, reviews, fmt="text")
+    output, code = run_score(capsys, fixtures_dir / EPISODES, reviews, "--format", "text")
     assert code == EXIT_PARTIAL
     assert output.splitlines() == output.split("\n")[:-1]
     assert output.split("\n")[-2] == (
@@ -788,10 +845,10 @@ def test_score_rejects_non_string_comment_text(fixtures_dir, tmp_path, text):
     ]
 
 
-def test_score_names_a_non_object_review_once(fixtures_dir, tmp_path):
+def test_score_names_a_non_object_review_once(fixtures_dir, tmp_path, capsys):
     reviews = tmp_path / "reviews.json"
     reviews.write_text(json.dumps([7]), encoding="utf-8")
-    output, code = cmd_score(fixtures_dir / EPISODES, reviews)
+    output, code = run_score(capsys, fixtures_dir / EPISODES, reviews)
     assert code == EXIT_PARTIAL
     assert [e["message"] for e in json.loads(output)["errors"]] == [
         f"{reviews}: review #0: review must be a JSON object"
@@ -862,7 +919,9 @@ def test_score_reads_p_exactly(fixtures_dir, tmp_path, p):
     out = tmp_path / "report.json"
     argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--p", p, "--out", str(out)]
     assert main(argv) == EXIT_OK
-    expected, _ = cmd_score(fixtures_dir / EPISODES, fixtures_dir / REVIEWS, p=Fraction(p))
+    episodes, _ = load_episodes(fixtures_dir / EPISODES)
+    reviews, _ = load_reviews(fixtures_dir / REVIEWS)
+    expected = cli_io.report_to_json(choicetrust.build_report(episodes, reviews, p=Fraction(p)))
     assert out.read_text(encoding="utf-8") == expected
 
 
@@ -994,19 +1053,23 @@ _JSON_OBJECTS = st.dictionaries(_ANY_TEXT | st.sampled_from(list(Polarity)), _JS
 @example({}, "rows", [], {})
 @given(_JSON_OBJECTS, _ANY_TEXT, st.lists(_JSON_VALUES, max_size=5), _JSON_OBJECTS)
 def test_json_writer_equals_indented_json_dumps(head, key, items, tail):
+    # The writer lays out the text of one json.dumps call, as info-index and check write their documents.
     assume(key not in head and key not in tail and not head.keys() & tail.keys())
-    chunks = list(cli_io._json_document(head, key, iter(items), tail))
+    encode = lambda item: json.dumps(item, indent=2).replace("\n", "\n    ")  # an item at the list's depth
+    chunks = list(cli_io._json_document(head, key, iter(items), tail, encode))
     assert len(chunks) == len(items) + 2
     assert "".join(chunks) == json.dumps({**head, key: items, **tail}, indent=2, ensure_ascii=True) + "\n"
 
 
 def test_json_writer_refuses_what_json_dumps_refuses():
+    # Head and tail fields are written by json.dumps; items only by `encode`.
     for value in (object(), {"set": {1}}):
-        with pytest.raises(TypeError) as ours:
-            "".join(cli_io._json_document({}, "items", [value], {}))
-        with pytest.raises(TypeError) as stdlib:
-            json.dumps({"items": [value]}, indent=2)
-        assert str(ours.value) == str(stdlib.value)
+        for head, tail in (({"field": value}, {}), ({}, {"field": value})):
+            with pytest.raises(TypeError) as ours:
+                "".join(cli_io._json_document(head, "items", ["item"], tail, str))
+            with pytest.raises(TypeError) as stdlib:
+                json.dumps({**head, "items": ["item"], **tail}, indent=2)
+            assert str(ours.value) == str(stdlib.value)
 
 
 # Runs `main` with every import of numpy raising ImportError, then checks
@@ -1027,7 +1090,7 @@ raise SystemExit(code)
 """
 
 
-def test_score_runs_without_numpy(fixtures_dir, tmp_path):
+def test_score_runs_without_numpy(fixtures_dir, tmp_path, capsys):
     out = tmp_path / "report.json"
     argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(out)]
     child = subprocess.run(
@@ -1038,7 +1101,7 @@ def test_score_runs_without_numpy(fixtures_dir, tmp_path):
         timeout=60,
     )
     assert (child.returncode, child.stderr) == (EXIT_OK, "")
-    expected, _ = cmd_score(fixtures_dir / EPISODES, fixtures_dir / REVIEWS)
+    expected, _ = run_score(capsys, fixtures_dir / EPISODES, fixtures_dir / REVIEWS)
     assert out.read_text(encoding="utf-8") == expected
 
 
