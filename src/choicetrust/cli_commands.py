@@ -24,6 +24,7 @@ from .cli_io import (
     _fmt8,
     _json_document,
     _json_template,
+    _path_text,
     _read_text,
     _shape,
 )
@@ -37,10 +38,11 @@ MAX_TAU_ROWS = 10**6
 
 
 def load_ifs_list(path: str | Path) -> IfsList:
-    doc = _shape(_decode(_read_text(path), path), list, path, "graded list")
+    name = _path_text(path)
+    doc = _shape(_decode(_read_text(path), name), list, name, "graded list")
     elements: dict[str, IfsElement] = {}
     for idx, record in enumerate(doc):
-        where = f"{path}: element #{idx}"
+        where = f"{name}: element #{idx}"
         record = _shape(record, dict, where, "element")
         oid = _field(record, "id", "id", where)
         if oid in elements:
@@ -57,11 +59,12 @@ def load_ifs_list(path: str | Path) -> IfsList:
 
 
 def load_choice_table(path: str | Path) -> ChoiceFunctionTable:
-    doc = _shape(_decode(_read_text(path), path), dict, path, "choice table")
-    ground = _field(doc, "ground_set", "a list of id strings", path)
+    name = _path_text(path)
+    doc = _shape(_decode(_read_text(path), name), dict, name, "choice table")
+    ground = _field(doc, "ground_set", "a list of id strings", name)
     choices: dict[frozenset[str], str] = {}
-    for idx, record in enumerate(_field(doc, "choices", "a list", path)):
-        where = f"{path}: choice #{idx}"
+    for idx, record in enumerate(_field(doc, "choices", "a list", name)):
+        where = f"{name}: choice #{idx}"
         record = _shape(record, dict, where, "choice")
         ids = _field(record, "set", "a list of id strings", where)
         key = frozenset(ids)

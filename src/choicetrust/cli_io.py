@@ -28,7 +28,7 @@ from . import __version__
 from ._record import as_probability
 from .choice_model import ValidatedEpisode
 from .errors import ChoiceTrustError
-from .rationality_outcomes import MEMBERSHIP_VARIANTS, RankClass
+from .rationality_outcomes import MEMBERSHIP_VARIANTS
 from .trust_scoring import (
     D0_ZONE_CHOICES,
     NarrativeCode,
@@ -39,7 +39,6 @@ from .trust_scoring import (
     ReviewerSection,
     TrustAssessment,
     TrustReport,
-    Zone,
     build_report,
 )
 
@@ -54,10 +53,10 @@ _TOOL = f"choicetrust {__version__}"
 
 
 class ParseError(ChoiceTrustError):
-    """Malformed input; the message starts with where it sits."""
+    """Malformed input; the message starts with where it sits, its path written by `_path_text`."""
 
     def __init__(self, where: str | Path, message: str) -> None:
-        super().__init__(f"{where}: {message}")
+        super().__init__(f"{_path_text(where)}: {message}")
 
 
 def _fmt8(x: Fraction | float) -> str:
@@ -127,6 +126,11 @@ def _is_id(value: Any) -> bool:
     return isinstance(value, str) and _NOT_IN_ID.search(value) is None
 
 
+def _path_text(path: str | Path) -> str:
+    """`path` as a message names it: as it is, or as `ascii` writes it if it holds a character no id may hold."""
+    return str(path) if _is_id(str(path)) else ascii(str(path))
+
+
 def _is_id_list(value: Any) -> bool:
     # Its strings are all ids exactly when their concatenation is one.
     try:
@@ -169,13 +173,14 @@ def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
     episodes: list[ValidatedEpisode] = []
     problems: list[str] = []
     accepted: dict[tuple[str, int], int] = {}
+    name = _path_text(path)
     # Lines end at "\n" only: splitlines() would also split at a U+2028 inside a string.
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         if not raw.strip():
             continue
-        where = f"{path}:{lineno}"
+        where = f"{name}:{lineno}"
         try:
-            record = _shape(_decode(raw, path, lineno), dict, where, "episode record")
+            record = _shape(_decode(raw, name, lineno), dict, where, "episode record")
             episode = ValidatedEpisode(
                 reviewer_id=_field(record, "reviewer_id", "id", where),
                 period=_field(record, "period", "int", where),
@@ -188,20 +193,19 @@ def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
             if accepted.setdefault(key, lineno) != lineno:
                 raise ParseError(where, "reviewer %r already has period %d (line %d)" % (*key, accepted[key]))
             episodes.append(episode)
-        except ParseError as exc:
-            problems.append(str(exc))
-        except ChoiceTrustError as exc:
-            problems.append(f"{where}: {exc}")
+        except ChoiceTrustError as exc:  # a ParseError names its place already
+            problems.append(str(exc) if isinstance(exc, ParseError) else f"{where}: {exc}")
     return episodes, problems
 
 
 def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
     """Read the reviews document; per-record problems become diagnostics."""
-    doc = _shape(_decode(_read_text(path), path), list, path, "reviews document")
+    name = _path_text(path)
+    doc = _shape(_decode(_read_text(path), name), list, name, "reviews document")
     reviews: list[Review] = []
     problems: list[str] = []
     for idx, record in enumerate(doc):
-        where = f"{path}: review #{idx}"
+        where = f"{name}: review #{idx}"
         try:
             record = _shape(record, dict, where, "review")
             reviews.append(
@@ -213,10 +217,8 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
                     comment_text=_field(record, "comment_text", "str", where, ""),
                 )
             )
-        except ParseError as exc:
-            problems.append(str(exc))
-        except ChoiceTrustError as exc:
-            problems.append(f"{where}: {exc}")
+        except ChoiceTrustError as exc:  # a ParseError names its place already
+            problems.append(str(exc) if isinstance(exc, ParseError) else f"{where}: {exc}")
     return reviews, problems
 
 
@@ -301,17 +303,8 @@ def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str],
     )
 
 
-_DISTRIBUTION_ROW_JSON = _json_template("r probability at_most at_least", "\n          ")
-
-
-def _distribution_json(n: int, p: Fraction) -> str:
-    """The "distribution" list of a section's JSON, from `_distribution_cells`; the JSON renderer memoizes it."""
-    rows = [_DISTRIBUTION_ROW_JSON % (r, *map(_escape, texts)) for r, *texts in _distribution_cells(n, p)]
-    return _json_list(rows, "\n        ")
-
-
-# A reviewer section and one of its assessments, as items of the report's
-# "reviewers" and "assessments" lists.
+# A reviewer section, one of its assessments and one of its binomial rows, as
+# items of the report's "reviewers", "assessments" and "distribution" lists.
 _SECTION_JSON = _json_template(
     "reviewer_id periods catalog period_patterns joint_pattern assessments overall_rationality", "\n    "
 ) % (*["%s"] * 6, _json_template("n p realized_rational_count distribution", "\n      "))
@@ -320,31 +313,37 @@ _ASSESSMENT_JSON = _json_template(
     " single_period_conformant rating comment_polarity annotations",
     "\n        ",
 )
+_DISTRIBUTION_ROW_JSON = _json_template("r probability at_most at_least", "\n          ")
 
-# The JSON text of each value a report field takes from a fixed set: null,
-# the bools, and the members of the report's enums.
+# The JSON text of each value an assessment's per-object fields take: null,
+# the bools, and the members of the narrative and polarity enums.
 _JSON_CONSTANT: dict[Any, str] = {None: "null", True: "true", False: "false"}
-_JSON_CONSTANT.update((m, _escape(m.value)) for e in (RankClass, Zone, NarrativeCode, Polarity) for m in e)
+_JSON_CONSTANT.update((m, _escape(m.value)) for e in (NarrativeCode, Polarity) for m in e)
 
 
 def _overall_json(n: int, p: Fraction) -> tuple[str, str]:
     """The JSON texts of a section's "p" and "distribution"; the JSON renderer memoizes them per (n, p)."""
-    return _escape(_fmt8(p)), _distribution_json(n, p)
+    rows = [_DISTRIBUTION_ROW_JSON % (r, *map(_escape, texts)) for r, *texts in _distribution_cells(n, p)]
+    return _escape(_fmt8(p)), _json_list(rows, "\n        ")
+
+
+def _key_cells(a: TrustAssessment) -> tuple[str, str, str | None, str | None, str | None]:
+    """The pattern, rank class, bar, zone and degree cells of `a`'s run-total key; None is an empty cell."""
+    return (
+        a.pattern.render(), a.rank_class.value, a.bar,
+        a.zone.value if a.zone else None, _fmt8(a.degree.value) if a.degree else None,
+    )
 
 
 def _assessment_json(a: TrustAssessment, periods: tuple[int, ...]) -> str:
     """`_ASSESSMENT_JSON` filled with what `a`'s run-total key decides, with %s holes
     left for the object, polarity_match, narrative, rating and comment_polarity."""
     absent = [str(period) for period, flag in zip(periods, a.pattern.absent_flags) if flag]
-    pattern, absent, rank, bar, zone, degree, conformant, notes = (
+    pattern, rank, bar, zone, degree, absent, conformant, notes = (
         text.replace("%", "%%")
         for text in (
-            _escape(a.pattern.render()),
+            *("null" if cell is None else _escape(cell) for cell in _key_cells(a)),
             _json_list(absent, "\n          "),
-            _JSON_CONSTANT[a.rank_class],
-            "null" if a.bar is None else _escape(a.bar),
-            _JSON_CONSTANT[a.zone],
-            _escape(_fmt8(a.degree.value)) if a.degree else "null",
             _JSON_CONSTANT[a.single_period_conformant],
             _json_list(list(map(_escape, a.annotations)), "\n          "),
         )
@@ -399,14 +398,9 @@ def _section_json(
 # reviewer section, rendered from that section's records alone, then its tail.
 
 
-def _json_stream(report: TrustReport) -> Iterator[str]:
-    """The report as JSON, one reviewer section per chunk."""
-    params = report.parameters
-    head = {
-        "tool": _TOOL,
-        "parameters": {"membership": params.membership_variant, "d0_zone": params.d0_zone, "p": _fmt8(params.p)},
-    }
-    tail = {
+def _tail(report: TrustReport) -> dict[str, list[dict]]:
+    """The report's flagged reviews and errors, each as a dict of its fields: the JSON document's tail."""
+    return {
         "flagged_reviews": [
             {"reviewer_id": f.review.reviewer_id, "object": f.review.object,
              "rating": f.review.rating, "reason": f.reason}
@@ -414,8 +408,17 @@ def _json_stream(report: TrustReport) -> Iterator[str]:
         ],
         "errors": [{"reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors],
     }
+
+
+def _json_stream(report: TrustReport) -> Iterator[str]:
+    """The report as JSON, one reviewer section per chunk."""
+    params = report.parameters
+    head = {
+        "tool": _TOOL,
+        "parameters": {"membership": params.membership_variant, "d0_zone": params.d0_zone, "p": _fmt8(params.p)},
+    }
     encode = functools.partial(_section_json, overall_json=functools.cache(_overall_json), fragments={})
-    return _json_document(head, "reviewers", report.reviewers, tail, encode)
+    return _json_document(head, "reviewers", report.reviewers, _tail(report), encode)
 
 
 _CSV_COLUMNS = [
@@ -435,8 +438,7 @@ def _csv_blocks(report: TrustReport) -> Iterator[list[tuple]]:
         rid, overall = section.reviewer_id, section.overall
         block = [
             (
-                "assessment", rid, a.object, a.pattern.render(), a.rank_class.value, a.bar,
-                a.zone.value if a.zone else None, _fmt8(a.degree.value) if a.degree else None,
+                "assessment", rid, a.object, *_key_cells(a),
                 None if a.polarity_match is None else "true" if a.polarity_match else "false",
                 a.narrative.value if a.narrative else None, a.review.rating if a.review else None,
                 a.review.comment_polarity.value if a.review else None, " | ".join(a.annotations),
@@ -448,13 +450,8 @@ def _csv_blocks(report: TrustReport) -> Iterator[list[tuple]]:
         cells = distribution(overall.n, overall.p)
         block += (("overall", rid, *(None,) * 11, *row, None, None) for row in cells)
         yield block
-    flagged = (
-        {"record": "flagged_review", "reviewer_id": f.review.reviewer_id, "object": f.review.object,
-         "rating": f.review.rating, "reason": f.reason}
-        for f in report.flagged_reviews
-    )
-    errors = ({"record": "error", "reviewer_id": e.reviewer_id, "message": e.message} for e in report.errors)
-    yield [_csv_row(row, _CSV_COLUMNS) for row in itertools.chain(flagged, errors)]
+    tail = zip(("flagged_review", "error"), _tail(report).values())
+    yield [_csv_row({"record": record, **row}, _CSV_COLUMNS) for record, rows in tail for row in rows]
 
 
 def _csv_stream(report: TrustReport) -> Iterator[str]:
@@ -478,9 +475,9 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
         )
         for a in section.assessments:
             match = "" if a.polarity_match is None else ("yes" if a.polarity_match else "NO")
+            pattern, rank, bar, zone, degree = _key_cells(a)
             lines.append(
-                f"  {a.object:<9} {a.pattern.render():<11} {a.rank_class.value:<11} {a.bar or '-':<4} "
-                f"{a.zone.value if a.zone else '-':<11} {_fmt8(a.degree.value) if a.degree else '-':<11} "
+                f"  {a.object:<9} {pattern:<11} {rank:<11} {bar or '-':<4} {zone or '-':<11} {degree or '-':<11} "
                 f"{match:<6} {a.narrative.value if a.narrative else '-'}"
             )
             lines += (f"    note ({a.object}): {note}" for note in a.annotations)
@@ -494,16 +491,13 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
             for r, prob, at_most, at_least in distribution(overall.n, overall.p)
         )
         yield "\n".join(lines) + "\n"
+    flagged, errors = _tail(report).values()
     lines = []
-    if report.flagged_reviews:
-        lines += ["", "flagged reviews:"]
-        lines += (
-            f"  {f.review.reviewer_id} / {f.review.object} (rating {f.review.rating}): {f.reason}"
-            for f in report.flagged_reviews
-        )
-    if report.errors:
-        lines += ["", "errors:"]
-        lines += (f"  [{e.reviewer_id or '-'}] {e.message}" for e in report.errors)
+    if flagged:
+        layout = "  {reviewer_id} / {object} (rating {rating}): {reason}"
+        lines += ["", "flagged reviews:", *map(layout.format_map, flagged)]
+    if errors:
+        lines += ["", "errors:", *(f"  [{e['reviewer_id'] or '-'}] {e['message']}" for e in errors)]
     yield "".join(line + "\n" for line in lines)
 
 
@@ -641,7 +635,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _write(chunks, args.out)
         return code
     except OSError as exc:
-        where = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        where = f"{_path_text(exc.filename)}: {exc.strerror}" if exc.filename else exc
         print(f"error: {where}", file=sys.stderr)
         return EXIT_FATAL
     except (ChoiceTrustError, ValueError, ZeroDivisionError) as exc:

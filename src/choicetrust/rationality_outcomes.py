@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 from ._record import Record, as_int, quote
 from .errors import DomainError
-from .pattern_runs import EPSILON, RunCount
+from .pattern_runs import EPSILON, RunCount, RunPattern
 
 __all__ = [
     "RankClass",
@@ -77,8 +77,7 @@ class TauPattern(Record):
     def bin(self) -> str | None:
         return bin_pattern(self.slots) if len(self.slots) == 2 else None
 
-    def render(self) -> str:
-        return "{" + ",".join(str(s) for s in self.slots) + "}"
+    render = RunPattern.render  # one spelling of run totals: both records hold them in `slots`
 
 
 class Bin(Record):

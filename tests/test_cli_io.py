@@ -750,6 +750,43 @@ def test_score_rejects_a_review_id_that_breaks_a_line(fixtures_dir, tmp_path, ca
     )
 
 
+def test_a_path_that_breaks_a_line_is_named_by_ascii(fixtures_dir, tmp_path, capsys):
+    # A newline in a file name would split an error line in two; such a path is written as ascii() writes it.
+    second = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()[1]
+    path = tmp_path / "z\nw.jsonl"
+    name = ascii(str(path))
+    path.write_text("{}\n" + second + "\n", encoding="utf-8")
+    output, code = run_score(capsys, path, fixtures_dir / REVIEWS, "--format", "text")
+    assert code == EXIT_PARTIAL
+    assert output.split("\n")[-3:] == ["errors:", f"  [-] {name}:1: missing field 'reviewer_id'", ""]
+    path.write_text("{}\n", encoding="utf-8")
+    assert main(["score", str(path), str(fixtures_dir / REVIEWS)]) == EXIT_FATAL
+    assert capsys.readouterr().err == (
+        f"error: {name}: no reviewer could be scored (1 problem; first: {name}:1: missing field 'reviewer_id')\n"
+    )
+    path.unlink()
+    assert main(["score", str(path), str(fixtures_dir / REVIEWS)]) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {name}: No such file or directory\n"
+    path.write_text("{}", encoding="utf-8")
+    for command, message in [
+        ("info-index", "graded list must be a JSON array"), ("check", "missing field 'ground_set'")
+    ]:
+        assert main([command, str(path)]) == EXIT_FATAL
+        assert capsys.readouterr().err == f"error: {name}: {message}\n"
+
+
+def test_a_path_with_an_undecodable_byte_is_named_by_ascii(fixtures_dir, tmp_path, capsys):
+    # The byte 0xff of a file name reaches argv as a lone surrogate, which UTF-8 cannot encode.
+    second = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()[1]
+    path = tmp_path / os.fsdecode(b"x\xff.jsonl")
+    path.write_text("{}\n" + second + "\n", encoding="utf-8")
+    out = tmp_path / "o.txt"
+    argv = ["score", str(path), str(fixtures_dir / REVIEWS), "--format", "text", "--out", str(out)]
+    assert main(argv) == EXIT_PARTIAL
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text(encoding="utf-8").endswith(f"  [-] {ascii(str(path))}:1: missing field 'reviewer_id'\n")
+
+
 def test_reports_are_byte_identical_across_runs(fixtures_dir, tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"

@@ -24,6 +24,7 @@ from choicetrust import (
     NarrativeCode,
     OverallRationality,
     Polarity,
+    RankClass,
     ReportParameters,
     Review,
     ReviewerSection,
@@ -54,8 +55,8 @@ from choicetrust import (
 from choicetrust.cli_io import (
     _REPORT_RENDERERS,
     _distribution_cells,
-    _distribution_json,
     _fmt8,
+    _overall_json,
     report_to_csv,
     report_to_dict,
     report_to_json,
@@ -173,7 +174,7 @@ def test_distribution_cells_are_formatted_exact_terms_and_sums(n, p):
     assert _distribution_cells(n, p) == cells
     # The section's "distribution" list sits four levels deep in the report.
     rows = [dict(zip(("r", "probability", "at_most", "at_least"), row)) for row in cells]
-    assert _distribution_json(n, p) == json.dumps(rows, indent=2).replace("\n", "\n        ")
+    assert _overall_json(n, p)[1] == json.dumps(rows, indent=2).replace("\n", "\n        ")
 
 
 def test_one_numerator_walk_serves_the_cdf_and_the_rows(monkeypatch):
@@ -240,7 +241,7 @@ def test_mutating_a_report_dict_leaves_later_reports_unchanged(canonical_episode
         doc["overall_rationality"]["distribution"].append({"r": 99})
         for row in doc["overall_rationality"]["distribution"]:
             row["probability"] = "mutated"
-    fragment = _distribution_json(section.overall.n, section.overall.p)
+    fragment = _overall_json(section.overall.n, section.overall.p)[1]
     assert '"mutated"' not in fragment and '"r": 99' not in fragment
     assert report_to_json(report) == before
 
@@ -359,9 +360,16 @@ def test_assessments_that_share_a_pattern_render_their_own_fields():
         "b", pattern, rank, "D", Zone.REFLEXIVE, Degree(Fraction(0), True), True, NarrativeCode.STEADY, None,
         review, ("100% hand-written", "%s"),
     )
+    # Two that share the pattern and the degree record too, but differ in every other field of the key.
+    degree = Degree(Fraction(2, 5), False)
+    left = TrustAssessment(
+        "c", pattern, RankClass.INCREASING, "E", Zone.RATIONAL, degree, None, None, True, None, ("left",)
+    )
+    right = TrustAssessment("d", pattern, RankClass.MIXED, None, None, degree, None, None, False, None, ())
     sections = (
         ReviewerSection("r1", (1, 2), ("a", "b"), ("0100", "0000"), None, (plain, odd), OverallRationality(2, "1/2", 1)),
         ReviewerSection("r2", (3, 7), ("a",), ("0",), None, (plain,), OverallRationality(1, "1/2", 0)),
+        ReviewerSection("r3", (1, 2), ("c", "d"), ("0100", "0010"), None, (left, right), OverallRationality(2, "1/2")),
     )
     report = TrustReport(ReportParameters(), sections, (), ())
     for fmt, render in _REPORT_RENDERERS.items():
