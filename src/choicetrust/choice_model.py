@@ -5,22 +5,20 @@ attainable catalog slice, the wishlist, the cart, and the final purchase.
 This module validates that nesting and exposes the per-object stage rank
 (how deep into the funnel an object survived), which everything downstream
 builds on.
+
+:class:`ChoiceEpisode`, :class:`ValidatedEpisode` and :func:`validate_episode`
+live in :mod:`choicetrust._pipeline`, which scoring runs, and are re-exported
+here. ``choicetrust score`` never imports this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
+from ._pipeline import ChoiceEpisode, ValidatedEpisode, validate_episode
 from ._record import Record, as_int, quote, setfield
-from .errors import (
-    DimensionError,
-    DomainError,
-    DuplicateItemError,
-    EmptyFinalError,
-    NestingError,
-    UnknownObjectError,
-)
+from .errors import DimensionError, DomainError, UnknownObjectError
 
 __all__ = [
     "AttributeVector",
@@ -88,89 +86,6 @@ class ConstraintRow(Record):
         return total == self.bound
 
 
-class ChoiceEpisode(Record):
-    """One reviewer's four stage sets at one time period (not yet validated)."""
-
-    __slots__ = ("reviewer_id", "period", "attainable", "wishlist", "cart", "final")
-
-    def __init__(
-        self,
-        reviewer_id: str,
-        period: int,
-        attainable: tuple[str, ...],
-        wishlist: tuple[str, ...],
-        cart: tuple[str, ...],
-        final: tuple[str, ...],
-    ) -> None:
-        setfield(self, "reviewer_id", reviewer_id)
-        setfield(self, "attainable", tuple(attainable))
-        setfield(self, "wishlist", tuple(wishlist))
-        setfield(self, "cart", tuple(cart))
-        setfield(self, "final", tuple(final))
-        setfield(self, "period", as_int(period, "period"))
-        if self.period < 1:
-            raise DomainError(f"period must be a positive integer, got {quote(period, str)}")
-
-
-class ValidatedEpisode(Record):
-    """A :class:`ChoiceEpisode` whose stage nesting is certified, with its stage ranks.
-
-    The stage sets follow :class:`ChoiceEpisode`'s rules and must satisfy
-    final <= cart <= wishlist <= attainable (adjacent stages may coincide),
-    the final set must be nonempty, and no stage may repeat an id. Stage by
-    stage, outermost first, one pass checks repeats, then nesting, then
-    records how deep each item reached: its rank. ``ranks[i]`` is the stage
-    rank of ``attainable[i]``, so no later derivation re-walks the stage
-    sets. ``ranks`` may be omitted; given, it must equal what the walk finds.
-
-    Raises:
-        DomainError: Empty attainable set, or ranks that disagree with the stage sets.
-        DuplicateItemError: An id repeats within one stage.
-        NestingError: An item appears in a stage but not its enclosing stage.
-        EmptyFinalError: The final set is empty.
-    """
-
-    __slots__ = ("reviewer_id", "period", "attainable", "wishlist", "cart", "final", "ranks")
-
-    def __init__(
-        self,
-        reviewer_id: str,
-        period: int,
-        attainable: tuple[str, ...],
-        wishlist: tuple[str, ...],
-        cart: tuple[str, ...],
-        final: tuple[str, ...],
-        ranks: Iterable[int] | None = None,
-    ) -> None:
-        ChoiceEpisode.__init__(self, reviewer_id, period, attainable, wishlist, cart, final)
-        if not self.attainable:
-            raise DomainError("attainable set is empty")
-        depth: dict[str, int] = {}
-        for level, stage in enumerate(("attainable", "wishlist", "cart", "final")):
-            items = getattr(self, stage)
-            if len(set(items)) < len(items):
-                first: dict[str, int] = {}
-                repeat = next(item for i, item in enumerate(items) if first.setdefault(item, i) != i)
-                raise DuplicateItemError(f"item {quote(repeat)} occurs twice in stage {stage!r}")
-            for item in items:
-                # Every item of the enclosing stage, and only those, reached level - 1.
-                if depth.get(item, -1) != level - 1:
-                    raise NestingError(stage, item)
-                depth[item] = level
-        if not self.final:
-            raise EmptyFinalError(f"episode (reviewer {self.reviewer_id!r}, period {quote(self.period)}) has an empty final set")
-        walked = tuple(depth.values())  # in catalog order: the attainable stage came first
-        if ranks is not None and tuple(ranks) != walked:
-            raise DomainError(
-                f"need one stage rank per attainable object, {walked} by its stage sets, got {quote(tuple(ranks))}"
-            )
-        setfield(self, "ranks", walked)
-
-    @property
-    def n(self) -> int:
-        return len(self.attainable)
-
-
 def attainable_set(
     catalog: Mapping[str, AttributeVector],
     constraints: Sequence[ConstraintRow],
@@ -199,18 +114,6 @@ def attainable_set(
             )
     return tuple(
         oid for oid, vec in catalog.items() if all(row.satisfied_by(vec) for row in constraints)
-    )
-
-
-def validate_episode(episode: ChoiceEpisode | ValidatedEpisode) -> ValidatedEpisode:
-    """Certify the stage nesting of an episode and rank its objects (see :class:`ValidatedEpisode`).
-
-    A ``ValidatedEpisode`` is returned as it is: its constructor walked its stage sets, and it cannot change.
-    """
-    if isinstance(episode, ValidatedEpisode):
-        return episode
-    return ValidatedEpisode(
-        episode.reviewer_id, episode.period, episode.attainable, episode.wishlist, episode.cart, episode.final
     )
 
 

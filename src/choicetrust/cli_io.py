@@ -25,12 +25,9 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__
-from ._record import as_probability
-from .choice_model import ValidatedEpisode
-from .errors import ChoiceTrustError
-from .rationality_outcomes import MEMBERSHIP_VARIANTS
-from .trust_scoring import (
+from ._pipeline import (
     D0_ZONE_CHOICES,
+    MEMBERSHIP_VARIANTS,
     NarrativeCode,
     OverallRationality,
     Polarity,
@@ -39,8 +36,11 @@ from .trust_scoring import (
     ReviewerSection,
     TrustAssessment,
     TrustReport,
+    ValidatedEpisode,
     build_report,
 )
+from ._record import as_probability
+from .errors import ChoiceTrustError
 
 EXIT_OK = 0
 EXIT_FATAL = 1

@@ -14,14 +14,18 @@ which takes O(n) per period, and turns each distinct tuple of totals into
 its run pattern by :func:`slot_rule`, as :func:`omega` does;
 :func:`scan_runs` over :func:`flatten` of :func:`derive_matrix` is the
 paper-literal scanner, kept as the reference tests compare against.
+
+:class:`RunCount`, :data:`EPSILON`, :class:`RunPattern`, :func:`run_totals`
+and :func:`slot_rule` live in :mod:`choicetrust._pipeline`, which scoring
+runs, and are re-exported here. ``choicetrust score`` never imports this module.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
-from ._record import Record, as_int, quote, setfield
+from ._pipeline import EPSILON, RunCount, RunPattern, run_totals, slot_rule
+from ._record import quote
 from .choice_model import ValidatedEpisode
 from .errors import DomainError, UnknownObjectError
 from .preference_graph import PatternVector
@@ -37,66 +41,6 @@ __all__ = [
     "omega",
     "single_period_rationality_pattern",
 ]
-
-
-class RunCount(Record):
-    """A per-period run total: either a positive integer or the empty run.
-
-    ``value`` is ``None`` for the empty-run symbol, which covers both "no run
-    observed" and "object absent that period". Stored as an integer count;
-    the unary 1-string form is display only (:meth:`unary`).
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int | None = None) -> None:
-        if value is not None:
-            value = as_int(value, "run count")
-            if value < 1:
-                raise DomainError(f"run count must be a positive integer or empty, got {quote(value)}")
-        setfield(self, "value", value)
-
-    @property
-    def is_epsilon(self) -> bool:
-        return self.value is None
-
-    @property
-    def numeric(self) -> int:
-        """Integer view used for ordering; the empty run compares as 0."""
-        return 0 if self.value is None else self.value
-
-    def unary(self) -> str:
-        return "" if self.value is None else "1" * self.value
-
-    def __str__(self) -> str:
-        return "ε" if self.value is None else str(self.value)
-
-
-EPSILON = RunCount(None)
-
-
-class RunPattern(Record):
-    """The paper's omega of an object: per-period run totals plus absence flags.
-
-    Objects with the same totals share one pattern. ``absent_flags[k]``
-    distinguishes "present but never preferred" from "not offered in period
-    k"; both render as the empty run downstream.
-    """
-
-    __slots__ = ("slots", "absent_flags")
-
-    def __init__(self, slots: tuple[RunCount, ...], absent_flags: tuple[bool, ...]) -> None:
-        if len(slots) != len(absent_flags):
-            raise DomainError("slots and absent_flags must have equal length")
-        for slot, absent in zip(slots, absent_flags):
-            if absent and not slot.is_epsilon:
-                raise DomainError("an absent period must carry the empty run")
-        setfield(self, "slots", slots)
-        setfield(self, "absent_flags", absent_flags)
-
-    def render(self) -> str:
-        """Report form, e.g. ``{3,ε}``."""
-        return "{" + ",".join(str(s) for s in self.slots) + "}"
 
 
 def scan_runs(pattern: PatternVector) -> tuple[int, ...]:
@@ -123,30 +67,6 @@ def scan_runs(pattern: PatternVector) -> tuple[int, ...]:
                 run = 0
         totals.append(total + run)
     return tuple(totals)
-
-
-def run_totals(episode: ValidatedEpisode) -> tuple[int, ...]:
-    """Every object's run total in one period, catalog order, in O(n).
-
-    Equals ``scan_runs(flatten(derive_matrix(episode)))``: a row's runs total
-    its 1s, and row i has a 1 for each object ranked strictly below object i.
-    So counts of the rank tuple's values (0..3) give every total, in catalog order.
-    """
-    ranks = episode.ranks
-    below = (0, *accumulate(map(ranks.count, (0, 1, 2))))  # below[r] counts the ranks under r
-    return tuple([below[rank] for rank in ranks])
-
-
-def slot_rule(counts: Sequence[int | None]) -> RunPattern:
-    """The run pattern of per-period run totals, None where the object is absent.
-
-    A total of 0 and an absence both become the empty run; only an absence
-    sets its flag.
-    """
-    return RunPattern(
-        tuple(RunCount(count) if count else EPSILON for count in counts),
-        tuple(count is None for count in counts),
-    )
 
 
 def omega(episodes: Sequence[ValidatedEpisode], obj: str) -> RunPattern:

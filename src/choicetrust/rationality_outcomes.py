@@ -11,16 +11,23 @@ Scoring and ``tau`` read each bar's frequency and degree from its closed form
 (:func:`iter_tau`, :func:`build_tau`, :func:`bin_table`, :func:`membership`)
 is the paper-literal reference: ``tau`` streams its patterns from
 :func:`iter_tau`, and tests check the closed form against it.
+
+:class:`RankClass`, :class:`Degree`, :func:`classify_rank`,
+:func:`signed_difference`, :func:`bar_label`, :func:`bar_frequency` and
+:func:`bar_degree` live in :mod:`choicetrust._pipeline`, which scoring runs,
+and are re-exported here. ``choicetrust score`` never imports this module.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from enum import Enum
-from fractions import Fraction
 from typing import Iterator, Sequence
 
+from ._pipeline import (
+    MEMBERSHIP_VARIANTS, Degree, RankClass, _degree, bar_degree, bar_frequency, bar_label, classify_rank,
+    signed_difference,
+)
 from ._record import Record, as_int, quote
 from .errors import DomainError
 from .pattern_runs import EPSILON, RunCount, RunPattern
@@ -46,22 +53,6 @@ __all__ = [
     "bar_degree",
     "membership",
 ]
-
-MEMBERSHIP_VARIANTS = ("minmax", "smoothed")
-
-# Canonical bar letters of the two-period tree; differences beyond +/-3
-# (catalogs larger than four) fall back to the signed difference itself.
-_BAR_LETTERS = {-3: "C", -2: "B", -1: "A", 0: "D", 1: "E", 2: "F", 3: "G"}
-
-
-class RankClass(str, Enum):
-    REFLEXIVE = "Reflexive"
-    INCREASING = "Increasing"
-    DECREASING = "Decreasing"
-    MIXED = "Mixed"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 class TauPattern(Record):
@@ -120,45 +111,11 @@ class BinTable(Record):
         return max(b.frequency for b in self.bins)
 
 
-class Degree(Record):
-    """A membership degree plus a flag for degenerate (all-equal) tables."""
-
-    __slots__ = ("value", "degenerate")
-
-
 def slot_alphabet(n: int) -> tuple[RunCount, ...]:
     """Admissible run totals for one period with n objects: empty, 1..n-1."""
     if n < 2:
         raise DomainError(f"need at least 2 objects per period, got {quote(n, str)}")
     return (EPSILON,) + tuple(RunCount(k) for k in range(1, n))
-
-
-def classify_rank(slots: Sequence[RunCount]) -> RankClass:
-    """Rank a run tuple: reflexive, then increasing, decreasing, mixed.
-
-    The empty run compares as 0. Reflexive (all slots equal) is the highest
-    rank; increasing means nondecreasing with at least one strict rise,
-    decreasing the mirror image, and mixed has steps both ways.
-    """
-    values = [s.numeric for s in slots]
-    ups = any(b > a for a, b in zip(values, values[1:]))
-    downs = any(b < a for a, b in zip(values, values[1:]))
-    if not ups and not downs:
-        return RankClass.REFLEXIVE
-    if ups and downs:
-        return RankClass.MIXED
-    return RankClass.INCREASING if ups else RankClass.DECREASING
-
-
-def signed_difference(slots: Sequence[RunCount]) -> int:
-    """Second-period total minus first (empty as 0); defined for t=2 only."""
-    if len(slots) != 2:
-        raise DomainError(f"signed difference needs exactly 2 periods, got {len(slots)}")
-    return slots[1].numeric - slots[0].numeric
-
-
-def bar_label(d: int) -> str:
-    return _BAR_LETTERS.get(d, f"{d:+d}")
 
 
 def bin_pattern(slots: Sequence[RunCount]) -> str:
@@ -221,32 +178,6 @@ def bin_frequencies(n: int) -> BinTable:
     return bin_table((n, n))
 
 
-def bar_frequency(ns: Sequence[int], d: int) -> int:
-    """Closed-form size of bar d of the two-period outcome set for ns=(a, b).
-
-    Patterns {x, x+d} need 0 <= x <= a-1 and 0 <= x+d <= b-1, so the bar
-    holds min(a-1, b-1-d) - max(0, -d) + 1 of them: 1 on the extreme bars
-    d = 1-a and d = b-1, and min(a, b) at most. Equals
-    ``bin_table(ns).by_difference(d).frequency``.
-    """
-    a, b = ns
-    if a < 2 or b < 2:
-        raise DomainError(f"need at least 2 objects per period, got {quote(tuple(ns))}")
-    if not 1 - a <= d <= b - 1:
-        raise DomainError(f"no bar with difference {quote(d, str)} in this table")
-    return min(a - 1, b - 1 - d) - max(0, -d) + 1
-
-
-def _degree(frequency: int, lo: int, hi: int, variant: str) -> Degree:
-    if variant not in MEMBERSHIP_VARIANTS:
-        raise DomainError(f"membership variant must be one of {MEMBERSHIP_VARIANTS}, got {quote(variant)}")
-    if variant == "smoothed":
-        return Degree(Fraction(frequency, hi), False)
-    if hi == lo:
-        return Degree(Fraction(1), True)
-    return Degree(Fraction(frequency - lo, hi - lo), False)
-
-
 def membership(bar: str | int, table: BinTable, variant: str = "minmax") -> Degree:
     """Degree of one bar from the frequency table.
 
@@ -257,13 +188,3 @@ def membership(bar: str | int, table: BinTable, variant: str = "minmax") -> Degr
     """
     b = table.by_difference(bar) if isinstance(bar, int) else table.by_label(bar)
     return _degree(b.frequency, table.min_frequency, table.max_frequency, variant)
-
-
-def bar_degree(ns: Sequence[int], d: int, variant: str = "minmax") -> Degree:
-    """Degree of bar d of the two-period outcome set for ns=(a, b).
-
-    Uses the rule of :func:`membership` on :func:`bar_frequency`, whose
-    minimum is 1 and maximum min(a, b), so no outcome set is enumerated.
-    Equals ``membership(d, bin_table(ns), variant)``.
-    """
-    return _degree(bar_frequency(ns, d), 1, min(ns), variant)

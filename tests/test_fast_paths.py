@@ -64,7 +64,7 @@ from choicetrust.cli_io import (
 )
 
 from helpers import episode
-from choicetrust import trust_scoring
+from choicetrust import _pipeline
 from choicetrust.trust_scoring import _NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE, _NOTE_SMALL_CATALOG, _score_totals
 from reference_report import reference_distribution, reference_output, reference_overall, reference_report
 from reference_report import report_to_dict as reference_report_to_dict
@@ -187,7 +187,7 @@ def test_one_numerator_walk_serves_the_cdf_and_the_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("binomial_rationality called")
 
-    monkeypatch.setattr(trust_scoring, "binomial_rationality", refuse)
+    monkeypatch.setattr(_pipeline, "binomial_rationality", refuse)
     overall = OverallRationality(n, p)
     assert [overall.at_most(r) for r in range(-1, n + 2)] == [0, *below[1:], 1]
     assert [overall.at_least(r) for r in range(-1, n + 2)] == [1, *(1 - b for b in below[:-1]), 0]
@@ -498,7 +498,7 @@ def _assert_each_key_is_scored_once_per_report(episodes, reviews):
         return _score_totals(totals, ns, variant, d0_zone)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(trust_scoring, "_score_totals", counting)
+        patch.setattr(_pipeline, "_score_totals", counting)
         report = build_report(episodes, reviews)
         assert len(calls) == len(set(calls))
         assert set(calls) == set(_score_keys(report))
