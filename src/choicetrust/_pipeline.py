@@ -331,6 +331,10 @@ class NarrativeCode(str, Enum):
     DISPUTED = "disputed"
 
 
+# Each polarity by its value: a member, being a str equal to its value, finds its own entry too.
+_POLARITY = {member.value: member for member in Polarity}
+
+
 class Review(Record):
     """One review record; polarity is input data, never mined from the text.
 
@@ -353,8 +357,8 @@ class Review(Record):
         if comment_polarity is None:
             comment_polarity = "negative" if self.rating <= 2 else "neutral" if self.rating == 3 else "positive"
         try:
-            setfield(self, "comment_polarity", Polarity(comment_polarity))
-        except ValueError:
+            setfield(self, "comment_polarity", _POLARITY[comment_polarity])
+        except (KeyError, TypeError):  # TypeError: an unhashable value
             raise DomainError(f"{quote(comment_polarity)} is not a valid Polarity") from None
         setfield(self, "reviewer_id", reviewer_id)
         setfield(self, "object", object)
@@ -601,8 +605,10 @@ def _assess_reviewer(
     review_for: Mapping[str, Review],
     score: Callable[..., _Scored],
     overall: Callable[..., OverallRationality],
+    by_ranks: dict[tuple[int, ...], tuple[str, tuple[int, ...]]],
 ) -> ReviewerSection:
-    period_patterns = tuple(period_string(ep) for ep in episodes)
+    periods = [by_ranks.get(ep.ranks) or by_ranks.setdefault(ep.ranks, (period_string(ep), run_totals(ep))) for ep in episodes]
+    period_patterns = tuple([pattern for pattern, _ in periods])
     homogeneous = all(ep.attainable == episodes[0].attainable for ep in episodes)
     joint = "".join(period_patterns) if homogeneous and len(episodes) > 1 else None
 
@@ -611,7 +617,7 @@ def _assess_reviewer(
     if two_period and all(ep.n >= 2 for ep in episodes):
         ns = (episodes[0].n, episodes[1].n)
 
-    totals = [dict(zip(ep.attainable, run_totals(ep))) for ep in episodes]
+    totals = [dict(zip(ep.attainable, counts)) for ep, (_, counts) in zip(episodes, periods)]
     assessments = []
     rational_count = 0
     for obj in catalog:
@@ -649,10 +655,11 @@ def build_report(
     ``ValidatedEpisode`` (which ``load_episodes`` returns) by its own
     constructor. Per reviewer, in order: write every period's pattern string
     from its stage ranks, count each object's run totals from a stage-rank
-    histogram, and score each distinct tuple of totals once per report (its
-    slots, rank class, zone, bar, the bar's membership degree from the
-    closed-form frequency table, and the verdict on each review polarity);
-    then look up review verdicts and attach the overall-rationality record:
+    histogram (both memoized by ``ValidatedEpisode.ranks``, once per report
+    for each distinct rank tuple), and score each distinct tuple of totals
+    once per report (its slots, rank class, zone, bar, the bar's membership
+    degree from the closed-form frequency table, and the verdict on each
+    review polarity); then look up review verdicts and attach the overall-rationality record:
     the catalog size n, p and the realized rational count, from which the
     binomial distribution follows, built once per report for each distinct
     (n, count). No preference matrix or pattern vector is built.
@@ -664,6 +671,8 @@ def build_report(
     score = functools.cache(functools.partial(_score_totals, variant=params.membership_variant, d0_zone=params.d0_zone))
     # One record per distinct (n, realized_r), likewise; p was checked once, above.
     overall = functools.cache(lambda n, realized_r: OverallRationality.from_parameters(n, params.p, realized_r))
+    # One (pattern string, run totals) pair per distinct rank tuple, likewise.
+    by_ranks: dict[tuple[int, ...], tuple[str, tuple[int, ...]]] = {}
 
     groups: dict[str, list[ValidatedEpisode]] = {}
     errors: list[ReportError] = []
@@ -695,7 +704,7 @@ def build_report(
         review_for = {
             obj: pending.pop((reviewer_id, obj)) for obj in catalog if (reviewer_id, obj) in pending
         }
-        sections.append(_assess_reviewer(reviewer_id, eps, catalog, review_for, score, overall))
+        sections.append(_assess_reviewer(reviewer_id, eps, catalog, review_for, score, overall, by_ranks))
 
     sectioned = {s.reviewer_id for s in sections}
     for (reviewer_id, obj), review in pending.items():

@@ -750,6 +750,97 @@ def test_score_rejects_a_review_id_that_breaks_a_line(fixtures_dir, tmp_path, ca
     )
 
 
+def _episode_by_field(record, where):
+    """An episode record's fields read one `_field` call at a time: the oracle of the one-pass reader."""
+    return [
+        cli_io._field(record, "reviewer_id", "id", where),
+        cli_io._field(record, "period", "int", where),
+        *(cli_io._field(record, key, "a list of id strings", where) for key in ("catalog", "wishlist", "cart", "final")),
+    ]
+
+
+def _review_by_field(record, where):
+    """A review record's fields read one `_field` call at a time: the oracle of the one-pass reader."""
+    return [
+        cli_io._field(record, "reviewer_id", "id", where),
+        cli_io._field(record, "object", "id", where),
+        cli_io._field(record, "rating", "int", where),
+        cli_io._field(record, "comment_polarity", "str", where, None),
+        cli_io._field(record, "comment_text", "str", where, ""),
+    ]
+
+
+# Characters no id may hold: C0 controls, DEL, C1 controls, the line and paragraph separators, lone surrogates.
+_NOT_ID_CHARS = ["\x00", "\n", "\x1f", "\x7f", "\x80", "\x85", "\x9f", "\u2028", "\u2029", "\ud800", "\udfff"]
+# A bool, a float, null, an object, or a value of another kind, in place of a field's value or a list entry.
+_WIRE_MISFIT = st.sampled_from([True, False, 0.0, 2.5, None, {}, {"k": "v"}, 3, "s", [], ["a"]])
+
+
+def _now_and_then(common, rare):
+    """`common` nine times in ten, else `rare`: most records then pass the one-pass check, and some fail it."""
+    return st.integers(0, 9).flatmap(lambda roll: rare if roll == 0 else common)
+
+
+_WIRE_ID = _now_and_then(
+    st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=3),
+    st.tuples(st.text(max_size=2), st.sampled_from(_NOT_ID_CHARS), st.text(max_size=2)).map("".join),
+)
+_WIRE_VALUE = {
+    "id": _WIRE_ID,
+    "str": st.text(max_size=3),
+    "int": st.integers(-2, 10**20),
+    "a list of id strings": st.lists(_now_and_then(_WIRE_ID, _WIRE_MISFIT), max_size=4),
+}
+
+
+@st.composite
+def _wire_record(draw, fields):
+    """A record of the (key, kind) `fields`: each value of its kind, a misfit, or absent, plus extra keys."""
+    record = {}
+    for key, kind in fields:
+        how = draw(st.integers(0, 19))
+        if how < 17:
+            record[key] = draw(_WIRE_VALUE[kind])
+        elif how < 19:
+            record[key] = draw(_WIRE_MISFIT)
+    extra = st.text(max_size=3).filter(lambda key: key not in dict(fields))
+    record.update(draw(st.dictionaries(extra, _WIRE_MISFIT, max_size=2)))
+    return record
+
+
+def _read_outcome(read, record):
+    """What `read` makes of `record`: each value with its type, or the text of its ParseError."""
+    try:
+        return [(type(value), value) for value in read(record, "here")]
+    except ParseError as exc:
+        return str(exc)
+
+
+_EPISODE_WIRE = [("reviewer_id", "id"), ("period", "int")] + [
+    (key, "a list of id strings") for key in ("catalog", "wishlist", "cart", "final")
+]
+_REVIEW_WIRE = [("reviewer_id", "id"), ("object", "id"), ("rating", "int"), ("comment_polarity", "str"),
+                ("comment_text", "str")]
+
+
+@settings(max_examples=400, deadline=None)
+@example({"reviewer_id": "r", "period": 1, "catalog": ["a", 1], "wishlist": [], "cart": [], "final": []})
+@example({"reviewer_id": "r", "period": True, "catalog": ["a"], "wishlist": [], "cart": [], "final": []})
+@example({"reviewer_id": "r", "period": 1, "catalog": ["a\u2028"], "wishlist": [], "cart": [], "final": []})
+@given(_wire_record(_EPISODE_WIRE))
+def test_one_pass_episode_fields_equal_field_by_field(record):
+    assert _read_outcome(cli_io._EPISODE_FIELDS, record) == _read_outcome(_episode_by_field, record)
+
+
+@settings(max_examples=400, deadline=None)
+@example({"reviewer_id": "r", "object": "o", "rating": 1, "comment_polarity": None})
+@example({"reviewer_id": "r", "object": "o", "rating": False, "comment_polarity": "x", "comment_text": ""})
+@example({"reviewer_id": "r", "object": "o\ud800", "rating": 1, "comment_text": None})
+@given(_wire_record(_REVIEW_WIRE))
+def test_one_pass_review_fields_equal_field_by_field(record):
+    assert _read_outcome(cli_io._REVIEW_FIELDS, record) == _read_outcome(_review_by_field, record)
+
+
 def test_a_path_that_breaks_a_line_is_named_by_ascii(fixtures_dir, tmp_path, capsys):
     # A newline in a file name would split an error line in two; such a path is written as ascii() writes it.
     second = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()[1]
@@ -1239,11 +1330,64 @@ def test_score_runs_alike_under_python_m(tmp_path, monkeypatch, capsys, episodes
 def test_entry_freezes_the_heap_once_then_exits_with_mains_code(monkeypatch):
     calls = []
     monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    # Patched too, or the collector would stay off for the rest of the session.
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
     monkeypatch.setattr(cli_io, "main", lambda: calls.append("main") or EXIT_PARTIAL)
     with pytest.raises(SystemExit) as exited:
         cli_io.entry()
-    assert calls == ["freeze", "main"]
+    assert calls == ["freeze", "disable", "main"]
     assert exited.value.code == EXIT_PARTIAL
+
+
+def test_importing_cli_io_and_running_main_leave_the_collector_on(fixtures_dir, tmp_path):
+    argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == EXIT_OK
+    assert gc.isenabled()
+    child = subprocess.run(
+        [sys.executable, "-c", "import gc, choicetrust.cli_io; print(gc.isenabled())"],
+        capture_output=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (EXIT_OK, b"True\n", b"")
+
+
+def test_a_runs_cyclic_garbage_does_not_grow_with_its_input(tmp_path):
+    # As the process entry runs it: frozen, with the collector off. Each run's garbage is then all that
+    # gc.collect() finds, and it must not grow when the input does.
+    sizes = []
+    for count in (200, 800):
+        (tmp_path / str(count)).mkdir()
+        episodes, reviews = _many_reviewers(tmp_path / str(count), count)
+        # One rejected record of each kind per ten reviewers: an error must leave no cycle behind either.
+        junk = ["{", '{"reviewer_id": 1}', '{"reviewer_id": "r0", "period": 1, "catalog": ["a"], "wishlist": ["b"], '
+                '"cart": [], "final": []}', '{"reviewer_id": "r1", "period": 2, "catalog": ["a"], "wishlist": ["a"], '
+                '"cart": ["a"], "final": ["a"]}']
+        with episodes.open("a", encoding="utf-8") as lines:
+            lines.writelines(line + "\n" for line in junk * (count // 10))
+        records = json.loads(reviews.read_text(encoding="utf-8"))
+        records += [{"reviewer_id": "r2", "object": "a", "rating": 9}, 7] * (count // 10)
+        reviews.write_text(json.dumps(records), encoding="utf-8")
+        sizes.append((episodes, reviews))
+    small, large = sizes
+    runs = [
+        [["score", str(episodes), str(reviews), "--format", fmt] for episodes, reviews in (small, large)]
+        for fmt in FORMATS
+    ]
+    runs.append([["tau", "4", "2"], ["tau", "8", "2"]])
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        for argvs in runs:
+            garbage = []
+            for argv in argvs:
+                assert main([*argv, "--out", str(tmp_path / "out")]) in (EXIT_OK, EXIT_PARTIAL)
+                garbage.append(gc.collect())
+            assert garbage[0] == garbage[1], argvs
+    finally:
+        gc.enable()
+        gc.unfreeze()
 
 
 def test_main_in_process_freezes_nothing(fixtures_dir, tmp_path):

@@ -4,9 +4,10 @@ The oracles are the constructs as the paper states them: the stop/run
 scanner over flattened 0/1 matrices, the enumerated two-period bar table,
 and exact prefix sums of the binomial pmf. One property holds whole reports
 against the reference pipeline in `reference_report.py`; the last ones hold
-the per-report score memo against the uncached derivation.
+the per-report score and rank-tuple memos against the uncached derivation.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from choicetrust import (
     EPSILON,
     ChoiceEpisode,
+    ChoiceTrustError,
     Degree,
     NarrativeCode,
     OverallRationality,
@@ -50,6 +52,7 @@ from choicetrust import (
     run_totals,
     scan_runs,
     signed_difference,
+    validate_episode,
     zone,
 )
 from choicetrust.cli_io import (
@@ -518,3 +521,41 @@ def test_run_total_memo_scores_each_key_once_per_report(canonical_raw_episodes, 
 @given(batches())
 def test_run_total_memo_scores_each_key_once_per_report_on_any_batch(batch):
     _assert_each_key_is_scored_once_per_report(*batch)
+
+
+def _assert_each_rank_tuple_is_read_once_per_report(episodes, reviews):
+    calls = {period_string: [], run_totals: []}
+
+    def counting(derive):
+        return lambda ep: calls[derive].append(ep.ranks) or derive(ep)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for derive in calls:
+            patch.setattr(_pipeline, derive.__name__, counting(derive))
+        report = build_report(episodes, reviews)
+        # Only the episodes of a scored reviewer are read, each once per distinct rank tuple.
+        scored = {section.reviewer_id for section in report.reviewers}
+        ranks = set()
+        for raw in episodes:
+            if raw.reviewer_id in scored:
+                with contextlib.suppress(ChoiceTrustError):
+                    ranks.add(validate_episode(raw).ranks)
+        first = {derive: list(tuples) for derive, tuples in calls.items()}
+        for tuples in first.values():
+            assert len(tuples) == len(set(tuples))
+            assert set(tuples) == ranks
+        # The memo does not outlive its report: the next one reads every rank tuple again.
+        build_report(episodes, reviews)
+    assert calls == {derive: tuples + tuples for derive, tuples in first.items()}
+
+
+def test_rank_tuple_memo_reads_each_tuple_once_per_report(canonical_raw_episodes, canonical_reviews):
+    # A second reviewer with the same episodes repeats every rank tuple of the first.
+    twin = [ChoiceEpisode("rev-2", e.period, e.attainable, e.wishlist, e.cart, e.final) for e in canonical_raw_episodes]
+    _assert_each_rank_tuple_is_read_once_per_report([*canonical_raw_episodes, *twin], canonical_reviews)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches())
+def test_rank_tuple_memo_reads_each_tuple_once_per_report_on_any_batch(batch):
+    _assert_each_rank_tuple_is_read_once_per_report(*batch)
