@@ -15,7 +15,6 @@ import gc
 import io
 import itertools
 import json
-import operator
 import os
 import re
 import reprlib
@@ -168,50 +167,6 @@ def _field(record: dict, key: str, kind: str, where: str | Path, default: Any = 
     return value
 
 
-def _fields(*fields: tuple[str, str, Any]) -> Callable[[dict, str], Sequence]:
-    """The reader of a wire record kind's fields, each (key, wire kind, default) in the order `_field` checks them.
-
-    It returns a record's values in that order. One pass serves when each has its kind's exact JSON type
-    (an int is never a bool) or is an optional field's default, and one `_NOT_IN_ID` search over every id
-    and list entry finds nothing; else `_field` checks each field in order, so a problem reads as its own.
-    """
-    kinds = [kind for _, kind, _ in fields]
-    ids, lists = kinds.count("id"), len(kinds) - kinds.count("a list of id strings")
-    assert "id" not in kinds[ids:] and "a list of id strings" not in kinds[:lists]  # ids first, id lists last
-    values_of = operator.itemgetter(*(key for key, _, _ in fields))
-    exact = {"id": str, "str": str, "int": int, "a list of id strings": list}  # A default is None or of its kind.
-    types = set(itertools.product(*({exact[kind], type(default)} - {type(_REQUIRED)} for _, kind, default in fields)))
-
-    def read(record: dict, where: str) -> Sequence:
-        try:
-            values = values_of(record)
-        except KeyError:  # an absent field takes its default
-            values = [record.get(key, default) for key, _, default in fields]
-        if tuple(map(type, values)) in types:
-            text = [*values[:ids]]
-            for entries in values[lists:]:
-                text += entries
-            try:
-                if _NOT_IN_ID.search("".join(text)) is None:
-                    return values
-            except TypeError:  # an entry is not a string
-                pass
-        return [_field(record, key, kind, where, default) for key, kind, default in fields]
-
-    return read
-
-
-# In the order of `ValidatedEpisode`'s and `Review`'s parameters.
-_EPISODE_FIELDS = _fields(
-    ("reviewer_id", "id", _REQUIRED), ("period", "int", _REQUIRED),
-    *((key, "a list of id strings", _REQUIRED) for key in ("catalog", "wishlist", "cart", "final")),
-)
-_REVIEW_FIELDS = _fields(
-    ("reviewer_id", "id", _REQUIRED), ("object", "id", _REQUIRED), ("rating", "int", _REQUIRED),
-    ("comment_polarity", "str", None), ("comment_text", "str", ""),
-)
-
-
 def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
     """Read a JSONL episode file; malformed or invalid lines, and repeats of an accepted line's reviewer
     and period, become `path:line` diagnostics, not aborts."""
@@ -226,7 +181,14 @@ def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
         where = f"{name}:{lineno}"
         try:
             record = _shape(_decode(raw, name, lineno), dict, where, "episode record")
-            episode = ValidatedEpisode(*_EPISODE_FIELDS(record, where))
+            episode = ValidatedEpisode(
+                reviewer_id=_field(record, "reviewer_id", "id", where),
+                period=_field(record, "period", "int", where),
+                attainable=_field(record, "catalog", "a list of id strings", where),
+                wishlist=_field(record, "wishlist", "a list of id strings", where),
+                cart=_field(record, "cart", "a list of id strings", where),
+                final=_field(record, "final", "a list of id strings", where),
+            )
             key = episode.reviewer_id, episode.period
             if accepted.setdefault(key, lineno) != lineno:
                 raise ParseError(where, "reviewer %r already has period %d (line %d)" % (*key, accepted[key]))
@@ -245,7 +207,16 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
     for idx, record in enumerate(doc):
         where = f"{name}: review #{idx}"
         try:
-            reviews.append(Review(*_REVIEW_FIELDS(_shape(record, dict, where, "review"), where)))
+            record = _shape(record, dict, where, "review")
+            reviews.append(
+                Review(
+                    reviewer_id=_field(record, "reviewer_id", "id", where),
+                    object=_field(record, "object", "id", where),
+                    rating=_field(record, "rating", "int", where),
+                    comment_polarity=_field(record, "comment_polarity", "str", where, None),
+                    comment_text=_field(record, "comment_text", "str", where, ""),
+                )
+            )
         except ChoiceTrustError as exc:  # a ParseError names its place already
             problems.append(str(exc) if isinstance(exc, ParseError) else f"{where}: {exc}")
     return reviews, problems

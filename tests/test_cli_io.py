@@ -750,97 +750,6 @@ def test_score_rejects_a_review_id_that_breaks_a_line(fixtures_dir, tmp_path, ca
     )
 
 
-def _episode_by_field(record, where):
-    """An episode record's fields read one `_field` call at a time: the oracle of the one-pass reader."""
-    return [
-        cli_io._field(record, "reviewer_id", "id", where),
-        cli_io._field(record, "period", "int", where),
-        *(cli_io._field(record, key, "a list of id strings", where) for key in ("catalog", "wishlist", "cart", "final")),
-    ]
-
-
-def _review_by_field(record, where):
-    """A review record's fields read one `_field` call at a time: the oracle of the one-pass reader."""
-    return [
-        cli_io._field(record, "reviewer_id", "id", where),
-        cli_io._field(record, "object", "id", where),
-        cli_io._field(record, "rating", "int", where),
-        cli_io._field(record, "comment_polarity", "str", where, None),
-        cli_io._field(record, "comment_text", "str", where, ""),
-    ]
-
-
-# Characters no id may hold: C0 controls, DEL, C1 controls, the line and paragraph separators, lone surrogates.
-_NOT_ID_CHARS = ["\x00", "\n", "\x1f", "\x7f", "\x80", "\x85", "\x9f", "\u2028", "\u2029", "\ud800", "\udfff"]
-# A bool, a float, null, an object, or a value of another kind, in place of a field's value or a list entry.
-_WIRE_MISFIT = st.sampled_from([True, False, 0.0, 2.5, None, {}, {"k": "v"}, 3, "s", [], ["a"]])
-
-
-def _now_and_then(common, rare):
-    """`common` nine times in ten, else `rare`: most records then pass the one-pass check, and some fail it."""
-    return st.integers(0, 9).flatmap(lambda roll: rare if roll == 0 else common)
-
-
-_WIRE_ID = _now_and_then(
-    st.text(st.characters(exclude_categories=("Cc", "Cs", "Zl", "Zp")), max_size=3),
-    st.tuples(st.text(max_size=2), st.sampled_from(_NOT_ID_CHARS), st.text(max_size=2)).map("".join),
-)
-_WIRE_VALUE = {
-    "id": _WIRE_ID,
-    "str": st.text(max_size=3),
-    "int": st.integers(-2, 10**20),
-    "a list of id strings": st.lists(_now_and_then(_WIRE_ID, _WIRE_MISFIT), max_size=4),
-}
-
-
-@st.composite
-def _wire_record(draw, fields):
-    """A record of the (key, kind) `fields`: each value of its kind, a misfit, or absent, plus extra keys."""
-    record = {}
-    for key, kind in fields:
-        how = draw(st.integers(0, 19))
-        if how < 17:
-            record[key] = draw(_WIRE_VALUE[kind])
-        elif how < 19:
-            record[key] = draw(_WIRE_MISFIT)
-    extra = st.text(max_size=3).filter(lambda key: key not in dict(fields))
-    record.update(draw(st.dictionaries(extra, _WIRE_MISFIT, max_size=2)))
-    return record
-
-
-def _read_outcome(read, record):
-    """What `read` makes of `record`: each value with its type, or the text of its ParseError."""
-    try:
-        return [(type(value), value) for value in read(record, "here")]
-    except ParseError as exc:
-        return str(exc)
-
-
-_EPISODE_WIRE = [("reviewer_id", "id"), ("period", "int")] + [
-    (key, "a list of id strings") for key in ("catalog", "wishlist", "cart", "final")
-]
-_REVIEW_WIRE = [("reviewer_id", "id"), ("object", "id"), ("rating", "int"), ("comment_polarity", "str"),
-                ("comment_text", "str")]
-
-
-@settings(max_examples=400, deadline=None)
-@example({"reviewer_id": "r", "period": 1, "catalog": ["a", 1], "wishlist": [], "cart": [], "final": []})
-@example({"reviewer_id": "r", "period": True, "catalog": ["a"], "wishlist": [], "cart": [], "final": []})
-@example({"reviewer_id": "r", "period": 1, "catalog": ["a\u2028"], "wishlist": [], "cart": [], "final": []})
-@given(_wire_record(_EPISODE_WIRE))
-def test_one_pass_episode_fields_equal_field_by_field(record):
-    assert _read_outcome(cli_io._EPISODE_FIELDS, record) == _read_outcome(_episode_by_field, record)
-
-
-@settings(max_examples=400, deadline=None)
-@example({"reviewer_id": "r", "object": "o", "rating": 1, "comment_polarity": None})
-@example({"reviewer_id": "r", "object": "o", "rating": False, "comment_polarity": "x", "comment_text": ""})
-@example({"reviewer_id": "r", "object": "o\ud800", "rating": 1, "comment_text": None})
-@given(_wire_record(_REVIEW_WIRE))
-def test_one_pass_review_fields_equal_field_by_field(record):
-    assert _read_outcome(cli_io._REVIEW_FIELDS, record) == _read_outcome(_review_by_field, record)
-
-
 def test_a_path_that_breaks_a_line_is_named_by_ascii(fixtures_dir, tmp_path, capsys):
     # A newline in a file name would split an error line in two; such a path is written as ascii() writes it.
     second = (fixtures_dir / EPISODES).read_text(encoding="utf-8").splitlines()[1]
@@ -1375,6 +1284,18 @@ def test_a_runs_cyclic_garbage_does_not_grow_with_its_input(tmp_path):
         for fmt in FORMATS
     ]
     runs.append([["tau", "4", "2"], ["tau", "8", "2"]])
+    # A graded list of 20 and of 80 elements, and complete choice tables over 3 and 6 objects that choose by
+    # one order, so every subset is checked and the first order tried fits.
+    lists, tables = [], []
+    for count, objects in ((20, "abc"), (80, "abcdef")):
+        lists.append(tmp_path / f"ifs{count}.json")
+        lists[-1].write_text(json.dumps([{"id": f"e{k}", "mu": k / (2 * count), "nu": 0.25} for k in range(count)]))
+        subsets = [s for size in range(1, len(objects) + 1) for s in itertools.combinations(objects, size)]
+        tables.append(tmp_path / f"table{len(objects)}.json")
+        tables[-1].write_text(json.dumps({"ground_set": list(objects),
+                                          "choices": [{"set": list(s), "choice": s[0]} for s in subsets]}))
+    for command, paths in (("info-index", lists), ("check", tables)):
+        runs += [[[command, str(path), "--format", fmt] for path in paths] for fmt in FORMATS]
     gc.collect()
     gc.freeze()
     gc.disable()
