@@ -195,16 +195,17 @@ def run_totals(episode: ValidatedEpisode) -> tuple[int, ...]:
     return tuple([below[rank] for rank in ranks])
 
 
-def slot_rule(counts: Sequence[int | None]) -> RunPattern:
+def _slot(count: int | None) -> RunCount:
+    return RunCount(count) if count else EPSILON
+
+
+def slot_rule(counts: Sequence[int | None], slot: Callable[[int | None], RunCount] = _slot) -> RunPattern:
     """The run pattern of per-period run totals, None where the object is absent.
 
     A total of 0 and an absence both become the empty run; only an absence
-    sets its flag.
+    sets its flag. `slot` builds each slot; scoring passes a per-report memo of it.
     """
-    return RunPattern(
-        tuple(RunCount(count) if count else EPSILON for count in counts),
-        tuple(count is None for count in counts),
-    )
+    return RunPattern(tuple(map(slot, counts)), tuple([count is None for count in counts]))
 
 
 MEMBERSHIP_VARIANTS = ("minmax", "smoothed")
@@ -230,21 +231,13 @@ class Degree(Record):
     __slots__ = ("value", "degenerate")
 
 
-def classify_rank(slots: Sequence[RunCount]) -> RankClass:
-    """Rank a run tuple: reflexive, then increasing, decreasing, mixed.
-
-    The empty run compares as 0. Reflexive (all slots equal) is the highest
-    rank; increasing means nondecreasing with at least one strict rise,
-    decreasing the mirror image, and mixed has steps both ways.
-    """
-    values = [s.numeric for s in slots]
-    ups = any(b > a for a, b in zip(values, values[1:]))
-    downs = any(b < a for a, b in zip(values, values[1:]))
-    if not ups and not downs:
-        return RankClass.REFLEXIVE
-    if ups and downs:
-        return RankClass.MIXED
-    return RankClass.INCREASING if ups else RankClass.DECREASING
+def _rank_class(values: list[int]) -> RankClass:
+    """The rank class of a tuple's run totals, the empty run as 0, by :func:`classify_rank`'s rule,
+    read off one comparison with their order sorted each way."""
+    up, down = values == sorted(values), values == sorted(values, reverse=True)
+    if up == down:  # all equal, or steps both ways
+        return RankClass.REFLEXIVE if up else RankClass.MIXED
+    return RankClass.INCREASING if up else RankClass.DECREASING
 
 
 def signed_difference(slots: Sequence[RunCount]) -> int:
@@ -564,7 +557,8 @@ class _Scored(NamedTuple):
 
 
 def _score_totals(
-    totals: tuple[int | None, ...], ns: tuple[int, int] | None, variant: str, d0_zone: str
+    totals: tuple[int | None, ...], ns: tuple[int, int] | None, variant: str, d0_zone: str,
+    slot: Callable[[int | None], RunCount] = _slot,
 ) -> _Scored:
     """Score one object's per-period run totals (None where it is absent).
 
@@ -573,9 +567,9 @@ def _score_totals(
     memoizes this per report, so each is scored once per report and every
     object with that tuple shares its run pattern and its verdict on each
     review polarity. ``ns`` is the two periods' catalog sizes, None when a
-    period has fewer than two objects.
+    period has fewer than two objects; ``slot`` is as for :func:`slot_rule`.
     """
-    pattern = slot_rule(totals)
+    pattern = slot_rule(totals, slot)
     slots = pattern.slots
     obj_zone = bar = degree = conformant = verdicts = None
     notes: tuple[str, ...] = ()
@@ -595,7 +589,8 @@ def _score_totals(
         verdicts = _verdicts(slots)
     elif len(slots) == 1:
         conformant = not slots[0].is_epsilon
-    return _Scored(pattern, classify_rank(slots), obj_zone, bar, degree, notes, counts_rational, conformant, verdicts)
+    rank = _rank_class([total or 0 for total in totals])
+    return _Scored(pattern, rank, obj_zone, bar, degree, notes, counts_rational, conformant, verdicts)
 
 
 def _assess_reviewer(
@@ -613,9 +608,7 @@ def _assess_reviewer(
     joint = "".join(period_patterns) if homogeneous and len(episodes) > 1 else None
 
     two_period = len(episodes) == 2
-    ns = None
-    if two_period and all(ep.n >= 2 for ep in episodes):
-        ns = (episodes[0].n, episodes[1].n)
+    ns = (episodes[0].n, episodes[1].n) if two_period and all(ep.n >= 2 for ep in episodes) else None
 
     totals = [dict(zip(ep.attainable, counts)) for ep, (_, counts) in zip(episodes, periods)]
     assessments = []
@@ -667,8 +660,10 @@ def build_report(
     rest of the batch.
     """
     params = ReportParameters(membership_variant=membership_variant, d0_zone=d0_zone, p=p)
-    # One entry per distinct (totals, ns) key of this input, freed with the report.
-    score = functools.cache(functools.partial(_score_totals, variant=params.membership_variant, d0_zone=params.d0_zone))
+    # One entry per distinct (totals, ns) key of this input, and one slot per distinct total, freed with the report.
+    score = functools.cache(functools.partial(
+        _score_totals, variant=params.membership_variant, d0_zone=params.d0_zone, slot=functools.cache(_slot)
+    ))
     # One record per distinct (n, realized_r), likewise; p was checked once, above.
     overall = functools.cache(lambda n, realized_r: OverallRationality.from_parameters(n, params.p, realized_r))
     # One (pattern string, run totals) pair per distinct rank tuple, likewise.

@@ -12,12 +12,11 @@ import itertools
 import json
 import reprlib
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .cli_io import (
     ParseError,
-    _csv_chunks,
-    _csv_row,
+    _csv_writer,
     _decode,
     _escape,
     _field,
@@ -35,6 +34,24 @@ from .rationality_outcomes import bar_degree, bar_frequency, iter_tau, signed_di
 
 # Largest outcome set `tau` lists; it holds n**t patterns.
 MAX_TAU_ROWS = 10**6
+
+
+def _csv_row(row: dict, fields: Sequence[str]) -> tuple:
+    """`row`'s cells in `fields` order: a bool is written true/false, and a missing key is an empty cell."""
+    return tuple(
+        ("true" if value else "false") if value is True or value is False else value
+        for value in map(row.get, fields)
+    )
+
+
+def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[Sequence[Any]]]) -> Iterator[str]:
+    """The header line of a CSV table of `fields`, then each block of rows as one string.
+
+    A row holds its cells in `fields` order; None is written as an empty cell.
+    """
+    write = _csv_writer()
+    yield write([fields])
+    yield from map(write, blocks)
 
 
 def load_ifs_list(path: str | Path) -> IfsList:

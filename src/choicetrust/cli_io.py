@@ -13,7 +13,6 @@ import contextlib
 import functools
 import gc
 import io
-import itertools
 import json
 import os
 import re
@@ -57,6 +56,11 @@ class ParseError(ChoiceTrustError):
 
     def __init__(self, where: str | Path, message: str) -> None:
         super().__init__(f"{_path_text(where)}: {message}")
+
+
+def _fault(where: str | Path | None, message: str) -> ChoiceTrustError:
+    """A ParseError at `where`; with no `where`, a ChoiceTrustError that the reader of records locates."""
+    return ChoiceTrustError(message) if where is None else ParseError(where, message)
 
 
 def _fmt8(x: Fraction | float) -> str:
@@ -109,10 +113,10 @@ def _decode(text: str, path: str | Path, line: int | None = None) -> Any:
     raise ParseError(path if line is None else f"{path}:{line}", f"invalid JSON ({problem})")
 
 
-def _shape(value: Any, kind: type[dict] | type[list], where: str | Path, noun: str) -> Any:
-    """`value` if it is a JSON object (`dict`) or array (`list`), as `kind` says."""
+def _shape(value: Any, kind: type[dict] | type[list], where: str | Path | None, noun: str) -> Any:
+    """`value` if it is a JSON object (`dict`) or array (`list`), as `kind` says; a fault is raised by `_fault`."""
     if not isinstance(value, kind):
-        raise ParseError(where, f"{noun} must be a JSON {'object' if kind is dict else 'array'}")
+        raise _fault(where, f"{noun} must be a JSON {'object' if kind is dict else 'array'}")
     return value
 
 
@@ -153,17 +157,17 @@ _KINDS = {
 _REQUIRED = object()
 
 
-def _field(record: dict, key: str, kind: str, where: str | Path, default: Any = _REQUIRED) -> Any:
+def _field(record: dict, key: str, kind: str, where: str | Path | None, default: Any = _REQUIRED) -> Any:
     """`record[key]`, checked to be of the wire type `kind`.
 
     An absent field takes `default` and is an error without one; a field
-    whose default is None may also be given as null.
+    whose default is None may also be given as null. A fault is raised by `_fault`.
     """
     value = record.get(key, default)
     if value is _REQUIRED:
-        raise ParseError(where, f"missing field {key!r}")
+        raise _fault(where, f"missing field {key!r}")
     if value is not default and not _KINDS[kind](value):
-        raise ParseError(where, f"field {key!r} must be {kind}, got {reprlib.repr(value)}")
+        raise _fault(where, f"field {key!r} must be {kind}, got {reprlib.repr(value)}")
     return value
 
 
@@ -178,23 +182,22 @@ def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         if not raw.strip():
             continue
-        where = f"{name}:{lineno}"
         try:
-            record = _shape(_decode(raw, name, lineno), dict, where, "episode record")
+            record = _shape(_decode(raw, name, lineno), dict, None, "episode record")
             episode = ValidatedEpisode(
-                reviewer_id=_field(record, "reviewer_id", "id", where),
-                period=_field(record, "period", "int", where),
-                attainable=_field(record, "catalog", "a list of id strings", where),
-                wishlist=_field(record, "wishlist", "a list of id strings", where),
-                cart=_field(record, "cart", "a list of id strings", where),
-                final=_field(record, "final", "a list of id strings", where),
+                reviewer_id=_field(record, "reviewer_id", "id", None),
+                period=_field(record, "period", "int", None),
+                attainable=_field(record, "catalog", "a list of id strings", None),
+                wishlist=_field(record, "wishlist", "a list of id strings", None),
+                cart=_field(record, "cart", "a list of id strings", None),
+                final=_field(record, "final", "a list of id strings", None),
             )
             key = episode.reviewer_id, episode.period
             if accepted.setdefault(key, lineno) != lineno:
-                raise ParseError(where, "reviewer %r already has period %d (line %d)" % (*key, accepted[key]))
+                raise ChoiceTrustError("reviewer %r already has period %d (line %d)" % (*key, accepted[key]))
             episodes.append(episode)
         except ChoiceTrustError as exc:  # a ParseError names its place already
-            problems.append(str(exc) if isinstance(exc, ParseError) else f"{where}: {exc}")
+            problems.append(str(exc) if isinstance(exc, ParseError) else f"{name}:{lineno}: {exc}")
     return episodes, problems
 
 
@@ -205,20 +208,19 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
     reviews: list[Review] = []
     problems: list[str] = []
     for idx, record in enumerate(doc):
-        where = f"{name}: review #{idx}"
         try:
-            record = _shape(record, dict, where, "review")
+            record = _shape(record, dict, None, "review")
             reviews.append(
                 Review(
-                    reviewer_id=_field(record, "reviewer_id", "id", where),
-                    object=_field(record, "object", "id", where),
-                    rating=_field(record, "rating", "int", where),
-                    comment_polarity=_field(record, "comment_polarity", "str", where, None),
-                    comment_text=_field(record, "comment_text", "str", where, ""),
+                    reviewer_id=_field(record, "reviewer_id", "id", None),
+                    object=_field(record, "object", "id", None),
+                    rating=_field(record, "rating", "int", None),
+                    comment_polarity=_field(record, "comment_polarity", "str", None, None),
+                    comment_text=_field(record, "comment_text", "str", None, ""),
                 )
             )
-        except ChoiceTrustError as exc:  # a ParseError names its place already
-            problems.append(str(exc) if isinstance(exc, ParseError) else f"{where}: {exc}")
+        except ChoiceTrustError as exc:
+            problems.append(f"{name}: review #{idx}: {exc}")
     return reviews, problems
 
 
@@ -265,30 +267,21 @@ def _json_document(head: dict, key: str, items: Iterable, tail: dict, encode: Ca
     yield close + "".join(",\n  " + field for field in tail_fields) + "\n}\n"
 
 
-def _csv_chunks(fields: Sequence[str], blocks: Iterable[Iterable[Sequence[Any]]]) -> Iterator[str]:
-    """The header line of a CSV table of `fields`, then each block of rows as one string.
-
-    A row holds its cells in `fields` order; None is written as an empty cell.
-    """
+def _csv_writer() -> Callable[[Iterable[Sequence[Any]]], str]:
+    """A function that returns the CSV text of the rows it is given; None is written as an empty cell."""
     import csv  # here, so that a run that writes no CSV never loads it
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    # An empty first block yields the header line on its own.
-    for rows in itertools.chain([()], blocks):
+
+    def write(rows: Iterable[Sequence[Any]]) -> str:
         writer.writerows(rows)
-        yield buf.getvalue()
+        text = buf.getvalue()
         buf.seek(0)
         buf.truncate()
+        return text
 
-
-def _csv_row(row: dict, fields: Sequence[str]) -> tuple:
-    """`row`'s cells in `fields` order: a bool is written true/false, and a missing key is an empty cell."""
-    return tuple(
-        ("true" if value else "false") if value is True or value is False else value
-        for value in map(row.get, fields)
-    )
+    return write
 
 
 def _distribution_cells(n: int, p: Fraction) -> tuple[tuple[int, str, str, str], ...]:
@@ -319,6 +312,18 @@ _DISTRIBUTION_ROW_JSON = _json_template("r probability at_most at_least", "\n   
 # the bools, and the members of the narrative and polarity enums.
 _JSON_CONSTANT: dict[Any, str] = {None: "null", True: "true", False: "false"}
 _JSON_CONSTANT.update((m, _escape(m.value)) for e in (NarrativeCode, Polarity) for m in e)
+
+
+def _per_binomial(render: Callable[[int, Fraction], Any]) -> Callable[[OverallRationality], Any]:
+    """`render(n, p)` of a section's overall record, memoized for one render by n and p's numerator
+    and denominator: hashing the Fraction itself is a Python-level call."""
+    memo: dict[tuple[int, int, int], Any] = {}
+
+    def rendered(overall: OverallRationality) -> Any:
+        key = overall.n, overall.p.numerator, overall.p.denominator
+        return memo.get(key) or memo.setdefault(key, render(overall.n, overall.p))
+
+    return rendered
 
 
 def _overall_json(n: int, p: Fraction) -> tuple[str, str]:
@@ -352,11 +357,11 @@ def _assessment_json(a: TrustAssessment, periods: tuple[int, ...]) -> str:
 
 
 def _section_json(
-    section: ReviewerSection, overall_json: Callable[[int, Fraction], tuple[str, str]], fragments: dict
+    section: ReviewerSection, overall_json: Callable[[OverallRationality], tuple[str, str]], fragments: dict
 ) -> str:
     """A reviewer section as an item of the report's "reviewers" list.
 
-    `overall_json` memoizes `_overall_json`, and `fragments` holds one render's
+    `overall_json` is `_per_binomial(_overall_json)`, and `fragments` holds one render's
     `_assessment_json` templates. A template is keyed on the identity of the
     pattern and degree records it reads, which the report keeps alive for the
     whole render, and on the value of every other field it reads.
@@ -379,7 +384,7 @@ def _section_json(
             "null" if review is None else _JSON_CONSTANT[review.comment_polarity],
         ))
     overall = section.overall
-    p, distribution = overall_json(overall.n, overall.p)
+    p, distribution = overall_json(overall)
     return _SECTION_JSON % (
         _escape(section.reviewer_id),
         _json_list(list(map(str, periods)), "\n      "),
@@ -417,7 +422,7 @@ def _json_stream(report: TrustReport) -> Iterator[str]:
         "tool": _TOOL,
         "parameters": {"membership": params.membership_variant, "d0_zone": params.d0_zone, "p": _fmt8(params.p)},
     }
-    encode = functools.partial(_section_json, overall_json=functools.cache(_overall_json), fragments={})
+    encode = functools.partial(_section_json, overall_json=_per_binomial(_overall_json), fragments={})
     return _json_document(head, "reviewers", report.reviewers, _tail(report), encode)
 
 
@@ -428,39 +433,43 @@ _CSV_COLUMNS = [
 ]
 
 
-def _csv_blocks(report: TrustReport) -> Iterator[list[tuple]]:
-    """The report's CSV rows, one per assessment, binomial row, flagged review and error.
-
-    Each reviewer section is one block, and the flagged reviews and errors together the last.
-    """
-    distribution = functools.cache(_distribution_cells)
+def _csv_stream(report: TrustReport) -> Iterator[str]:
+    """The report's CSV rows, one per assessment, binomial row, flagged review and error: the header,
+    one chunk per reviewer section, then the flagged reviews and errors together. The binomial rows
+    of one (n, p) differ only in their reviewer id, so the cells after it are written once and
+    follow each section's `overall,<id>,`, whose id cell the same writer writes."""
+    write = _csv_writer()
+    # An overall row leaves the columns object to annotations empty, and reason and message.
+    overall_rows = _per_binomial(
+        lambda n, p: write([(*(None,) * 11, *row, None, None) for row in _distribution_cells(n, p)])[:-1]
+    )
+    key_cells: dict[tuple, tuple] = {}
+    yield write([_CSV_COLUMNS])
     for section in report.reviewers:
-        rid, overall = section.reviewer_id, section.overall
-        block = [
-            (
-                "assessment", rid, a.object, *_key_cells(a),
+        rid = section.reviewer_id
+        rows = []
+        for a in section.assessments:
+            key = id(a.pattern), a.rank_class, a.bar, a.zone, id(a.degree)
+            rows.append((
+                "assessment", rid, a.object, *(key_cells.get(key) or key_cells.setdefault(key, _key_cells(a))),
                 None if a.polarity_match is None else "true" if a.polarity_match else "false",
                 a.narrative.value if a.narrative else None, a.review.rating if a.review else None,
                 a.review.comment_polarity.value if a.review else None, " | ".join(a.annotations),
                 None, None, None, None, None, None,
-            )
-            for a in section.assessments
-        ]
-        # An overall row leaves the columns object to annotations empty, and reason and message.
-        cells = distribution(overall.n, overall.p)
-        block += (("overall", rid, *(None,) * 11, *row, None, None) for row in cells)
-        yield block
+            ))
+        lead = write([("overall", rid)])[:-1] + ","
+        yield write(rows) + lead + overall_rows(section.overall).replace("\n", "\n" + lead) + "\n"
+    # The tail holds no bool, and a missing key is an empty cell.
     tail = zip(("flagged_review", "error"), _tail(report).values())
-    yield [_csv_row({"record": record, **row}, _CSV_COLUMNS) for record, rows in tail for row in rows]
-
-
-def _csv_stream(report: TrustReport) -> Iterator[str]:
-    return _csv_chunks(_CSV_COLUMNS, _csv_blocks(report))
+    yield write([list(map({"record": record, **row}.get, _CSV_COLUMNS)) for record, rows in tail for row in rows])
 
 
 def _text_stream(report: TrustReport) -> Iterator[str]:
     params = report.parameters
-    distribution = functools.cache(_distribution_cells)
+    distribution = _per_binomial(lambda n, p: "\n".join(
+        ["    r=%s  f=%s  f(<= r)=%s  f(>= r)=%s" % cells for cells in _distribution_cells(n, p)]
+    ))
+    columns: dict[tuple, str] = {}  # the padded pattern to degree columns by run-total key, as csv keys its cells
     yield f"{_TOOL}\nparameters: membership={params.membership_variant} d0-zone={params.d0_zone} p={_fmt8(params.p)}\n"
     for section in report.reviewers:
         lines = [
@@ -475,21 +484,17 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
         )
         for a in section.assessments:
             match = "" if a.polarity_match is None else ("yes" if a.polarity_match else "NO")
-            pattern, rank, bar, zone, degree = _key_cells(a)
-            lines.append(
-                f"  {a.object:<9} {pattern:<11} {rank:<11} {bar or '-':<4} {zone or '-':<11} {degree or '-':<11} "
-                f"{match:<6} {a.narrative.value if a.narrative else '-'}"
-            )
+            key = id(a.pattern), a.rank_class, a.bar, a.zone, id(a.degree)
+            if key not in columns:  # a pattern and a rank class are never empty
+                columns[key] = "{:<11} {:<11} {:<4} {:<11} {:<11} ".format(*[cell or "-" for cell in _key_cells(a)])
+            lines.append(f"  {a.object:<9} {columns[key]}{match:<6} {a.narrative.value if a.narrative else '-'}")
             lines += (f"    note ({a.object}): {note}" for note in a.annotations)
         overall = section.overall
         lines.append(
             f"  overall: n={overall.n} p={_fmt8(overall.p)}"
             + (f" realized rational count={overall.realized_r}" if overall.realized_r is not None else "")
         )
-        lines += (
-            f"    r={r}  f={prob}  f(<= r)={at_most}  f(>= r)={at_least}"
-            for r, prob, at_most, at_least in distribution(overall.n, overall.p)
-        )
+        lines.append(distribution(overall))
         yield "\n".join(lines) + "\n"
     flagged, errors = _tail(report).values()
     lines = []

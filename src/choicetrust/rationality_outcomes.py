@@ -12,10 +12,12 @@ Scoring and ``tau`` read each bar's frequency and degree from its closed form
 is the paper-literal reference: ``tau`` streams its patterns from
 :func:`iter_tau`, and tests check the closed form against it.
 
-:class:`RankClass`, :class:`Degree`, :func:`classify_rank`,
-:func:`signed_difference`, :func:`bar_label`, :func:`bar_frequency` and
-:func:`bar_degree` live in :mod:`choicetrust._pipeline`, which scoring runs,
-and are re-exported here. ``choicetrust score`` never imports this module.
+:class:`RankClass`, :class:`Degree`, :func:`signed_difference`,
+:func:`bar_label`, :func:`bar_frequency` and :func:`bar_degree` live in
+:mod:`choicetrust._pipeline`, which scoring runs, and are re-exported here.
+:func:`classify_rank` reads a run tuple by the rank rule of ``_pipeline``,
+which scoring applies to the run totals themselves. ``choicetrust score``
+never imports this module.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from typing import Iterator, Sequence
 
 from ._pipeline import (
-    MEMBERSHIP_VARIANTS, Degree, RankClass, _degree, bar_degree, bar_frequency, bar_label, classify_rank,
+    MEMBERSHIP_VARIANTS, Degree, RankClass, _degree, _rank_class, bar_degree, bar_frequency, bar_label,
     signed_difference,
 )
 from ._record import Record, as_int, quote
@@ -116,6 +118,16 @@ def slot_alphabet(n: int) -> tuple[RunCount, ...]:
     if n < 2:
         raise DomainError(f"need at least 2 objects per period, got {quote(n, str)}")
     return (EPSILON,) + tuple(RunCount(k) for k in range(1, n))
+
+
+def classify_rank(slots: Sequence[RunCount]) -> RankClass:
+    """Rank a run tuple: reflexive, then increasing, decreasing, mixed.
+
+    The empty run compares as 0. Reflexive (all slots equal) is the highest
+    rank; increasing means nondecreasing with at least one strict rise,
+    decreasing the mirror image, and mixed has steps both ways.
+    """
+    return _rank_class([s.numeric for s in slots])
 
 
 def bin_pattern(slots: Sequence[RunCount]) -> str:

@@ -357,6 +357,7 @@ _E, _R = str(FIXTURES / EPISODES), str(FIXTURES / REVIEWS)
 _IFS = str(FIXTURES / "ifs_list.json")
 _CHAIN, _VIOLATING = str(FIXTURES / "choice_table_chain.json"), str(FIXTURES / "choice_table_violating.json")
 _ESC_IFS, _ESC_TABLE = str(FIXTURES / "ifs_list_escaped.json"), str(FIXTURES / "choice_table_escaped.json")
+_CE, _CR = str(FIXTURES / "episodes_churn.jsonl"), str(FIXTURES / "reviews_churn.json")  # three periods
 
 
 @pytest.mark.parametrize(
@@ -385,6 +386,11 @@ _ESC_IFS, _ESC_TABLE = str(FIXTURES / "ifs_list_escaped.json"), str(FIXTURES / "
             ["score", _E, _R, "--membership", "smoothed", "--d0-zone", "irrational", "--p", "0.3", "--format", "text"],
             "4fc2b32a69c0708c4d2ac46e40daa8b6e021e9cdb00b9dc8977f32b2c70d5015",
         ),
+        # Three periods, absent objects, two sections with one (n, p), and ids holding a comma, a quote and a space;
+        # taken before the csv and text renderers wrote each (n, p) block once per render.
+        (["score", _CE, _CR, "--format", "json"], "af1f99c4f342a4750651a6550087e63726bdaa8667f221999562533877ecc745"),
+        (["score", _CE, _CR, "--format", "csv"], "6efd15258e11f0ecec78962e8b072e9ed86a7206e92cff6c81b2b751189fb57b"),
+        (["score", _CE, _CR, "--format", "text"], "210f81fe04708dc2e13a154b9150ec7538297c1f5fad6201459d36eac65fd544"),
         (["info-index", _IFS, "--format", "json"], "519c5b665457c1fbd9779383353ff9bddcb76534da95889a9dd92e947d70d627"),
         (["info-index", _IFS, "--format", "csv"], "29508743df9248f56a74f92dfcc9ce25fc69a4129b785cf3e34ec720f2f48506"),
         (["info-index", _IFS, "--format", "text"], "a64ca00de86614fc21b634e1146538aaf850415e1f81dc131251c4062bc8a27e"),

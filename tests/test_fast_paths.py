@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,10 +24,12 @@ from choicetrust import (
     ChoiceEpisode,
     ChoiceTrustError,
     Degree,
+    FlaggedReview,
     NarrativeCode,
     OverallRationality,
     Polarity,
     RankClass,
+    ReportError,
     ReportParameters,
     Review,
     ReviewerSection,
@@ -67,7 +70,7 @@ from choicetrust.cli_io import (
 )
 
 from helpers import episode
-from choicetrust import _pipeline
+from choicetrust import _pipeline, cli_io
 from choicetrust.trust_scoring import _NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE, _NOTE_SMALL_CATALOG, _score_totals
 from reference_report import reference_distribution, reference_output, reference_overall, reference_report
 from reference_report import report_to_dict as reference_report_to_dict
@@ -397,6 +400,102 @@ def test_a_json_render_renders_each_pattern_once_per_distinct_key(canonical_raw_
     assert rendered == reference_output(report, "json")
 
 
+# Ids a library caller may give: csv quotes a comma, a quote, a line break and edge
+# spaces; text writes them as they are.
+ODD_IDS = ("", "a,b", 'say "hi"', "x\ry", "x\ny", " edge ", "plain")
+_PATTERNS = (
+    RunPattern((RunCount(2), EPSILON), (False, True)),
+    RunPattern((EPSILON, RunCount(3), EPSILON), (True, False, False)),
+    RunPattern((RunCount(1),), (False,)),
+)
+_DEGREES = (None, Degree(Fraction(1, 3), False), Degree(Fraction(0), True))
+
+
+@st.composite
+def hand_built_reports(draw):
+    """A report built by hand, as a library caller may: odd ids, sections whose n and p may differ, and
+    pattern and degree records shared across assessments."""
+    ids = st.sampled_from(ODD_IDS)
+    reviews = st.builds(Review, ids, ids, st.integers(1, 5), st.sampled_from([None, *Polarity]))
+    assessment = st.builds(
+        TrustAssessment, ids, st.sampled_from(_PATTERNS), st.sampled_from(RankClass),
+        st.sampled_from([None, "A", "D", "-4"]), st.sampled_from([None, *Zone]), st.sampled_from(_DEGREES),
+        st.sampled_from([None, True, False]), st.sampled_from([None, *NarrativeCode]),
+        st.sampled_from([None, True, False]), st.none() | reviews, st.lists(ids, max_size=2).map(tuple),
+    )
+    overall = st.builds(
+        OverallRationality, st.integers(0, 5), st.sampled_from(["1/2", "3/10", "2/7", "0", "1", "0.5"])
+    )
+    section = st.builds(
+        ReviewerSection, ids, st.just((1, 2)), st.lists(ids, max_size=3).map(tuple), st.just(("0100", "0010")),
+        st.sampled_from([None, "01000010"]), st.lists(assessment, max_size=4).map(tuple), overall,
+    )
+    flagged = st.builds(FlaggedReview, reviews, ids)
+    errors = st.builds(ReportError, st.none() | ids, ids)
+    return TrustReport(
+        ReportParameters(p=draw(st.sampled_from(["1/2", "3/10"]))),
+        tuple(draw(st.lists(section, max_size=4))),
+        tuple(draw(st.lists(flagged, max_size=2))),
+        tuple(draw(st.lists(errors, max_size=2))),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(hand_built_reports())
+def test_hand_built_reports_render_as_the_reference_writes_them(report):
+    for fmt, render in _REPORT_RENDERERS.items():
+        assert "".join(render(report)) == reference_output(report, fmt)
+
+
+def _key(a):
+    """What csv and text key an assessment's pattern to degree cells on: the fields `_key_cells` reads."""
+    return id(a.pattern), a.rank_class, a.bar, a.zone, id(a.degree)
+
+
+def test_each_render_writes_each_key_and_each_binomial_block_once(canonical_raw_episodes, canonical_reviews):
+    # A second reviewer with the same episodes repeats every key and the (n, p) of the first; a third section,
+    # built by hand, repeats the keys at another p.
+    twin = [ChoiceEpisode("rev-2", e.period, e.attainable, e.wishlist, e.cart, e.final) for e in canonical_raw_episodes]
+    report = build_report([*canonical_raw_episodes, *twin], canonical_reviews)
+    s = report.reviewers[0]
+    other_p = ReviewerSection(
+        "rev-3", s.periods, s.catalog, s.period_patterns, s.joint_pattern, s.assessments,
+        OverallRationality(s.overall.n, "3/10", s.overall.realized_r),
+    )
+    report = TrustReport(report.parameters, (*report.reviewers, other_p), (), ())
+    assessments = [a for section in report.reviewers for a in section.assessments]
+    keys = {_key(a) for a in assessments}
+    blocks = {(section.overall.n, section.overall.p) for section in report.reviewers}
+    assert len(keys) < len(assessments) and len(blocks) < len(report.reviewers)
+    key_cells, distribution_cells = cli_io._key_cells, cli_io._distribution_cells
+    for fmt, render in _REPORT_RENDERERS.items():
+        cells, rows = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli_io, "_key_cells", lambda a: cells.append(_key(a)) or key_cells(a))
+            patch.setattr(cli_io, "_distribution_cells", lambda n, p: rows.append((n, p)) or distribution_cells(n, p))
+            # The memos do not outlive a render: the second renders every key and block again.
+            for _ in range(2):
+                assert "".join(render(report)) == reference_output(report, fmt)
+        assert Counter(rows) == Counter([*blocks, *blocks])
+        if fmt != "json":  # json keys its templates on more fields, as the test above counts
+            assert Counter(cells) == Counter([*keys, *keys])
+
+
+@given(st.lists(st.none() | st.integers(1, 5), min_size=1, max_size=4))
+def test_rank_class_equals_its_step_by_step_definition(totals):
+    values = [total or 0 for total in totals]
+    ups = any(b > a for a, b in zip(values, values[1:]))
+    downs = any(b < a for a, b in zip(values, values[1:]))
+    expected = (
+        RankClass.MIXED if ups and downs
+        else RankClass.INCREASING if ups
+        else RankClass.DECREASING if downs
+        else RankClass.REFLEXIVE
+    )
+    assert classify_rank([RunCount(total) if total else EPSILON for total in totals]) is expected
+    assert _score_totals(tuple(totals), None, "minmax", "rational").rank_class is expected
+
+
 @st.composite
 def run_total_tuples(draw):
     """Per-period run totals of one object (None where absent) and its two-period catalog sizes."""
@@ -496,9 +595,9 @@ def test_each_verdict_in_the_table_equals_match_review(batch, variant, d0_zone):
 def _assert_each_key_is_scored_once_per_report(episodes, reviews):
     calls = []
 
-    def counting(totals, ns, variant, d0_zone):
+    def counting(totals, ns, variant, d0_zone, slot):
         calls.append((totals, ns))
-        return _score_totals(totals, ns, variant, d0_zone)
+        return _score_totals(totals, ns, variant, d0_zone, slot)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_pipeline, "_score_totals", counting)
