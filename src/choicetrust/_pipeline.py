@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -57,11 +58,11 @@ class ValidatedEpisode(Record):
 
     The stage sets follow :class:`ChoiceEpisode`'s rules and must satisfy
     final <= cart <= wishlist <= attainable (adjacent stages may coincide),
-    the final set must be nonempty, and no stage may repeat an id. Stage by
-    stage, outermost first, one pass checks repeats, then nesting, then
-    records how deep each item reached: its rank. ``ranks[i]`` is the stage
-    rank of ``attainable[i]``, so no later derivation re-walks the stage
-    sets. ``ranks`` may be omitted; given, it must equal what the walk finds.
+    the final set must be nonempty, and no stage may repeat an id. An item's
+    rank is how many stages inside the attainable one hold it: 0..3.
+    ``ranks[i]`` is the stage rank of ``attainable[i]``, so no later
+    derivation re-walks the stage sets. ``ranks`` may be omitted; given, it
+    must equal what the stage sets give. A fault is named by :func:`_stage_walk`.
 
     Raises:
         DomainError: Empty attainable set, or ranks that disagree with the stage sets.
@@ -83,23 +84,17 @@ class ValidatedEpisode(Record):
         ranks: Iterable[int] | None = None,
     ) -> None:
         ChoiceEpisode.__init__(self, reviewer_id, period, attainable, wishlist, cart, final)
-        if not self.attainable:
-            raise DomainError("attainable set is empty")
-        depth: dict[str, int] = {}
-        for level, stage in enumerate(("attainable", "wishlist", "cart", "final")):
-            items = getattr(self, stage)
-            if len(set(items)) < len(items):
-                first: dict[str, int] = {}
-                repeat = next(item for i, item in enumerate(items) if first.setdefault(item, i) != i)
-                raise DuplicateItemError(f"item {quote(repeat)} occurs twice in stage {stage!r}")
-            for item in items:
-                # Every item of the enclosing stage, and only those, reached level - 1.
-                if depth.get(item, -1) != level - 1:
-                    raise NestingError(stage, item)
-                depth[item] = level
-        if not self.final:
-            raise EmptyFinalError(f"episode (reviewer {self.reviewer_id!r}, period {quote(self.period)}) has an empty final set")
-        walked = tuple(depth.values())  # in catalog order: the attainable stage came first
+        attainable, wishlist, cart, final = self.attainable, self.wishlist, self.cart, self.final
+        # The walk's checks as set operations, in its order: the first to fail or raise leaves the walk to name it.
+        if (
+            attainable and len(a := set(attainable)) == len(attainable)
+            and len(w := set(wishlist)) == len(wishlist) and w <= a
+            and len(c := set(cart)) == len(cart) and c <= w
+            and len(f := set(final)) == len(final) and f <= c and final
+        ):
+            walked = tuple([(o in w) + (o in c) + (o in f) for o in attainable])
+        else:
+            walked = _stage_walk(self)
         if ranks is not None and tuple(ranks) != walked:
             raise DomainError(
                 f"need one stage rank per attainable object, {walked} by its stage sets, got {quote(tuple(ranks))}"
@@ -109,6 +104,27 @@ class ValidatedEpisode(Record):
     @property
     def n(self) -> int:
         return len(self.attainable)
+
+
+def _stage_walk(episode: ChoiceEpisode) -> tuple[int, ...]:
+    """Each attainable object's stage rank, by a walk of the stage sets, outermost first, that raises the first fault."""
+    if not episode.attainable:
+        raise DomainError("attainable set is empty")
+    depth: dict[str, int] = {}
+    for level, stage in enumerate(("attainable", "wishlist", "cart", "final")):
+        items = getattr(episode, stage)
+        if len(set(items)) < len(items):
+            first: dict[str, int] = {}
+            repeat = next(item for i, item in enumerate(items) if first.setdefault(item, i) != i)
+            raise DuplicateItemError(f"item {quote(repeat)} occurs twice in stage {stage!r}")
+        for item in items:
+            # Every item of the enclosing stage, and only those, reached level - 1.
+            if depth.get(item, -1) != level - 1:
+                raise NestingError(stage, item)
+            depth[item] = level
+    if not episode.final:
+        raise EmptyFinalError(f"episode (reviewer {episode.reviewer_id!r}, period {quote(episode.period)}) has an empty final set")
+    return tuple(depth.values())  # in catalog order: the attainable stage came first
 
 
 def validate_episode(episode: ChoiceEpisode | ValidatedEpisode) -> ValidatedEpisode:
@@ -172,9 +188,8 @@ class RunPattern(Record):
     def __init__(self, slots: tuple[RunCount, ...], absent_flags: tuple[bool, ...]) -> None:
         if len(slots) != len(absent_flags):
             raise DomainError("slots and absent_flags must have equal length")
-        for slot, absent in zip(slots, absent_flags):
-            if absent and not slot.is_epsilon:
-                raise DomainError("an absent period must carry the empty run")
+        if any([slot.value is not None for slot in itertools.compress(slots, absent_flags)]):
+            raise DomainError("an absent period must carry the empty run")
         setfield(self, "slots", slots)
         setfield(self, "absent_flags", absent_flags)
 
@@ -484,12 +499,28 @@ def _trajectory_code(slots: Sequence[RunCount]) -> NarrativeCode:
 
 
 class TrustAssessment(Record):
-    """Everything the report says about one object of one reviewer."""
+    """Everything the report says about one object of one reviewer.
 
-    __slots__ = (
-        "object", "pattern", "rank_class", "bar", "zone", "degree", "polarity_match",
-        "narrative", "single_period_conformant", "review", "annotations",
-    )
+    It stores its object, polarity_match, narrative and review, and ``key``: its run-total key's record, which holds
+    the other seven fields. It is built, compared, hashed, written and pickled by the eleven of ``__match_args__``.
+    """
+
+    __slots__ = ("object", "key", "polarity_match", "narrative", "review")
+
+    def __init__(self, object, pattern, rank_class, bar, zone, degree, polarity_match, narrative,
+                 single_period_conformant, review, annotations) -> None:
+        key = _Scored(pattern, rank_class, zone, bar, degree, annotations, None, single_period_conformant, None)
+        Record.__init__(self, object, key, polarity_match, narrative, review)
+
+
+# A record lists its fields in __slots__: this one's are the eleven it is built from, seven read from its key.
+TrustAssessment.__slots__ = TrustAssessment.__match_args__ = (
+    "object", "pattern", "rank_class", "bar", "zone", "degree", "polarity_match",
+    "narrative", "single_period_conformant", "review", "annotations",
+)
+for _name in ("pattern", "rank_class", "bar", "zone", "degree", "single_period_conformant", "annotations"):
+    setattr(TrustAssessment, _name, property(operator.attrgetter("key." + _name)))
+_set_object, _set_key, _set_match, _set_narrative, _set_review = TrustAssessment._setters
 
 
 class ReviewerSection(Record):
@@ -543,16 +574,16 @@ def _catalog_union(episodes: Sequence[ValidatedEpisode]) -> tuple[str, ...]:
 
 
 class _Scored(NamedTuple):
-    """What an assessment takes from its run totals alone."""
+    """What an assessment takes from its run totals alone, which its key's assessments share (a hand-built one its own)."""
 
     pattern: RunPattern
     rank_class: RankClass
     zone: Zone | None
     bar: str | None
     degree: Degree | None
-    notes: tuple[str, ...]
+    annotations: tuple[str, ...]
     counts_rational: bool
-    conformant: bool | None
+    single_period_conformant: bool | None
     verdicts: Mapping[Polarity, tuple[bool, NarrativeCode]] | None  # two periods only
 
 
@@ -610,23 +641,24 @@ def _assess_reviewer(
     two_period = len(episodes) == 2
     ns = (episodes[0].n, episodes[1].n) if two_period and all(ep.n >= 2 for ep in episodes) else None
 
-    totals = [dict(zip(ep.attainable, counts)) for ep, (_, counts) in zip(episodes, periods)]
+    # Each object's run totals, one per period and None where it is absent, in catalog order.
+    per_object = zip(*[map(dict(zip(ep.attainable, counts)).get, catalog) for ep, (_, counts) in zip(episodes, periods)])
     assessments = []
     rational_count = 0
-    for obj in catalog:
-        scored = score(tuple([period.get(obj) for period in totals]), ns)
+    for obj, totals in zip(catalog, per_object):
+        scored = score(totals, ns)
         rational_count += scored.counts_rational
         review = review_for.get(obj)
         matched = narrative = None
         if two_period and review is not None:
             matched, narrative = scored.verdicts[review.comment_polarity]
-        # Positional, in slot order: the record's fastest constructor call.
-        assessments.append(
-            TrustAssessment(
-                obj, scored.pattern, scored.rank_class, scored.bar, scored.zone, scored.degree,
-                matched, narrative, scored.conformant, review, scored.notes,
-            )
-        )
+        a = object.__new__(TrustAssessment)  # its stored fields set one by one: scoring binds no arguments
+        _set_object(a, obj)
+        _set_key(a, scored)
+        _set_match(a, matched)
+        _set_narrative(a, narrative)
+        _set_review(a, review)
+        assessments.append(a)
 
     return ReviewerSection(
         reviewer_id, tuple(ep.period for ep in episodes), catalog, period_patterns, joint,

@@ -105,7 +105,7 @@ class Record:
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls.__match_args__ += cls.__dict__.get("__slots__", ())
-        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__match_args__])
+        cls._setters += tuple([getattr(cls, name).__set__ for name in cls.__dict__.get("__slots__", ())])
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         setters = self._setters

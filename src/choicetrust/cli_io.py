@@ -33,9 +33,9 @@ from ._pipeline import (
     ReportError,
     Review,
     ReviewerSection,
-    TrustAssessment,
     TrustReport,
     ValidatedEpisode,
+    _Scored,
     build_report,
 )
 from ._record import as_probability
@@ -98,6 +98,12 @@ def _decode(text: str, path: str | Path, line: int | None = None) -> Any:
     Every decoding fault is a ParseError, a repeated key in an object too; in
     a whole document a syntax error names the line it sits on.
     """
+    try:  # the decoder's C scanner from the first non-whitespace; a fault or trailing data falls through to `decode`
+        value, end = _DECODER.scan_once(text, len(text) - len(text.lstrip(" \t\n\r")))
+        if not text[end:].strip(" \t\n\r"):  # JSON's whitespace only
+            return value
+    except (StopIteration, KeyError, ValueError, RecursionError):
+        pass
     try:
         if text.startswith("\ufeff"):  # as json.loads refuses it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -184,14 +190,24 @@ def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
             continue
         try:
             record = _shape(_decode(raw, name, lineno), dict, None, "episode record")
-            episode = ValidatedEpisode(
-                reviewer_id=_field(record, "reviewer_id", "id", None),
-                period=_field(record, "period", "int", None),
-                attainable=_field(record, "catalog", "a list of id strings", None),
-                wishlist=_field(record, "wishlist", "a list of id strings", None),
-                cart=_field(record, "cart", "a list of id strings", None),
-                final=_field(record, "final", "a list of id strings", None),
+            get = record.get
+            rid, period, catalog, wishlist, cart, final = fields = (
+                get("reviewer_id"), get("period"), get("catalog"), get("wishlist"), get("cart"), get("final")
             )
+            try:  # exact types and one search over every id; on a miss, a `_field` call per field names the fault
+                wire = (
+                    type(rid) is str and type(period) is int
+                    and type(catalog) is type(wishlist) is type(cart) is type(final) is list
+                    and not _NOT_IN_ID.search("".join([rid, *catalog, *wishlist, *cart, *final]))
+                )
+            except TypeError:  # a list entry is not a string
+                wire = False
+            if not wire:
+                fields = (
+                    _field(record, "reviewer_id", "id", None), _field(record, "period", "int", None),
+                    *[_field(record, key, "a list of id strings", None) for key in ("catalog", "wishlist", "cart", "final")],
+                )
+            episode = ValidatedEpisode(*fields)
             key = episode.reviewer_id, episode.period
             if accepted.setdefault(key, lineno) != lineno:
                 raise ChoiceTrustError("reviewer %r already has period %d (line %d)" % (*key, accepted[key]))
@@ -209,16 +225,18 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
     problems: list[str] = []
     for idx, record in enumerate(doc):
         try:
-            record = _shape(record, dict, None, "review")
-            reviews.append(
-                Review(
-                    reviewer_id=_field(record, "reviewer_id", "id", None),
-                    object=_field(record, "object", "id", None),
-                    rating=_field(record, "rating", "int", None),
-                    comment_polarity=_field(record, "comment_polarity", "str", None, None),
-                    comment_text=_field(record, "comment_text", "str", None, ""),
-                )
+            get = _shape(record, dict, None, "review").get
+            rid, obj, rating, polarity, text = fields = (
+                get("reviewer_id"), get("object"), get("rating"), get("comment_polarity"), get("comment_text", "")
             )
+            if not (  # as for an episode
+                type(rid) is type(obj) is type(text) is str and type(rating) is int
+                and (polarity is None or type(polarity) is str) and not _NOT_IN_ID.search(rid + obj)
+            ):
+                fields = (_field(record, "reviewer_id", "id", None), _field(record, "object", "id", None),
+                          _field(record, "rating", "int", None), _field(record, "comment_polarity", "str", None, None),
+                          _field(record, "comment_text", "str", None, ""))
+            reviews.append(Review(*fields))
         except ChoiceTrustError as exc:
             problems.append(f"{name}: review #{idx}: {exc}")
     return reviews, problems
@@ -332,25 +350,25 @@ def _overall_json(n: int, p: Fraction) -> tuple[str, str]:
     return _escape(_fmt8(p)), _json_list(rows, "\n        ")
 
 
-def _key_cells(a: TrustAssessment) -> tuple[str, str, str | None, str | None, str | None]:
-    """The pattern, rank class, bar, zone and degree cells of `a`'s run-total key; None is an empty cell."""
+def _key_cells(key: _Scored) -> tuple[str, str, str | None, str | None, str | None]:
+    """The pattern, rank class, bar, zone and degree cells of a run-total key's record; None is an empty cell."""
     return (
-        a.pattern.render(), a.rank_class.value, a.bar,
-        a.zone.value if a.zone else None, _fmt8(a.degree.value) if a.degree else None,
+        key.pattern.render(), key.rank_class.value, key.bar,
+        key.zone.value if key.zone else None, _fmt8(key.degree.value) if key.degree else None,
     )
 
 
-def _assessment_json(a: TrustAssessment, periods: tuple[int, ...]) -> str:
-    """`_ASSESSMENT_JSON` filled with what `a`'s run-total key decides, with %s holes
+def _assessment_json(key: _Scored, periods: tuple[int, ...]) -> str:
+    """`_ASSESSMENT_JSON` filled with what a run-total key's record decides, with %s holes
     left for the object, polarity_match, narrative, rating and comment_polarity."""
-    absent = [str(period) for period, flag in zip(periods, a.pattern.absent_flags) if flag]
+    absent = [str(period) for period, flag in zip(periods, key.pattern.absent_flags) if flag]
     pattern, rank, bar, zone, degree, absent, conformant, notes = (
         text.replace("%", "%%")
         for text in (
-            *("null" if cell is None else _escape(cell) for cell in _key_cells(a)),
+            *("null" if cell is None else _escape(cell) for cell in _key_cells(key)),
             _json_list(absent, "\n          "),
-            _JSON_CONSTANT[a.single_period_conformant],
-            _json_list(list(map(_escape, a.annotations)), "\n          "),
+            _JSON_CONSTANT[key.single_period_conformant],
+            _json_list(list(map(_escape, key.annotations)), "\n          "),
         )
     )
     return _ASSESSMENT_JSON % ("%s", pattern, absent, rank, bar, zone, degree, "%s", "%s", conformant, "%s", "%s", notes)
@@ -362,19 +380,15 @@ def _section_json(
     """A reviewer section as an item of the report's "reviewers" list.
 
     `overall_json` is `_per_binomial(_overall_json)`, and `fragments` holds one render's
-    `_assessment_json` templates. A template is keyed on the identity of the
-    pattern and degree records it reads, which the report keeps alive for the
-    whole render, and on the value of every other field it reads.
+    `_assessment_json` templates, keyed on the identity of the run-total key's
+    record they read, which the report keeps alive for the whole render, and the periods.
     """
     periods = section.periods
     assessments = []
     for a in section.assessments:
-        key = (
-            id(a.pattern), id(a.degree), a.rank_class, a.bar, a.zone, a.single_period_conformant, a.annotations, periods
-        )
-        template = fragments.get(key)
+        template = fragments.get(memo := (id(a.key), periods))
         if template is None:
-            template = fragments[key] = _assessment_json(a, periods)
+            template = fragments[memo] = _assessment_json(a.key, periods)
         review = a.review
         assessments.append(template % (
             _escape(a.object),
@@ -443,18 +457,18 @@ def _csv_stream(report: TrustReport) -> Iterator[str]:
     overall_rows = _per_binomial(
         lambda n, p: write([(*(None,) * 11, *row, None, None) for row in _distribution_cells(n, p)])[:-1]
     )
-    key_cells: dict[tuple, tuple] = {}
+    key_cells: dict[int, tuple] = {}  # by the identity of a run-total key's record, which the report keeps alive
     yield write([_CSV_COLUMNS])
     for section in report.reviewers:
         rid = section.reviewer_id
         rows = []
         for a in section.assessments:
-            key = id(a.pattern), a.rank_class, a.bar, a.zone, id(a.degree)
+            key = a.key
             rows.append((
-                "assessment", rid, a.object, *(key_cells.get(key) or key_cells.setdefault(key, _key_cells(a))),
+                "assessment", rid, a.object, *(key_cells.get(id(key)) or key_cells.setdefault(id(key), _key_cells(key))),
                 None if a.polarity_match is None else "true" if a.polarity_match else "false",
                 a.narrative.value if a.narrative else None, a.review.rating if a.review else None,
-                a.review.comment_polarity.value if a.review else None, " | ".join(a.annotations),
+                a.review.comment_polarity.value if a.review else None, " | ".join(key.annotations),
                 None, None, None, None, None, None,
             ))
         lead = write([("overall", rid)])[:-1] + ","
@@ -469,7 +483,7 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
     distribution = _per_binomial(lambda n, p: "\n".join(
         ["    r=%s  f=%s  f(<= r)=%s  f(>= r)=%s" % cells for cells in _distribution_cells(n, p)]
     ))
-    columns: dict[tuple, str] = {}  # the padded pattern to degree columns by run-total key, as csv keys its cells
+    columns: dict[int, str] = {}  # the padded pattern to degree columns by run-total key, as csv keys its cells
     yield f"{_TOOL}\nparameters: membership={params.membership_variant} d0-zone={params.d0_zone} p={_fmt8(params.p)}\n"
     for section in report.reviewers:
         lines = [
@@ -484,9 +498,8 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
         )
         for a in section.assessments:
             match = "" if a.polarity_match is None else ("yes" if a.polarity_match else "NO")
-            key = id(a.pattern), a.rank_class, a.bar, a.zone, id(a.degree)
-            if key not in columns:  # a pattern and a rank class are never empty
-                columns[key] = "{:<11} {:<11} {:<4} {:<11} {:<11} ".format(*[cell or "-" for cell in _key_cells(a)])
+            if (key := id(a.key)) not in columns:  # a pattern and a rank class are never empty
+                columns[key] = "{:<11} {:<11} {:<4} {:<11} {:<11} ".format(*[cell or "-" for cell in _key_cells(a.key)])
             lines.append(f"  {a.object:<9} {columns[key]}{match:<6} {a.narrative.value if a.narrative else '-'}")
             lines += (f"    note ({a.object}): {note}" for note in a.annotations)
         overall = section.overall
@@ -643,7 +656,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         where = f"{_path_text(exc.filename)}: {exc.strerror}" if exc.filename else exc
         print(f"error: {where}", file=sys.stderr)
         return EXIT_FATAL
-    except (ChoiceTrustError, ValueError, ZeroDivisionError) as exc:
+    except ChoiceTrustError as exc:  # a known problem of the input; anything else is a fault of the program
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FATAL
     except MemoryError:

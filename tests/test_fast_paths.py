@@ -3,15 +3,20 @@
 The oracles are the constructs as the paper states them: the stop/run
 scanner over flattened 0/1 matrices, the enumerated two-period bar table,
 and exact prefix sums of the binomial pmf. One property holds whole reports
-against the reference pipeline in `reference_report.py`; the last ones hold
+against the reference pipeline in `reference_report.py`; later ones hold
 the per-report score and rank-tuple memos against the uncached derivation.
+The last ones hold each check the loaders and `ValidatedEpisode` run first
+against the code it skips, and an assessment built on its key's shared
+record against one built by hand.
 """
 
 import contextlib
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -38,6 +43,7 @@ from choicetrust import (
     ShapeError,
     TrustAssessment,
     TrustReport,
+    ValidatedEpisode,
     Zone,
     bar_degree,
     bar_frequency,
@@ -520,20 +526,20 @@ def test_run_total_memo_equals_uncached_derivation(case, variant, d0_zone):
         d = signed_difference(slots)
         assert scored.zone == zone(slots)
         if ns is None:
-            assert (scored.bar, scored.degree, scored.notes) == (None, None, (_NOTE_SMALL_CATALOG,))
+            assert (scored.bar, scored.degree, scored.annotations) == (None, None, (_NOTE_SMALL_CATALOG,))
         else:
             table = bin_table(ns)
             degree = membership(d, table, variant)
             notes = ()
             if variant == "minmax" and degree.value == 0:
                 notes = (_NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE) if ns == (4, 4) else (_NOTE_MINMAX_FLOOR,)
-            assert (scored.bar, scored.degree, scored.notes) == (table.by_difference(d).label, degree, notes)
+            assert (scored.bar, scored.degree, scored.annotations) == (table.by_difference(d).label, degree, notes)
         assert scored.counts_rational == (d > 0 or d == 0 and d0_zone == "rational")
-        assert scored.conformant is None
+        assert scored.single_period_conformant is None
     else:
-        assert (scored.zone, scored.bar, scored.degree, scored.notes) == (None, None, None, ())
+        assert (scored.zone, scored.bar, scored.degree, scored.annotations) == (None, None, None, ())
         assert scored.counts_rational is False
-        assert scored.conformant == (not slots[0].is_epsilon if len(totals) == 1 else None)
+        assert scored.single_period_conformant == (not slots[0].is_epsilon if len(totals) == 1 else None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -658,3 +664,161 @@ def test_rank_tuple_memo_reads_each_tuple_once_per_report(canonical_raw_episodes
 @given(batches())
 def test_rank_tuple_memo_reads_each_tuple_once_per_report_on_any_batch(batch):
     _assert_each_rank_tuple_is_read_once_per_report(*batch)
+
+
+# Ingest: each check the loaders run first equals the code it skips on a miss.
+
+
+def _outcome(call, *args):
+    """`call(*args)`'s value as its repr, or the type and text of the package error it raised."""
+    try:
+        return repr(call(*args))
+    except ChoiceTrustError as exc:
+        return type(exc), str(exc)
+
+
+_KEYS = st.sampled_from(["a", "b", "a:b", ":", "", 'q"']).map(json.dumps)
+_SCALAR_TEXTS = st.sampled_from(["null", "true", "false", "0", "-12", "2.5e3", "1e400", '"x:y"', '"\\u0000"', '"\\ud800"'])
+_JSON_TEXTS = st.recursive(
+    _SCALAR_TEXTS | st.text(max_size=4).map(json.dumps),
+    lambda inner: st.lists(inner, max_size=3).map(lambda items: "[" + ", ".join(items) + "]")
+    # Keys drawn from a few, so that objects repeat them.
+    | st.lists(st.tuples(_KEYS, inner), max_size=3).map(lambda members: "{" + ",".join(f"{k}:{v}" for k, v in members) + "}"),
+    max_leaves=8,
+)
+_PADDING = st.text(" \t\n\r\x0b\x0c\xa0 ", max_size=3)  # JSON whitespace, and others JSON refuses
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["", "﻿"]), _PADDING, _JSON_TEXTS, _PADDING, st.sampled_from(["", "x", "{}", "]", ",1"]),
+    st.sampled_from([None, 3]),
+)
+@example("", "", "[" * 5000 + "]" * 5000, "", "", None)  # nested too deeply
+@example("", "", "1" * 5000, "", "", 3)  # an integer literal too long
+@example("", "", "", " ", "", None)  # whitespace only
+def test_decode_equals_the_hook_decoder(bom, lead, body, trail, extra, line):
+    text = bom + lead + body + trail + extra
+    fast = _outcome(cli_io._decode, text, "doc.json", line)
+
+    def miss(text, index):
+        raise StopIteration(index)
+
+    # A decoder whose scanner finds no value, so that every text falls through to the hook decoder's `decode`.
+    decoder = types.SimpleNamespace(scan_once=miss, decode=cli_io._DECODER.decode)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_io, "_DECODER", decoder)
+        assert fast == _outcome(cli_io._decode, text, "doc.json", line)
+
+
+# Wire values the loaders must refuse, or take: bools as ints, nulls, control characters and a lone surrogate in ids,
+# and lists with entries that are not strings.
+_WIRE_IDS = st.sampled_from(["a", "b:c", "", " x", "\x00", "x\x1f", "\x7f", " ", "\ud800", "é"])
+_WIRE_VALUES = (
+    st.none() | st.booleans() | st.integers(-1, 3) | st.sampled_from([2.0, 2.5]) | _WIRE_IDS
+    | st.lists(_WIRE_IDS | st.integers(0, 1) | st.none() | st.just(["a"]), max_size=3)
+    | st.just({"a": "b"}) | st.sampled_from(["positive", "neutral", "bad"])
+)
+
+
+@st.composite
+def _mutated(draw, record):
+    """A copy of `record` with up to three of its fields, or an extra one, dropped or given another wire value."""
+    record = dict(record)
+    for key in draw(st.lists(st.sampled_from([*record, "extra"]), max_size=3)):
+        if draw(st.booleans()):
+            record.pop(key, None)
+        else:
+            record[key] = draw(_WIRE_VALUES)
+    return record
+
+
+@st.composite
+def wire_episodes(draw):
+    ep = draw(staged_episodes())
+    record = {"reviewer_id": draw(_WIRE_IDS), "period": 1, "catalog": list(ep.attainable), "wishlist": list(ep.wishlist),
+              "cart": list(ep.cart), "final": list(ep.final)}
+    return draw(_mutated(record))
+
+
+_EPISODE_FIELDS = (
+    ("reviewer_id", "id"), ("period", "int"), ("catalog", "a list of id strings"), ("wishlist", "a list of id strings"),
+    ("cart", "a list of id strings"), ("final", "a list of id strings"),
+)
+_REVIEW_FIELDS = (
+    ("reviewer_id", "id"), ("object", "id"), ("rating", "int"), ("comment_polarity", "str", None),
+    ("comment_text", "str", ""),
+)
+
+
+def _by_fields(record, fields, build):
+    """The record built from one `_field` call per field, in order, as the loaders did before their wire check."""
+    return build(*[cli_io._field(record, key, kind, None, *default) for key, kind, *default in fields])
+
+
+def _loaded(load, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_io, "_read_text", lambda path: text)
+        return load("in.json")
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_episodes())
+def test_episode_wire_check_equals_a_field_check_per_field(record):
+    expected = _outcome(_by_fields, record, _EPISODE_FIELDS, ValidatedEpisode)
+    episodes, problems = _loaded(cli_io.load_episodes, json.dumps(record))
+    if isinstance(expected, str):
+        assert (repr(episodes), problems) == (f"[{expected}]", [])
+    else:
+        assert (episodes, problems) == ([], [f"in.json:1: {expected[1]}"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_mutated({"reviewer_id": "r", "object": "a:b", "rating": 4, "comment_polarity": "positive",
+                          "comment_text": "fine"}), max_size=3))
+def test_review_wire_check_equals_a_field_check_per_field(records):
+    reviews, problems = _loaded(cli_io.load_reviews, json.dumps(records))
+    expected_reviews, expected_problems = [], []
+    for index, record in enumerate(records):
+        outcome = _outcome(_by_fields, record, _REVIEW_FIELDS, Review)
+        if isinstance(outcome, str):
+            expected_reviews.append(outcome)
+        else:
+            expected_problems.append(f"in.json: review #{index}: {outcome[1]}")
+    assert (list(map(repr, reviews)), problems) == (expected_reviews, expected_problems)
+
+
+# Stage sets over a few ids, with repeats, items outside their enclosing stage, empty stages and an unhashable item.
+_STAGE = st.lists(st.sampled_from(["a", "b", "c", "d", ["u"]]), max_size=4)
+
+
+def _raised(call, *args):
+    try:
+        return call(*args)
+    except (ChoiceTrustError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_STAGE, _STAGE, _STAGE, _STAGE) | staged_episodes().map(
+    lambda ep: (ep.attainable, ep.wishlist, ep.cart, ep.final)
+))
+def test_stage_set_check_equals_the_walk(stages):
+    fast = _raised(lambda: ValidatedEpisode("r", 1, *stages).ranks)
+    assert fast == _raised(_pipeline._stage_walk, ChoiceEpisode("r", 1, *stages))
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches())
+def test_a_pipeline_built_assessment_equals_its_hand_built_twin(batch):
+    report = build_report(*batch)
+    for section in report.reviewers:
+        for a in section.assessments:
+            fields = [getattr(a, name) for name in TrustAssessment.__match_args__]
+            twin = TrustAssessment(*fields)
+            assert twin.key is not a.key
+            assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+            assert pickle.loads(pickle.dumps(a)) == twin and pickle.loads(pickle.dumps(twin)) == a
+            assert TrustAssessment(**dict(zip(TrustAssessment.__match_args__, fields))) == a
+            # Every assessment of one run-total key in a report reads the key's one record.
+            assert all(b.key is a.key for b in section.assessments if b.pattern is a.pattern)

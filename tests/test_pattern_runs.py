@@ -162,5 +162,8 @@ def test_run_count_validation_and_display():
 
 
 def test_run_pattern_absent_slot_must_be_epsilon():
-    with pytest.raises(DomainError):
-        RunPattern(slots=(RunCount(2),), absent_flags=(True,))
+    # A hand-built pattern: an absent slot that is not the empty run, first or later.
+    for slots, absent in (((RunCount(2),), (True,)), ((EPSILON, EPSILON, RunCount(1)), (True, False, True))):
+        with pytest.raises(DomainError, match="an absent period must carry the empty run"):
+            RunPattern(slots=slots, absent_flags=absent)
+    assert RunPattern((EPSILON, RunCount(1), EPSILON), (True, False, False)).absent_flags == (True, False, False)
