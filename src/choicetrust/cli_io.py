@@ -90,33 +90,31 @@ def _object(pairs: list[tuple[str, Any]]) -> dict:
 
 # Built once: json.loads builds a new decoder on every call that passes a hook.
 _DECODER = json.JSONDecoder(object_pairs_hook=_object)
+_JSON_SPACE = " \t\n\r"  # JSON's whitespace, all that may surround a value; a blank JSONL line holds nothing else
 
 
-def _decode(text: str, path: str | Path, line: int | None = None) -> Any:
-    """The JSON value in `text`, from `path`, or from its `line` for a JSONL record.
-
-    Every decoding fault is a ParseError, a repeated key in an object too; in
-    a whole document a syntax error names the line it sits on.
-    """
-    try:  # the decoder's C scanner from the first non-whitespace; a fault or trailing data falls through to `decode`
-        value, end = _DECODER.scan_once(text, len(text) - len(text.lstrip(" \t\n\r")))
-        if not text[end:].strip(" \t\n\r"):  # JSON's whitespace only
-            return value
-    except (StopIteration, KeyError, ValueError, RecursionError):
-        pass
+def _decode(text: str, where: str | Path | None) -> Any:
+    """The JSON value in `text`, parsed once by the decoder's C scanner. A fault, raised by `_fault`, is `invalid
+    JSON (...)` in `json.loads`' words, a repeated key too; in a whole document a syntax error names its line."""
     try:
         if text.startswith("\ufeff"):  # as json.loads refuses it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _DECODER.decode(text)
+        try:
+            value, end = _DECODER.scan_once(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+        except StopIteration as exc:  # no value: raw_decode's words
+            raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+        if end < len(text) and (rest := text[end:].lstrip(_JSON_SPACE)):  # trailing data: decode's words
+            raise json.JSONDecodeError("Extra data", text, len(text) - len(rest))
+        return value
     except KeyError as exc:
         problem = f"repeated key {reprlib.repr(exc.args[0])}"
     except json.JSONDecodeError as exc:
-        line, problem = line or exc.lineno, exc.msg
+        problem, where = exc.msg, None if where is None else f"{where}:{exc.lineno}"
     except ValueError:  # an integer literal over sys.get_int_max_str_digits()
         problem = "integer literal too long"
     except RecursionError:
         problem = "nested too deeply"
-    raise ParseError(path if line is None else f"{path}:{line}", f"invalid JSON ({problem})")
+    raise _fault(where, f"invalid JSON ({problem})")
 
 
 def _shape(value: Any, kind: type[dict] | type[list], where: str | Path | None, noun: str) -> Any:
@@ -178,18 +176,18 @@ def _field(record: dict, key: str, kind: str, where: str | Path | None, default:
 
 
 def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
-    """Read a JSONL episode file; malformed or invalid lines, and repeats of an accepted line's reviewer
-    and period, become `path:line` diagnostics, not aborts."""
+    """Read a JSONL episode file, skipping blank lines (JSON whitespace only); every other line is a record, and a
+    malformed or invalid one, or a repeat of an accepted line's reviewer and period, is a `path:line` diagnostic."""
     episodes: list[ValidatedEpisode] = []
     problems: list[str] = []
     accepted: dict[tuple[str, int], int] = {}
     name = _path_text(path)
     # Lines end at "\n" only: splitlines() would also split at a U+2028 inside a string.
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        if not raw.strip():
+        if not raw.strip(_JSON_SPACE):
             continue
         try:
-            record = _shape(_decode(raw, name, lineno), dict, None, "episode record")
+            record = _shape(_decode(raw, None), dict, None, "episode record")
             get = record.get
             rid, period, catalog, wishlist, cart, final = fields = (
                 get("reviewer_id"), get("period"), get("catalog"), get("wishlist"), get("cart"), get("final")
@@ -212,8 +210,8 @@ def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
             if accepted.setdefault(key, lineno) != lineno:
                 raise ChoiceTrustError("reviewer %r already has period %d (line %d)" % (*key, accepted[key]))
             episodes.append(episode)
-        except ChoiceTrustError as exc:  # a ParseError names its place already
-            problems.append(str(exc) if isinstance(exc, ParseError) else f"{name}:{lineno}: {exc}")
+        except ChoiceTrustError as exc:  # raised with no place: each line's problem is placed here
+            problems.append(f"{name}:{lineno}: {exc}")
     return episodes, problems
 
 

@@ -198,6 +198,21 @@ def test_load_episodes_splits_lines_at_newlines_only(fixtures_dir, tmp_path):
     assert problems == [f"{path}:3: invalid JSON (Expecting value)"]
 
 
+# Characters that str.isspace() takes for whitespace and JSON does not.
+_OTHER_SPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace() and c not in " \t\n\r")
+
+
+@pytest.mark.parametrize("space", ["\xa0", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\u2028", "\u3000"])
+def test_a_line_of_other_whitespace_is_a_problem_not_a_blank_line(tmp_path, space):
+    # A blank line holds JSON's whitespace only: spaces, tabs and a CR. Any other line is read as a record.
+    assert space in _OTHER_SPACE
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(_episode_line(1) + " \t\r\n\n" + space + "\n" + _episode_line(2), encoding="utf-8")
+    episodes, problems = load_episodes(path)
+    assert [e.period for e in episodes] == [1, 2]
+    assert problems == [f"{path}:4: invalid JSON (Expecting value)"]
+
+
 def test_score_reports_an_overlong_integer_at_its_line(fixtures_dir, tmp_path, capsys):
     path = tmp_path / "episodes.jsonl"
     path.write_text(
@@ -360,6 +375,8 @@ _ESC_IFS, _ESC_TABLE = str(FIXTURES / "ifs_list_escaped.json"), str(FIXTURES / "
 _CE, _CR = str(FIXTURES / "episodes_churn.jsonl"), str(FIXTURES / "reviews_churn.json")  # three periods
 # Wire edge cases, a partial report whose error lines name the episode file: run from the tests directory.
 _WE, _WR = "fixtures/episodes_wire_edge.jsonl", "fixtures/reviews_wire_edge.json"
+# Blank lines of spaces, tabs and a CR, CRLF lines, and lines of U+00A0, a form feed and U+3000, which are not blank.
+_BL = "fixtures/episodes_blank_lines.jsonl"
 
 
 @pytest.mark.parametrize(
@@ -399,6 +416,10 @@ _WE, _WR = "fixtures/episodes_wire_edge.jsonl", "fixtures/reviews_wire_edge.json
         (["score", _WE, _WR, "--format", "json"], "92a1a03fa152a9d933807d9e9b4e556c7b5126091b75fa012729b4332420b4b0"),
         (["score", _WE, _WR, "--format", "csv"], "b7a99c2376ba0e47486e7baee6dbb6410151145871984505e864caaf79f7f04c"),
         (["score", _WE, _WR, "--format", "text"], "5e6c92a1b8f2db410dc9da563fbeb47400b1368d5c3dca888c7a49067ca38962"),
+        # Taken after a line of whitespace that JSON does not allow became a problem instead of a skipped line.
+        (["score", _BL, _R, "--format", "json"], "bf5bfb2a83aca17c134471904c81fad80b15fc75755518f8a10420bdfc14756b"),
+        (["score", _BL, _R, "--format", "csv"], "717bcb9e50a435a2bd580d5a3e3be856523f8a7c1e20fd8bf62a98b4fabb7cc2"),
+        (["score", _BL, _R, "--format", "text"], "d441d86ed49e59ac033b470bd2bd02417e2a1ce6176fad45b8e21559b9c19f33"),
         (["info-index", _IFS, "--format", "json"], "519c5b665457c1fbd9779383353ff9bddcb76534da95889a9dd92e947d70d627"),
         (["info-index", _IFS, "--format", "csv"], "29508743df9248f56a74f92dfcc9ce25fc69a4129b785cf3e34ec720f2f48506"),
         (["info-index", _IFS, "--format", "text"], "a64ca00de86614fc21b634e1146538aaf850415e1f81dc131251c4062bc8a27e"),
@@ -438,7 +459,7 @@ _WE, _WR = "fixtures/episodes_wire_edge.jsonl", "fixtures/reviews_wire_edge.json
 )
 def test_main_output_is_unchanged(capsys, monkeypatch, argv, digest):
     monkeypatch.chdir(FIXTURES.parent)
-    assert main(argv) == (EXIT_PARTIAL if _WE in argv else EXIT_OK)
+    assert main(argv) == (EXIT_PARTIAL if _WE in argv or _BL in argv else EXIT_OK)
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
@@ -1082,6 +1103,34 @@ def test_main_ends_in_a_report_or_a_one_line_error(document, fmt, data):
     else:
         # Every line of the report ends at a "\n", and nothing else breaks one.
         assert output.endswith("\n") and output.splitlines() == output.split("\n")[:-1]
+
+
+# Line contents: blank ones of spaces and tabs, records, and ones that also hold whitespace JSON does not allow.
+# A CR comes only at a line's end, as in a CRLF file: the reader takes a lone CR for a line break.
+_BLANK = st.text(" \t", max_size=3)
+_NOT_BLANK = st.tuples(_BLANK, st.sampled_from(_OTHER_SPACE), st.text(" \t" + _OTHER_SPACE, max_size=2)).map("".join)
+_RECORD_LINE = st.tuples(_BLANK, (_near_valid("episodes") | _JSON).map(json.dumps), _BLANK).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_RECORD_LINE | _BLANK | _NOT_BLANK, st.sampled_from(["", "\r"])).map("".join), max_size=8))
+def test_every_episode_line_is_a_record_or_a_problem(lines):
+    # No line is dropped but a blank one: each other line is an episode or a problem, exactly one.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "episodes.jsonl"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        episodes, problems = load_episodes(path)
+    assert len(episodes) + len(problems) == sum(1 for line in lines if line.strip(" \t\r"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_near_valid("reviews") | _JSON, max_size=5))
+def test_every_review_entry_is_a_record_or_a_problem(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "reviews.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        reviews, problems = load_reviews(path)
+    assert len(reviews) + len(problems) == len(doc)
 
 
 class _Grade(IntEnum):
