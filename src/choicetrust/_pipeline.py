@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from enum import Enum
 from fractions import Fraction
@@ -386,26 +385,14 @@ def zone(slots: Sequence[RunCount]) -> Zone:
     return _zone_of_difference(signed_difference(slots))
 
 
-def binomial_rationality(n: int, r: int, p: Fraction | float | str) -> Fraction:
-    """Probability that exactly r of n objects land in the rational zone.
-
-    Exact rational arithmetic: C(n, r) * p**r * (1-p)**(n-r).
-    """
-    n, r = as_int(n, "n"), as_int(r, "r")
-    if n < 0 or not 0 <= r <= n:
-        raise DomainError(f"need 0 <= r <= n, got r={quote(r)}, n={quote(n)}")
-    prob = as_probability(p)
-    return math.comb(n, r) * prob**r * (1 - prob) ** (n - r)
-
-
 class OverallRationality(Record):
     """Binomial(n, p) of rational-zone counts, plus the realized count.
 
     The distribution is a function of ``(n, p)`` alone, so only those and the
-    realized count are stored; :meth:`prob` is the :func:`binomial_rationality`
-    term, and :meth:`at_most`, :meth:`at_least` and the report renderers read
-    the exact walk of :meth:`numerators`. ``n`` is an integer >= 0 (never a
-    bool), ``p`` lies in [0, 1], and ``realized_r`` is None or in 0..n.
+    realized count are stored. :meth:`at_most`, :meth:`at_least` and the report
+    renderers read the exact walk of :meth:`numerators`; the paper's one-term
+    ``trust_scoring.binomial_rationality`` is its test oracle. ``n`` is an integer
+    >= 0 (never a bool), ``p`` lies in [0, 1], and ``realized_r`` is None or in 0..n.
     """
 
     __slots__ = ("n", "p", "realized_r")
@@ -428,9 +415,6 @@ class OverallRationality(Record):
         """Same as ``cls(n, p, realized_r)``; scoring builds the record through this
         name so that bench/tracing.py can time it as the binomial layer."""
         return cls(n, p, realized_r)
-
-    def prob(self, r: int) -> Fraction:
-        return binomial_rationality(self.n, r, self.p)
 
     def numerators(self) -> Iterator[tuple[int, int]]:
         """``(N_r, N_0 + ... + N_(r-1))`` for r = 0..n, each over the one denominator ``b**n`` (p = a/b).

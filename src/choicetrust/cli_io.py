@@ -72,9 +72,9 @@ def _fmt8(x: Fraction | float) -> str:
 
 
 def _read_text(path: str | Path) -> str:
-    """The file as UTF-8 text; undecodable bytes become a ParseError naming the file."""
+    """The file as UTF-8 text, every CR kept; undecodable bytes become a ParseError naming the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 

@@ -26,10 +26,7 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from ._pipeline import (
-    MEMBERSHIP_VARIANTS, Degree, RankClass, _degree, _rank_class, bar_degree, bar_frequency, bar_label,
-    signed_difference,
-)
+from ._pipeline import Degree, RankClass, _degree, _rank_class, bar_degree, bar_frequency, bar_label, signed_difference
 from ._record import Record, as_int, quote
 from .errors import DomainError
 from .pattern_runs import EPSILON, RunCount, RunPattern

@@ -8,21 +8,23 @@ criticism matches irrational behavior, and the verdict plus a narrative
 code, the bar degree, and a binomial overall-rationality distribution make
 up the trust report.
 
-Every name of ``__all__`` but :func:`match_review` and :func:`assessment_for`
-lives in :mod:`choicetrust._pipeline`, which scoring runs, and is re-exported
-here. ``choicetrust score`` never imports this module.
+Every name of ``__all__`` but :func:`binomial_rationality`, :func:`match_review`
+and :func:`assessment_for` lives in :mod:`choicetrust._pipeline`, which scoring
+runs, and is re-exported here. ``choicetrust score`` never imports this module.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
 from ._pipeline import (
-    D0_ZONE_CHOICES, _NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE, _NOTE_SMALL_CATALOG, FlaggedReview, NarrativeCode,
-    OverallRationality, Polarity, ReportError, ReportParameters, Review, ReviewerSection, RunCount, TrustAssessment,
-    TrustReport, Zone, _score_totals, _verdicts, binomial_rationality, build_report, period_string, zone,
+    FlaggedReview, NarrativeCode, OverallRationality, Polarity, ReportError, ReportParameters, Review, ReviewerSection,
+    RunCount, TrustAssessment, TrustReport, Zone, _verdicts, build_report, period_string, zone,
 )
-from .errors import UnknownObjectError
+from ._record import as_int, as_probability, quote
+from .errors import DomainError, UnknownObjectError
 # validate_episode, derive_matrix, flatten, concat_patterns, omega, bin_table and
 # membership are not called here (build_report looks validate_episode up on
 # _pipeline; stage ranks and the closed forms replace the rest);
@@ -51,6 +53,18 @@ __all__ = [
     "build_report",
     "assessment_for",
 ]
+
+
+def binomial_rationality(n: int, r: int, p: Fraction | float | str) -> Fraction:
+    """Probability that exactly r of n objects land in the rational zone.
+
+    Exact rational arithmetic: C(n, r) * p**r * (1-p)**(n-r).
+    """
+    n, r = as_int(n, "n"), as_int(r, "r")
+    if n < 0 or not 0 <= r <= n:
+        raise DomainError(f"need 0 <= r <= n, got r={quote(r)}, n={quote(n)}")
+    prob = as_probability(p)
+    return math.comb(n, r) * prob**r * (1 - prob) ** (n - r)
 
 
 def match_review(review: Review, slots: Sequence[RunCount]) -> tuple[bool, NarrativeCode]:

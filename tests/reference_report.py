@@ -52,14 +52,8 @@ from choicetrust import (
 )
 from choicetrust.cli_io import _CSV_COLUMNS, _TOOL, _distribution_cells, _fmt8
 from choicetrust.errors import ChoiceTrustError, ShapeError
-from choicetrust.trust_scoring import (
-    _NOTE_MINMAX_FLOOR,
-    _NOTE_REFERENCE_TABLE,
-    _NOTE_SMALL_CATALOG,
-    FlaggedReview,
-    ReportError,
-    ReportParameters,
-)
+from choicetrust._pipeline import _NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE, _NOTE_SMALL_CATALOG
+from choicetrust.trust_scoring import FlaggedReview, ReportError, ReportParameters
 
 
 def reference_overall(n, p, realized_r):

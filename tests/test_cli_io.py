@@ -198,6 +198,35 @@ def test_load_episodes_splits_lines_at_newlines_only(fixtures_dir, tmp_path):
     assert problems == [f"{path}:3: invalid JSON (Expecting value)"]
 
 
+def test_a_lone_cr_between_members_is_whitespace_not_a_line_break(tmp_path, capsys):
+    # JSON allows a CR wherever it allows a space: the first record is one episode, not two broken lines.
+    episodes, reviews = tmp_path / "episodes.jsonl", tmp_path / "reviews.json"
+    first = ('{"reviewer_id": "r", "period": 1,\r"catalog": ["a","b","c"], '
+             '"wishlist": ["a","b"], "cart": ["a"], "final": ["a"]}\n')
+    episodes.write_bytes((first + _episode_line(2, catalog=["a", "b", "c"])).encode("utf-8"))
+    reviews.write_text("[]", encoding="utf-8")
+    output, code = run_score(capsys, episodes, reviews, "--format", "json")
+    doc = json.loads(output)
+    assert [(s["reviewer_id"], s["periods"]) for s in doc["reviewers"]] == [("r", [1, 2])]
+    assert (code, doc["errors"]) == (EXIT_OK, [])
+
+
+def test_a_raw_cr_counts_no_line(tmp_path):
+    # A raw CR inside a string is one problem, and the lines after it are numbered by "\n" alone.
+    path = tmp_path / "episodes.jsonl"
+    path.write_bytes(('{"reviewer_id": "r\rs"}\r\n\r' + _episode_line(1) + "not\rjson\n").encode("utf-8"))
+    episodes, problems = load_episodes(path)
+    assert [e.period for e in episodes] == [1]
+    assert problems == [
+        f"{path}:1: invalid JSON (Invalid control character at)",
+        f"{path}:3: invalid JSON (Expecting value)",
+    ]
+    reviews = tmp_path / "reviews.json"
+    reviews.write_bytes(b"[\r\r\n\r{]")
+    with pytest.raises(ParseError, match=r"reviews\.json:2: invalid JSON \(Expecting property name"):
+        load_reviews(reviews)
+
+
 # Characters that str.isspace() takes for whitespace and JSON does not.
 _OTHER_SPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace() and c not in " \t\n\r")
 
@@ -377,6 +406,8 @@ _CE, _CR = str(FIXTURES / "episodes_churn.jsonl"), str(FIXTURES / "reviews_churn
 _WE, _WR = "fixtures/episodes_wire_edge.jsonl", "fixtures/reviews_wire_edge.json"
 # Blank lines of spaces, tabs and a CR, CRLF lines, and lines of U+00A0, a form feed and U+3000, which are not blank.
 _BL = "fixtures/episodes_blank_lines.jsonl"
+# A lone CR between members, a CRLF line, and a raw CR inside a string.
+_LC = "fixtures/episodes_lone_cr.jsonl"
 
 
 @pytest.mark.parametrize(
@@ -420,6 +451,10 @@ _BL = "fixtures/episodes_blank_lines.jsonl"
         (["score", _BL, _R, "--format", "json"], "bf5bfb2a83aca17c134471904c81fad80b15fc75755518f8a10420bdfc14756b"),
         (["score", _BL, _R, "--format", "csv"], "717bcb9e50a435a2bd580d5a3e3be856523f8a7c1e20fd8bf62a98b4fabb7cc2"),
         (["score", _BL, _R, "--format", "text"], "d441d86ed49e59ac033b470bd2bd02417e2a1ce6176fad45b8e21559b9c19f33"),
+        # Taken after the reader kept a lone CR as JSON whitespace instead of taking it for a line break.
+        (["score", _LC, _R, "--format", "json"], "9c29e402a79321cd4439fa5a08e38382bc6f808426322c10a1616073e017dd6c"),
+        (["score", _LC, _R, "--format", "csv"], "3991c8e06cf222d6146fb95a15dc2571f519e4476cbb4508031a53e6b2ccce9a"),
+        (["score", _LC, _R, "--format", "text"], "c280cf203b31999c6aaf7b9845e395008a25b2dda94568ec8dbcee56d1024e59"),
         (["info-index", _IFS, "--format", "json"], "519c5b665457c1fbd9779383353ff9bddcb76534da95889a9dd92e947d70d627"),
         (["info-index", _IFS, "--format", "csv"], "29508743df9248f56a74f92dfcc9ce25fc69a4129b785cf3e34ec720f2f48506"),
         (["info-index", _IFS, "--format", "text"], "a64ca00de86614fc21b634e1146538aaf850415e1f81dc131251c4062bc8a27e"),
@@ -459,7 +494,7 @@ _BL = "fixtures/episodes_blank_lines.jsonl"
 )
 def test_main_output_is_unchanged(capsys, monkeypatch, argv, digest):
     monkeypatch.chdir(FIXTURES.parent)
-    assert main(argv) == (EXIT_PARTIAL if _WE in argv or _BL in argv else EXIT_OK)
+    assert main(argv) == (EXIT_PARTIAL if {_WE, _BL, _LC} & {*argv} else EXIT_OK)
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
@@ -1105,11 +1140,14 @@ def test_main_ends_in_a_report_or_a_one_line_error(document, fmt, data):
         assert output.endswith("\n") and output.splitlines() == output.split("\n")[:-1]
 
 
-# Line contents: blank ones of spaces and tabs, records, and ones that also hold whitespace JSON does not allow.
-# A CR comes only at a line's end, as in a CRLF file: the reader takes a lone CR for a line break.
-_BLANK = st.text(" \t", max_size=3)
-_NOT_BLANK = st.tuples(_BLANK, st.sampled_from(_OTHER_SPACE), st.text(" \t" + _OTHER_SPACE, max_size=2)).map("".join)
-_RECORD_LINE = st.tuples(_BLANK, (_near_valid("episodes") | _JSON).map(json.dumps), _BLANK).map("".join)
+# Line contents: blank ones of spaces, tabs and CRs, records, and ones that also hold whitespace JSON does not allow.
+# A lone CR may stand anywhere JSON whitespace may: in the padding, between a record's members, and at a line's end.
+_BLANK = st.text(" \t\r", max_size=3)
+_NOT_BLANK = st.tuples(_BLANK, st.sampled_from(_OTHER_SPACE), st.text(" \t\r" + _OTHER_SPACE, max_size=2)).map("".join)
+_SEPARATORS = st.sampled_from([(", ", ": "), (",\r", ":\r"), ("\r,", "\r: ")])
+_RECORD_LINE = st.tuples(
+    _BLANK, st.builds(json.dumps, _near_valid("episodes") | _JSON, separators=_SEPARATORS), _BLANK
+).map("".join)
 
 
 @settings(max_examples=200, deadline=None)

@@ -78,8 +78,8 @@ from choicetrust.cli_io import (
 )
 
 from helpers import episode
-from choicetrust import _pipeline, cli_io
-from choicetrust.trust_scoring import _NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE, _NOTE_SMALL_CATALOG, _score_totals
+from choicetrust import _pipeline, cli_io, trust_scoring
+from choicetrust._pipeline import _NOTE_MINMAX_FLOOR, _NOTE_REFERENCE_TABLE, _NOTE_SMALL_CATALOG, _score_totals
 from reference_report import reference_distribution, reference_output, reference_overall, reference_report
 from reference_report import report_to_dict as reference_report_to_dict
 
@@ -192,7 +192,7 @@ def test_distribution_cells_are_formatted_exact_terms_and_sums(n, p):
 
 
 def test_one_numerator_walk_serves_the_cdf_and_the_rows(monkeypatch):
-    # `prob` is the one reader of the paper term; the CDF and the rows walk `OverallRationality.numerators`.
+    # The CDF and the rows walk `OverallRationality.numerators`, never the paper term.
     n, p = 300, Fraction(3, 10)
     terms = [binomial_rationality(n, r, p) for r in range(n + 1)]
     below = list(itertools.accumulate(terms, initial=Fraction(0)))
@@ -201,7 +201,7 @@ def test_one_numerator_walk_serves_the_cdf_and_the_rows(monkeypatch):
     def refuse(*args):
         raise AssertionError("binomial_rationality called")
 
-    monkeypatch.setattr(_pipeline, "binomial_rationality", refuse)
+    monkeypatch.setattr(trust_scoring, "binomial_rationality", refuse)
     overall = OverallRationality(n, p)
     assert [overall.at_most(r) for r in range(-1, n + 2)] == [0, *below[1:], 1]
     assert [overall.at_least(r) for r in range(-1, n + 2)] == [1, *(1 - b for b in below[:-1]), 0]

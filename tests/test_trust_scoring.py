@@ -77,14 +77,14 @@ def test_binomial_rejects_bad_arguments():
 
 def test_overall_rationality_cumulative_queries():
     overall = OverallRationality.from_parameters(4, Fraction(1, 2), realized_r=2)
-    assert overall.prob(1) == Fraction(1, 4)
+    assert binomial_rationality(overall.n, 1, overall.p) == Fraction(1, 4)
     assert overall.at_most(1) == Fraction(5, 16)
     assert overall.at_least(1) == Fraction(15, 16)
     assert overall.at_most(4) == 1 and overall.at_least(0) == 1
     assert overall.at_most(-3) == 0 and overall.at_least(9) == 0 and overall.at_most(10**30) == 1
-    # An integral r of another type reads as that integer, as it does in `prob`.
+    # An integral r of another type reads as that integer, as it does in `binomial_rationality`.
     assert overall.at_least(2.0) == overall.at_least(2) == Fraction(11, 16)
-    assert overall.at_most(Fraction(1)) == overall.at_most(1) and overall.prob(2.0) == overall.prob(2)
+    assert overall.at_most(Fraction(1)) == overall.at_most(1)
 
 
 def test_overall_rationality_rejects_a_negative_n():
@@ -248,7 +248,7 @@ def test_build_report_canonical(canonical_raw_episodes, canonical_reviews):
         assert assessment_for(report, "rev-1", obj).annotations == ()
 
     assert section.overall.realized_r == 2
-    assert section.overall.prob(1) == Fraction(1, 4)
+    assert binomial_rationality(section.overall.n, 1, section.overall.p) == Fraction(1, 4)
     assert not report.has_errors
 
 
