@@ -570,6 +570,9 @@ class _Scored(NamedTuple):
     single_period_conformant: bool | None
     verdicts: Mapping[Polarity, tuple[bool, NarrativeCode]] | None  # two periods only
 
+    # One record per run-total key in a report: render memos key on it as itself; assessments compare their eleven fields.
+    __hash__, __eq__, __ne__ = object.__hash__, object.__eq__, object.__ne__
+
 
 def _score_totals(
     totals: tuple[int | None, ...], ns: tuple[int, int] | None, variant: str, d0_zone: str,

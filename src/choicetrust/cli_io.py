@@ -71,12 +71,17 @@ def _fmt8(x: Fraction | float) -> str:
 # wire parsing
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    """The problem of bytes that are not UTF-8, at the first of them within what was decoded: a file or a line."""
+    return f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+
+
 def _read_text(path: str | Path) -> str:
-    """The file as UTF-8 text, every CR kept; undecodable bytes become a ParseError naming the file."""
+    """A whole JSON document as UTF-8 text, every CR kept; undecodable bytes are a ParseError naming the file."""
     try:
         return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(path, f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise ParseError(path, _not_utf8(exc)) from None
 
 
 def _object(pairs: list[tuple[str, Any]]) -> dict:
@@ -176,17 +181,17 @@ def _field(record: dict, key: str, kind: str, where: str | Path | None, default:
 
 
 def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
-    """Read a JSONL episode file, skipping blank lines (JSON whitespace only); every other line is a record, and a
-    malformed or invalid one, or a repeat of an accepted line's reviewer and period, is a `path:line` diagnostic."""
+    """Read a JSONL episode file, skipping blank lines (JSON whitespace only). An undecodable, malformed or invalid
+    line, or a repeat of an accepted line's reviewer and period, is a `path:line` diagnostic; the others are records."""
     episodes: list[ValidatedEpisode] = []
     problems: list[str] = []
     accepted: dict[tuple[str, int], int] = {}
     name = _path_text(path)
-    # Lines end at "\n" only: splitlines() would also split at a U+2028 inside a string.
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        if not raw.strip(_JSON_SPACE):
-            continue
+    # Split at b"\n", a byte within no other UTF-8 character, and only there: splitlines() also splits at U+2028.
+    for lineno, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
         try:
+            if not (raw := line.decode("utf-8")).strip(_JSON_SPACE):
+                continue
             record = _shape(_decode(raw, None), dict, None, "episode record")
             get = record.get
             rid, period, catalog, wishlist, cart, final = fields = (
@@ -212,6 +217,8 @@ def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
             episodes.append(episode)
         except ChoiceTrustError as exc:  # raised with no place: each line's problem is placed here
             problems.append(f"{name}:{lineno}: {exc}")
+        except UnicodeDecodeError as exc:
+            problems.append(f"{name}:{lineno}: {_not_utf8(exc)}")
     return episodes, problems
 
 
@@ -373,22 +380,18 @@ def _assessment_json(key: _Scored, periods: tuple[int, ...]) -> str:
 
 
 def _section_json(
-    section: ReviewerSection, overall_json: Callable[[OverallRationality], tuple[str, str]], fragments: dict
+    section: ReviewerSection, overall_json: Callable[[OverallRationality], tuple[str, str]], assessment_json: Callable
 ) -> str:
     """A reviewer section as an item of the report's "reviewers" list.
 
-    `overall_json` is `_per_binomial(_overall_json)`, and `fragments` holds one render's
-    `_assessment_json` templates, keyed on the identity of the run-total key's
-    record they read, which the report keeps alive for the whole render, and the periods.
+    `overall_json` is `_per_binomial(_overall_json)`, and `assessment_json` is one render's `functools.cache` of
+    `_assessment_json`, which keys each template on the run-total key's record it reads and the periods.
     """
     periods = section.periods
     assessments = []
     for a in section.assessments:
-        template = fragments.get(memo := (id(a.key), periods))
-        if template is None:
-            template = fragments[memo] = _assessment_json(a.key, periods)
         review = a.review
-        assessments.append(template % (
+        assessments.append(assessment_json(a.key, periods) % (
             _escape(a.object),
             _JSON_CONSTANT[a.polarity_match],
             _JSON_CONSTANT[a.narrative],
@@ -434,7 +437,8 @@ def _json_stream(report: TrustReport) -> Iterator[str]:
         "tool": _TOOL,
         "parameters": {"membership": params.membership_variant, "d0_zone": params.d0_zone, "p": _fmt8(params.p)},
     }
-    encode = functools.partial(_section_json, overall_json=_per_binomial(_overall_json), fragments={})
+    overall_json, assessment_json = _per_binomial(_overall_json), functools.cache(_assessment_json)
+    encode = functools.partial(_section_json, overall_json=overall_json, assessment_json=assessment_json)
     return _json_document(head, "reviewers", report.reviewers, _tail(report), encode)
 
 
@@ -455,7 +459,7 @@ def _csv_stream(report: TrustReport) -> Iterator[str]:
     overall_rows = _per_binomial(
         lambda n, p: write([(*(None,) * 11, *row, None, None) for row in _distribution_cells(n, p)])[:-1]
     )
-    key_cells: dict[int, tuple] = {}  # by the identity of a run-total key's record, which the report keeps alive
+    key_cells = functools.cache(_key_cells)
     yield write([_CSV_COLUMNS])
     for section in report.reviewers:
         rid = section.reviewer_id
@@ -463,7 +467,7 @@ def _csv_stream(report: TrustReport) -> Iterator[str]:
         for a in section.assessments:
             key = a.key
             rows.append((
-                "assessment", rid, a.object, *(key_cells.get(id(key)) or key_cells.setdefault(id(key), _key_cells(key))),
+                "assessment", rid, a.object, *key_cells(key),
                 None if a.polarity_match is None else "true" if a.polarity_match else "false",
                 a.narrative.value if a.narrative else None, a.review.rating if a.review else None,
                 a.review.comment_polarity.value if a.review else None, " | ".join(key.annotations),
@@ -481,7 +485,8 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
     distribution = _per_binomial(lambda n, p: "\n".join(
         ["    r=%s  f=%s  f(<= r)=%s  f(>= r)=%s" % cells for cells in _distribution_cells(n, p)]
     ))
-    columns: dict[int, str] = {}  # the padded pattern to degree columns by run-total key, as csv keys its cells
+    # The padded pattern to degree columns of a run-total key's record; a pattern and a rank class are never empty.
+    columns = functools.cache(lambda key: "{:<11} {:<11} {:<4} {:<11} {:<11} ".format(*[c or "-" for c in _key_cells(key)]))
     yield f"{_TOOL}\nparameters: membership={params.membership_variant} d0-zone={params.d0_zone} p={_fmt8(params.p)}\n"
     for section in report.reviewers:
         lines = [
@@ -496,9 +501,7 @@ def _text_stream(report: TrustReport) -> Iterator[str]:
         )
         for a in section.assessments:
             match = "" if a.polarity_match is None else ("yes" if a.polarity_match else "NO")
-            if (key := id(a.key)) not in columns:  # a pattern and a rank class are never empty
-                columns[key] = "{:<11} {:<11} {:<4} {:<11} {:<11} ".format(*[cell or "-" for cell in _key_cells(a.key)])
-            lines.append(f"  {a.object:<9} {columns[key]}{match:<6} {a.narrative.value if a.narrative else '-'}")
+            lines.append(f"  {a.object:<9} {columns(a.key)}{match:<6} {a.narrative.value if a.narrative else '-'}")
             lines += (f"    note ({a.object}): {note}" for note in a.annotations)
         overall = section.overall
         lines.append(
@@ -613,10 +616,12 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         try:
             with fh:
                 fh.writelines(chunks)
-        except BaseException:
+        except BaseException as exc:
             with contextlib.suppress(OSError):
                 if stat.S_ISREG(os.lstat(out).st_mode):
                     os.unlink(out)
+            if isinstance(exc, OSError) and exc.filename is None:  # a failed write names no file; `main` prints it
+                exc.filename = out
             raise
         return
     try:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -408,6 +410,9 @@ _WE, _WR = "fixtures/episodes_wire_edge.jsonl", "fixtures/reviews_wire_edge.json
 _BL = "fixtures/episodes_blank_lines.jsonl"
 # A lone CR between members, a CRLF line, and a raw CR inside a string.
 _LC = "fixtures/episodes_lone_cr.jsonl"
+# Lines that are not UTF-8 (Latin-1 text, an overlong "/", an encoded surrogate, a sequence cut short) among
+# lines that are, one of them with ids outside ASCII.
+_NU = "fixtures/episodes_not_utf8.jsonl"
 
 
 @pytest.mark.parametrize(
@@ -455,6 +460,10 @@ _LC = "fixtures/episodes_lone_cr.jsonl"
         (["score", _LC, _R, "--format", "json"], "9c29e402a79321cd4439fa5a08e38382bc6f808426322c10a1616073e017dd6c"),
         (["score", _LC, _R, "--format", "csv"], "3991c8e06cf222d6146fb95a15dc2571f519e4476cbb4508031a53e6b2ccce9a"),
         (["score", _LC, _R, "--format", "text"], "c280cf203b31999c6aaf7b9845e395008a25b2dda94568ec8dbcee56d1024e59"),
+        # Taken after each episode line was decoded on its own, so that one that is not UTF-8 costs that line alone.
+        (["score", _NU, _R, "--format", "json"], "2e462173fa5ea7991a7369837df298791d21af525f28cc270cd5063e5317011a"),
+        (["score", _NU, _R, "--format", "csv"], "2225546e0bc6e4037bb56d0b6ba17f1c725066bdd93f51ba62bc03398bf7c95c"),
+        (["score", _NU, _R, "--format", "text"], "e2e97c18ec84c883322d1008056c4d5dbd782e4390f1641df1cf4c303fbeb9f0"),
         (["info-index", _IFS, "--format", "json"], "519c5b665457c1fbd9779383353ff9bddcb76534da95889a9dd92e947d70d627"),
         (["info-index", _IFS, "--format", "csv"], "29508743df9248f56a74f92dfcc9ce25fc69a4129b785cf3e34ec720f2f48506"),
         (["info-index", _IFS, "--format", "text"], "a64ca00de86614fc21b634e1146538aaf850415e1f81dc131251c4062bc8a27e"),
@@ -494,8 +503,15 @@ _LC = "fixtures/episodes_lone_cr.jsonl"
 )
 def test_main_output_is_unchanged(capsys, monkeypatch, argv, digest):
     monkeypatch.chdir(FIXTURES.parent)
-    assert main(argv) == (EXIT_PARTIAL if {_WE, _BL, _LC} & {*argv} else EXIT_OK)
+    assert main(argv) == (EXIT_PARTIAL if {_WE, _BL, _LC, _NU} & {*argv} else EXIT_OK)
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
+
+
+def test_ci_runs_the_console_script_on_every_episode_fixture():
+    # The workflow's loop runs each command line as the installed script and as `python -m`, in every format.
+    workflow = (FIXTURES.parents[1] / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    looped = re.findall(r'"\d score (episodes_\S+\.jsonl) ', workflow)
+    assert sorted(looped) == sorted(path.name for path in FIXTURES.glob("episodes_*.jsonl"))
 
 
 # sha256 of a partial report (flagged reviews and an errors tail), run from
@@ -705,12 +721,31 @@ def test_main_out_of_memory_is_one_line_error(fixtures_dir, monkeypatch, capsys)
 
 
 def test_main_non_utf8_input_names_the_file(fixtures_dir, tmp_path, capsys):
+    # A document that is not UTF-8 ends the run; an episode line that is not costs that line alone.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'[{"reviewer_id": "r\xff"}]')
+    assert main(["score", str(fixtures_dir / EPISODES), str(path)]) == EXIT_FATAL
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text (invalid start byte at byte 19)\n"
     path = tmp_path / "latin1.jsonl"
     path.write_bytes(b'{"reviewer_id": "r\xff"}\n')
-    code = main(["score", str(path), str(fixtures_dir / REVIEWS)])
-    assert code == EXIT_FATAL
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+    assert main(["score", str(path), str(fixtures_dir / REVIEWS)]) == EXIT_FATAL
+    assert capsys.readouterr().err == (
+        f"error: {path}: no reviewer could be scored (1 problem; first: {path}:1: not UTF-8 text "
+        "(invalid start byte at byte 18))\n"
+    )
+
+
+def test_an_undecodable_episode_line_is_one_problem(fixtures_dir, tmp_path):
+    # The byte is counted within its line; every other line is read, the CRLF and blank ones as ever.
+    lines = (fixtures_dir / EPISODES).read_bytes().split(b"\n")
+    path = tmp_path / "episodes.jsonl"
+    path.write_bytes(lines[0] + b"\r\n \r\n" + b'{"reviewer_id": "caf\xe9"}\n' + b"\xc3\n" + lines[1])
+    episodes, problems = load_episodes(path)
+    assert [e.period for e in episodes] == [1, 2]
+    assert problems == [
+        f"{path}:3: not UTF-8 text (invalid continuation byte at byte 20)",
+        f"{path}:4: not UTF-8 text (unexpected end of data at byte 0)",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -1117,10 +1152,12 @@ def _document(draw, document):
 @settings(max_examples=250, deadline=None)
 @given(document=st.sampled_from(sorted(_VALID_RECORDS)), fmt=st.sampled_from(["json", "csv", "text"]), data=st.data())
 def test_main_ends_in_a_report_or_a_one_line_error(document, fmt, data):
-    text = data.draw(_document(document))
+    text = data.draw(_document(document)).encode("utf-8")
+    if document == "episodes":  # and any bytes at all after the records' lines, or in their place
+        text = data.draw(st.sampled_from([text, b""])) + data.draw(st.binary(max_size=32))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text)
         argv = {
             "episodes": ["score", str(path), str(FIXTURES / REVIEWS)],
             "reviews": ["score", str(FIXTURES / EPISODES), str(path)],
@@ -1148,17 +1185,35 @@ _SEPARATORS = st.sampled_from([(", ", ": "), (",\r", ":\r"), ("\r,", "\r: ")])
 _RECORD_LINE = st.tuples(
     _BLANK, st.builds(json.dumps, _near_valid("episodes") | _JSON, separators=_SEPARATORS), _BLANK
 ).map("".join)
+_LINE = st.tuples(_RECORD_LINE | _BLANK | _NOT_BLANK, st.sampled_from(["", "\r"])).map("".join)
+# Bytes that are not UTF-8 wherever they stand between two characters: a stray continuation byte, a sequence cut
+# short, an overlong "/", an encoded surrogate and Latin-1 text.
+_NOT_UTF8 = st.sampled_from([b"\x80", b"\xe2\x82", b"\xc0\xaf", b"\xed\xa0\x80", b"\xff", b"caf\xe9"])
+_UNDECODABLE_LINE = st.builds(
+    lambda line, at, bad: line[:at].encode() + bad + line[at:].encode(), _LINE, st.integers(0, 99), _NOT_UTF8
+)
+
+
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(_RECORD_LINE | _BLANK | _NOT_BLANK, st.sampled_from(["", "\r"])).map("".join), max_size=8))
+@given(st.lists(_LINE.map(str.encode) | _UNDECODABLE_LINE, max_size=8))
 def test_every_episode_line_is_a_record_or_a_problem(lines):
-    # No line is dropped but a blank one: each other line is an episode or a problem, exactly one.
+    # No line is dropped but a blank one: each other line is an episode or a problem, exactly one, and each line
+    # that is not UTF-8 is a problem naming that line.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "episodes.jsonl"
-        path.write_text("\n".join(lines), encoding="utf-8")
+        path.write_bytes(b"\n".join(lines))
         episodes, problems = load_episodes(path)
-    assert len(episodes) + len(problems) == sum(1 for line in lines if line.strip(" \t\r"))
+    assert len(episodes) + len(problems) == sum(1 for line in lines if line.strip(b" \t\r"))
+    named = [p.partition(": not UTF-8 text (")[0] for p in problems if ": not UTF-8 text (" in p]
+    assert named == [f"{path}:{n}" for n, line in enumerate(lines, start=1) if not _is_utf8(line)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -1506,3 +1561,26 @@ def test_a_score_that_fails_mid_stream_keeps_a_device_out(fixtures_dir, monkeypa
     assert removed == []
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
     assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_out_is_named_in_the_error(fixtures_dir, monkeypatch, capsys):
+    removed = []
+    monkeypatch.setattr(os, "unlink", removed.append)
+    argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", "/dev/full"]
+    assert main(argv) == EXIT_FATAL
+    assert removed == []
+    assert capsys.readouterr() == ("", "error: /dev/full: No space left on device\n")
+
+
+def test_a_failed_write_to_out_is_named_in_the_error(fixtures_dir, tmp_path, monkeypatch, capsys):
+    class Full(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    opened = lambda path, mode, encoding: io.TextIOWrapper(io.BufferedWriter(Full(path, mode)), encoding=encoding)
+    monkeypatch.setattr(cli_io, "open", opened, raising=False)
+    out = tmp_path / "report.json"
+    assert main(["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS), "--out", str(out)]) == EXIT_FATAL
+    assert not out.exists()
+    assert capsys.readouterr() == ("", f"error: {out}: {os.strerror(errno.ENOSPC)}\n")

@@ -17,9 +17,11 @@ import json
 import math
 import pickle
 import reprlib
+import tempfile
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -388,6 +390,19 @@ def test_assessments_that_share_a_pattern_render_their_own_fields():
     report = TrustReport(ReportParameters(), sections, (), ())
     for fmt, render in _REPORT_RENDERERS.items():
         assert "".join(render(report)) == reference_output(report, fmt)
+
+
+def test_a_report_whose_sections_come_from_a_generator_renders_as_a_tuple_of_them():
+    # Each section, and its key record, is freed once its chunk is written, so a later
+    # section's key record may be built at the address of an earlier one's.
+    def section(i):
+        pattern = RunPattern((RunCount(i + 1), EPSILON), (False, True))
+        a = TrustAssessment("o", pattern, classify_rank(pattern.slots), None, None, None, None, None, None, None, ())
+        return ReviewerSection(f"r{i}", (1, 2), ("o",), ("1", "0"), None, (a,), OverallRationality(1, "1/2"))
+
+    for fmt, render in _REPORT_RENDERERS.items():
+        streamed = "".join(render(TrustReport(ReportParameters(), (section(i) for i in range(16)), (), ())))
+        assert streamed == "".join(render(TrustReport(ReportParameters(), tuple(map(section, range(16))), (), ())))
 
 
 def test_a_json_render_renders_each_pattern_once_per_distinct_key(canonical_raw_episodes, canonical_reviews):
@@ -767,8 +782,10 @@ def _by_fields(record, fields, build):
 
 
 def _loaded(load, text):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli_io, "_read_text", lambda path: text)
+    """`load` of a file "in.json" that holds `text`, read from a directory of its own."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        Path("in.json").write_text(text, encoding="utf-8")
         return load("in.json")
 
 
