@@ -1501,17 +1501,64 @@ def test_importing_cli_io_freezes_nothing():
     assert (child.returncode, child.stdout, child.stderr) == (EXIT_OK, b"0\n", b"")
 
 
-def test_python_m_loads_cli_io_once():
-    # The running module stands in for `choicetrust.cli_io` when `cli_commands` imports its helpers.
+def _imported(*argv):
+    """The exit code of `python -m choicetrust.cli_io` run on `argv`, and the modules it imported."""
     child = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "choicetrust.cli_io", "tau", "4", "2"],
+        [sys.executable, "-X", "importtime", "-m", "choicetrust.cli_io", *argv],
         capture_output=True,
         env=child_env(),
         timeout=60,
     )
-    imported = [line.rpartition("|")[2].strip() for line in child.stderr.decode("utf-8").splitlines()]
-    assert child.returncode == EXIT_OK and "choicetrust.cli_commands" in imported
+    return child.returncode, {line.rpartition("|")[2].strip() for line in child.stderr.decode("utf-8").splitlines()}
+
+
+def test_python_m_loads_cli_io_once():
+    # The running module stands in for `choicetrust.cli_io` when `cli_commands` imports its helpers.
+    code, imported = _imported("tau", "4", "2")
+    assert code == EXIT_OK and "choicetrust.cli_commands" in imported
     assert "choicetrust.cli_io" not in imported
+
+
+# Tokens of command lines that `_plain_score` reads and of lines it must leave to argparse: abbreviations, "--",
+# values and positionals that start with "-", values out of their choices, help, the version and other commands.
+_ARGV_TOKENS = [
+    "score", "tau", "check", "info-index", "E", "R", "a=b", "", " ", "-", "--", "-1", "-0.5", "0.3", "1/2",
+    "--out", "--out=", "--out=x", "--out=-x", "--out=--version", "--p", "--p=0.3", "--p=-0.5", "--p==", "--P",
+    "--format", "--format=csv", "--format=xml", "--form", "--form=csv", "json", "csv", "text", "xml",
+    "--membership", "--memb", "minmax", "smoothed", "--d0-zone", "--d0-zone=irrational", "--d0", "rational",
+    "irrational", "-h", "--help", "--version",
+]
+_ARGVS = st.lists(st.sampled_from(_ARGV_TOKENS), max_size=8)
+
+
+@settings(max_examples=400)
+@given(_ARGVS | _ARGVS.flatmap(lambda extra: st.permutations(["E", "R", *extra])).map(lambda rest: ["score", *rest]))
+@example(["score", "E", "R", "--format", "csv", "--format=text", "--p", "0.3"])
+@example(["score", "E", "--out=", "R", "--d0-zone", "irrational"])
+def test_a_plain_score_line_parses_as_argparse_parses_it(argv):
+    plain = cli_io._plain_score(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(cli_io._build_parser().parse_args(argv))
+    except SystemExit:  # help, the version or a usage error: argparse's to write
+        parsed = None
+    assert plain is None or vars(plain) == parsed
+
+
+def test_a_plain_score_line_never_loads_argparse(fixtures_dir):
+    episodes, reviews = str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS)
+    code, imported = _imported("score", episodes, reviews, "--p=0.3", "--format", "csv", "--out", os.devnull)
+    assert code == EXIT_OK and {"argparse", "gettext", "locale"}.isdisjoint(imported)
+    # Any other line is argparse's to parse.
+    for argv in (["score", "--help"], ["tau", "4", "2"], ["score", episodes, reviews, "--form", "csv"]):
+        code, imported = _imported(*argv)
+        assert code == EXIT_OK and "argparse" in imported
+
+
+@settings(max_examples=300)
+@given(st.text(st.characters(exclude_categories=()) | st.sampled_from("\x00\x1f\x7f\x85\x9f\xa0\u2028\u2029\ud800\udfff")))
+def test_the_id_check_meets_the_pattern_of_characters_no_id_may_hold(text):
+    assert cli_io._id_text(text) is (re.search(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]", text) is None)
 
 
 @pytest.mark.parametrize("fault", ["no reviewer could be scored", "missing reviews file"])

@@ -234,6 +234,7 @@ def test_integer_fields_are_never_truncated(build, read):
 # Modules that importing the CLI must not load: each costs start-up time on
 # every run of `score`, which uses none of them.
 _NOT_ON_THE_SCORE_PATH = (
+    "argparse",
     "dataclasses",
     "inspect",
     "csv",
