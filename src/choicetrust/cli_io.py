@@ -131,24 +131,23 @@ def _shape(value: Any, kind: type[dict] | type[list], where: str | Path | None, 
 
 # Ids are printed in reports and error lines, so no id may hold a control
 # character (C0, DEL, C1), a line or paragraph separator, or a lone surrogate,
-# which UTF-8 cannot encode. An ASCII string holds one exactly when it is not printable.
-_NOT_IN_ID = r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]"
+# which UTF-8 cannot encode.
+_NOT_IN_ID = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]")
 
 
-def _id_text(text: str) -> bool:
-    """Whether `text` holds no character of `_NOT_IN_ID`, which `re` compiles once a text is not ASCII."""
-    return text.isprintable() if text.isascii() else re.search(_NOT_IN_ID, text) is None
+def _is_id(value: Any) -> bool:
+    return isinstance(value, str) and _NOT_IN_ID.search(value) is None
 
 
 def _path_text(path: str | Path) -> str:
     """`path` as a message names it: as it is, or as `ascii` writes it if it holds a character no id may hold."""
-    return str(path) if _id_text(str(path)) else ascii(str(path))
+    return str(path) if _is_id(str(path)) else ascii(str(path))
 
 
 def _is_id_list(value: Any) -> bool:
     # Its strings are all ids exactly when their concatenation is one.
     try:
-        return isinstance(value, list) and _id_text("".join(value))
+        return isinstance(value, list) and _is_id("".join(value))
     except TypeError:  # an entry is not a string
         return False
 
@@ -156,7 +155,7 @@ def _is_id_list(value: Any) -> bool:
 # Each field kind of the wire formats, by the name error messages give it.
 _KINDS = {
     "str": lambda v: isinstance(v, str),
-    "id": lambda v: isinstance(v, str) and _id_text(v),
+    "id": _is_id,
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     # `float` takes every JSON number up to the largest finite double.
     "number": lambda v: isinstance(v, float)
@@ -202,7 +201,7 @@ def load_episodes(path: str | Path) -> tuple[list[ValidatedEpisode], list[str]]:
                 wire = (
                     type(rid) is str and type(period) is int
                     and type(catalog) is type(wishlist) is type(cart) is type(final) is list
-                    and _id_text("".join([rid, *catalog, *wishlist, *cart, *final]))
+                    and not _NOT_IN_ID.search("".join([rid, *catalog, *wishlist, *cart, *final]))
                 )
             except TypeError:  # a list entry is not a string
                 wire = False
@@ -237,7 +236,7 @@ def load_reviews(path: str | Path) -> tuple[list[Review], list[str]]:
             )
             if not (  # as for an episode
                 type(rid) is type(obj) is type(text) is str and type(rating) is int
-                and (polarity is None or type(polarity) is str) and _id_text(rid + obj)
+                and (polarity is None or type(polarity) is str) and not _NOT_IN_ID.search(rid + obj)
             ):
                 fields = (_field(record, "reviewer_id", "id", None), _field(record, "object", "id", None),
                           _field(record, "rating", "int", None), _field(record, "comment_polarity", "str", None, None),
@@ -381,13 +380,12 @@ def _assessment_json(key: _Scored, periods: tuple[int, ...]) -> str:
 
 
 def _section_json(
-    section: ReviewerSection, overall_json: Callable, assessment_json: Callable, periods_json: Callable[[tuple], str]
+    section: ReviewerSection, overall_json: Callable[[OverallRationality], tuple[str, str]], assessment_json: Callable
 ) -> str:
     """A reviewer section as an item of the report's "reviewers" list.
 
-    `overall_json` is `_per_binomial(_overall_json)`, `assessment_json` is one render's `functools.cache` of
-    `_assessment_json`, which keys each template on the run-total key's record it reads and the periods, and
-    `periods_json` one render's cache of the periods' JSON list.
+    `overall_json` is `_per_binomial(_overall_json)`, and `assessment_json` is one render's `functools.cache` of
+    `_assessment_json`, which keys each template on the run-total key's record it reads and the periods.
     """
     periods = section.periods
     assessments = []
@@ -404,7 +402,7 @@ def _section_json(
     p, distribution = overall_json(overall)
     return _SECTION_JSON % (
         _escape(section.reviewer_id),
-        periods_json(periods),
+        _json_list(list(map(str, periods)), "\n      "),
         _json_list(list(map(_escape, section.catalog)), "\n      "),
         _json_list(list(map(_escape, section.period_patterns)), "\n      "),
         "null" if section.joint_pattern is None else _escape(section.joint_pattern),
@@ -439,11 +437,8 @@ def _json_stream(report: TrustReport) -> Iterator[str]:
         "tool": _TOOL,
         "parameters": {"membership": params.membership_variant, "d0_zone": params.d0_zone, "p": _fmt8(params.p)},
     }
-    encode = functools.partial(
-        _section_json, overall_json=_per_binomial(_overall_json),
-        assessment_json=functools.cache(_assessment_json),
-        periods_json=functools.cache(lambda periods: _json_list(list(map(str, periods)), "\n      ")),
-    )
+    overall_json, assessment_json = _per_binomial(_overall_json), functools.cache(_assessment_json)
+    encode = functools.partial(_section_json, overall_json=overall_json, assessment_json=assessment_json)
     return _json_document(head, "reviewers", report.reviewers, _tail(report), encode)
 
 
@@ -578,7 +573,17 @@ def _score(
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# `score`'s options after the shared `--out`: name, choices (None takes any value), default and help. `_build_parser`
+# adds them, and `_plain_score` reads a plain `score` line by them.
+_SCORE_OPTIONS = (
+    ("--membership", MEMBERSHIP_VARIANTS, "minmax", None),
+    ("--d0-zone", D0_ZONE_CHOICES, "rational", None),
+    ("--p", None, "1/2", "rational-zone probability (e.g. 0.5 or 1/2)"),
+    ("--format", FORMATS, "json", None),
+)
+
+
+def _build_parser():
     import argparse  # here, so that a plain `score` line (see `_plain_score`) never loads it
     parser = argparse.ArgumentParser(prog="choicetrust", description=__doc__)
     parser.add_argument("--version", action="version", version=_TOOL)
@@ -590,10 +595,8 @@ def _build_parser() -> argparse.ArgumentParser:
     score = sub.add_parser("score", parents=[common], help="score reviewers from episode and review files")
     score.add_argument("episodes", help="JSONL episode file")
     score.add_argument("reviews", help="JSON reviews document")
-    score.add_argument("--membership", choices=MEMBERSHIP_VARIANTS, default="minmax")
-    score.add_argument("--d0-zone", choices=D0_ZONE_CHOICES, default="rational")
-    score.add_argument("--p", default="1/2", help="rational-zone probability (e.g. 0.5 or 1/2)")
-    score.add_argument("--format", choices=FORMATS, default="json")
+    for name, choices, default, text in _SCORE_OPTIONS:
+        score.add_argument(name, choices=choices, default=default, help=text)
 
     tau = sub.add_parser("tau", parents=[common], help="list the rationality outcome set")
     tau.add_argument("n", type=int)
@@ -611,27 +614,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The options of a plain `score` line and the values each takes; None takes any.
-_PLAIN_SCORE_OPTIONS = {"--out": None, "--membership": MEMBERSHIP_VARIANTS, "--d0-zone": D0_ZONE_CHOICES, "--p": None,
-                        "--format": FORMATS}
-
-
 def _plain_score(argv: Sequence[str]) -> SimpleNamespace | None:
-    """What `_build_parser` parses from a plain `score` line: `score`, two positionals and `_PLAIN_SCORE_OPTIONS`
-    by their exact names, as `--name value` or `--name=value`, the last of a repeated one kept, each value among its
-    choices, no positional or value after a space starting with "-". Any other line is None, for argparse to parse."""
+    """What `_build_parser` parses from a plain `score` line: `score`, two positionals, and `--out` and
+    `_SCORE_OPTIONS` by their exact names, as `--name value` or `--name=value`, the last of a repeated one kept, each
+    value among its choices, no positional or value after a space starting with "-". Any other line is None, for
+    argparse to parse."""
     if not argv or argv[0] != "score":
         return None
-    args = {"command": "score", "out": None, "membership": "minmax", "d0_zone": "rational", "p": "1/2", "format": "json"}
+    options, args = {"--out": None}, {"command": "score", "out": None}
+    for name, choices, default, _ in _SCORE_OPTIONS:
+        options[name], args[name[2:].replace("-", "_")] = choices, default
     positionals, tokens = [], iter(argv[1:])
     for token in tokens:
         if not token.startswith("-"):
             positionals.append(token)
             continue
         name, equals, value = token.partition("=")
-        if name not in _PLAIN_SCORE_OPTIONS or not equals and (value := next(tokens, "-")).startswith("-"):
+        if name not in options or not equals and (value := next(tokens, "-")).startswith("-"):
             return None
-        if (choices := _PLAIN_SCORE_OPTIONS[name]) is not None and value not in choices:
+        if (choices := options[name]) is not None and value not in choices:
             return None
         args[name[2:].replace("-", "_")] = value
     return SimpleNamespace(**args, episodes=positionals[0], reviews=positionals[1]) if len(positionals) == 2 else None

@@ -1555,12 +1555,6 @@ def test_a_plain_score_line_never_loads_argparse(fixtures_dir):
         assert code == EXIT_OK and "argparse" in imported
 
 
-@settings(max_examples=300)
-@given(st.text(st.characters(exclude_categories=()) | st.sampled_from("\x00\x1f\x7f\x85\x9f\xa0\u2028\u2029\ud800\udfff")))
-def test_the_id_check_meets_the_pattern_of_characters_no_id_may_hold(text):
-    assert cli_io._id_text(text) is (re.search(r"[\x00-\x1f\x7f-\x9f\u2028\u2029\ud800-\udfff]", text) is None)
-
-
 @pytest.mark.parametrize("fault", ["no reviewer could be scored", "missing reviews file"])
 def test_a_fatal_score_leaves_out_as_it_was(fixtures_dir, tmp_path, capsys, fault):
     episodes, reviews = fixtures_dir / EPISODES, fixtures_dir / REVIEWS
