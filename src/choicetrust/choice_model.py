@@ -16,9 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._pipeline import ChoiceEpisode, ValidatedEpisode, validate_episode
-from ._record import Record, as_int, quote, setfield
-from .errors import DimensionError, DomainError, UnknownObjectError
+from ._pipeline import ChoiceEpisode, Record, ValidatedEpisode, as_int, setfield, validate_episode
+from .errors import DimensionError, DomainError, UnknownObjectError, quote
 
 __all__ = [
     "AttributeVector",

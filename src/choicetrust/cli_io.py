@@ -36,9 +36,9 @@ from ._pipeline import (
     TrustReport,
     ValidatedEpisode,
     _Scored,
+    as_probability,
     build_report,
 )
-from ._record import as_probability
 from .errors import ChoiceTrustError
 
 EXIT_OK = 0
@@ -670,8 +670,13 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _plain_score(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
     try:
+        try:
+            args = _plain_score(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
+        except SystemExit as stop:
+            if stop.code == 0:  # argparse wrote help or the version to stdout: a write that fails is an error here too
+                _write((), None)
+            raise
         code = EXIT_OK
         if args.command == "score":
             p = as_probability(args.p, "--p")

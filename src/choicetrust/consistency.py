@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from ._record import Record, quote
-from .errors import DomainError, IncompleteTableError, render_set
+from ._pipeline import Record
+from .errors import DomainError, IncompleteTableError, quote, render_set
 from .pattern_runs import RunCount
 
 __all__ = [

@@ -14,8 +14,8 @@ import math
 from functools import reduce
 from typing import Sequence
 
-from ._record import Record, quote, setfield
-from .errors import EmptyListError, GradeError
+from ._pipeline import Record, setfield
+from .errors import EmptyListError, GradeError, quote
 
 __all__ = [
     "IfsElement",

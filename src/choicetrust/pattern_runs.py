@@ -25,9 +25,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ._pipeline import EPSILON, RunCount, RunPattern, run_totals, slot_rule
-from ._record import quote
 from .choice_model import ValidatedEpisode
-from .errors import DomainError, UnknownObjectError
+from .errors import DomainError, UnknownObjectError, quote
 from .preference_graph import PatternVector
 # Unused here; bench/tracing.py wraps these two names on this module.
 from .preference_graph import derive_matrix, flatten

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ._record import Record, setfield
+from ._pipeline import Record, setfield
 from .choice_model import ValidatedEpisode
 from .errors import ShapeError
 

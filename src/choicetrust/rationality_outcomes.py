@@ -26,9 +26,10 @@ import itertools
 import math
 from typing import Iterator, Sequence
 
-from ._pipeline import Degree, RankClass, _degree, _rank_class, bar_degree, bar_frequency, bar_label, signed_difference
-from ._record import Record, as_int, quote
-from .errors import DomainError
+from ._pipeline import (
+    Degree, RankClass, Record, _degree, _rank_class, as_int, bar_degree, bar_frequency, bar_label, signed_difference,
+)
+from .errors import DomainError, quote
 from .pattern_runs import EPSILON, RunCount, RunPattern
 
 __all__ = [

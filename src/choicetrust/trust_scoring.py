@@ -21,10 +21,9 @@ from typing import Sequence
 
 from ._pipeline import (
     FlaggedReview, NarrativeCode, OverallRationality, Polarity, ReportError, ReportParameters, Review, ReviewerSection,
-    RunCount, TrustAssessment, TrustReport, Zone, _verdicts, build_report, period_string, zone,
+    RunCount, TrustAssessment, TrustReport, Zone, _verdicts, as_int, as_probability, build_report, period_string, zone,
 )
-from ._record import as_int, as_probability, quote
-from .errors import DomainError, UnknownObjectError
+from .errors import DomainError, UnknownObjectError, quote
 # validate_episode, derive_matrix, flatten, concat_patterns, omega, bin_table and
 # membership are not called here (build_report looks validate_episode up on
 # _pipeline; stage ranks and the closed forms replace the rest);

@@ -1355,6 +1355,21 @@ def test_a_closed_stdout_is_a_one_line_error(fixtures_dir, tmp_path, command, un
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["score", "--help"]], ids=" ".join)
+def test_help_or_the_version_on_a_full_stdout_is_a_one_line_error(argv):
+    with open("/dev/full", "wb") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "choicetrust.cli_io", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            timeout=60,
+        )
+    error = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert (child.returncode, child.stderr.decode("utf-8")) == (EXIT_FATAL, error)
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_score_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, fmt):
     argv = ["score", *map(str, _many_reviewers(tmp_path)), "--format", fmt]

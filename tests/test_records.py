@@ -1,6 +1,7 @@
 """The package's record types: value semantics, immutability, copying, start-up cost.
 
-Every record is a ``__slots__`` class built on ``choicetrust._record.Record``.
+Every record is a ``__slots__`` class built on ``choicetrust._pipeline.Record``,
+and its fields are its ``__match_args__``.
 These checks run over each record type the package exports, one valid
 instance of each.
 """
@@ -58,7 +59,7 @@ from choicetrust import (
     stage_rank,
     validate_episode,
 )
-from choicetrust._record import Record, as_int, as_probability
+from choicetrust._pipeline import Record, as_int, as_probability
 from helpers import child_env
 
 RECORD_TYPES = [
@@ -126,15 +127,15 @@ def test_record_value_semantics(cls):
     assert a == b and not a != b
     assert hash(a) == hash(b)
 
-    # The positional parameters of __init__ are the fields, in slot order,
+    # The positional parameters of __init__ are the fields, in order,
     # and each may be given by its name instead.
-    values = [getattr(a, name) for name in cls.__slots__]
+    values = [getattr(a, name) for name in cls.__match_args__]
     assert cls(*values) == a
-    assert cls(**dict(zip(cls.__slots__, values))) == a
+    assert cls(**dict(zip(cls.__match_args__, values))) == a
     wrong_calls = [
         ((*values, None), {}),  # an extra positional argument
         (values, {"not_a_field": 1}),  # an unknown keyword
-        (values, {cls.__slots__[0]: values[0]}),  # one field both positionally and by keyword
+        (values, {cls.__match_args__[0]: values[0]}),  # one field both positionally and by keyword
     ]
     if cls.__init__ is Record.__init__:  # the shared constructor has no defaults
         wrong_calls.append((values[:-1], {}))  # a missing argument
@@ -145,7 +146,7 @@ def test_record_value_semantics(cls):
     assert a != other and other != a
     assert a != tuple(values)
 
-    name = cls.__slots__[0]
+    name = cls.__match_args__[0]
     with pytest.raises(AttributeError):
         setattr(a, name, values[0])
     with pytest.raises(AttributeError):
@@ -166,7 +167,7 @@ def test_validated_episode_ranks_are_an_immutable_tuple_in_catalog_order():
     assert v.ranks == tuple(stage_rank(v, oid) for oid in v.attainable)
     with pytest.raises(TypeError):
         v.ranks[0] = 0
-    fields = [getattr(v, name) for name in ValidatedEpisode.__slots__]
+    fields = [getattr(v, name) for name in ValidatedEpisode.__match_args__]
     assert ValidatedEpisode(*fields[:-1], [0, 1, 3]) == v
     for ranks in ((0, 1), (0, 1, 3, 3)):
         with pytest.raises(DomainError, match="one stage rank per attainable object"):
@@ -248,7 +249,7 @@ _NOT_ON_THE_SCORE_PATH = (
     "choicetrust.trust_scoring",
 )
 # The package modules `score` runs: the CLI, the scoring pipeline and what it imports.
-_ON_THE_SCORE_PATH = "choicetrust choicetrust._pipeline choicetrust._record choicetrust.cli_io choicetrust.errors"
+_ON_THE_SCORE_PATH = "choicetrust choicetrust._pipeline choicetrust.cli_io choicetrust.errors"
 _IMPORTED = """
 import sys
 import choicetrust.cli_io
