@@ -15,8 +15,8 @@ and its bin table. This module imports only ``errors`` from the package, so that
 without bytecode compiles every module it imports at start-up.
 
 It also holds what every record type of the package is built on: the
-:class:`Record` base, :data:`setfield`, and the field readers :func:`as_int`
-and :func:`as_probability`.
+:class:`Record` base, :data:`setfield`, and the field readers :func:`as_int`,
+:func:`as_fraction` and :func:`as_probability`.
 """
 
 from __future__ import annotations
@@ -63,15 +63,17 @@ MAX_P_DENOMINATOR = 10**80
 MAX_P_PLACES = 320
 
 
-def as_probability(value: Any, what: str = "p") -> Fraction:
-    """``value`` as an exact fraction in [0, 1]; anything else is a DomainError.
+def as_fraction(value: Any, what: str) -> Fraction:
+    """``value`` as an exact fraction of bounded size; anything else is a DomainError.
 
     Text is a decimal such as 0.25 or 1e-3, or a fraction such as 1/2, of at
     most :data:`MAX_P_DIGITS` characters with |exponent| <= MAX_P_DIGITS. A
     number is taken exactly, and its denominator may be at most
-    :data:`MAX_P_DENOMINATOR`; a bool, None, NaN or an infinity is refused.
+    :data:`MAX_P_DENOMINATOR`; a bool, None, NaN or an infinity is refused. A
+    Decimal's exponent is read before any Fraction is built: it may be no
+    less than -:data:`MAX_P_PLACES`, and no more than MAX_P_PLACES unless the
+    Decimal is zero.
     """
-    outside = f"{what} must be within [0, 1], got {{}}"
     if isinstance(value, str):
         form = _P_FORM.fullmatch(value.strip()) if len(value) <= MAX_P_DIGITS else None
         if form is None or form[1] and abs(int(form[1])) > MAX_P_DIGITS:
@@ -79,21 +81,32 @@ def as_probability(value: Any, what: str = "p") -> Fraction:
                 f"{what} must be a decimal such as 0.25 or 1e-3, or a fraction such as 1/2, of at most "
                 f"{MAX_P_DIGITS} characters with |exponent| <= {MAX_P_DIGITS}, got {reprlib.repr(value)}"
             )
-        prob = Fraction(form[0])
-    else:
-        # Fraction(Decimal) first builds 10**-exponent, so a Decimal's range and places are read as given.
-        finite_decimal = isinstance(value, Decimal) and value.is_finite()
-        if finite_decimal and not 0 <= value <= 1:
-            raise DomainError(outside.format(quote(value)))
-        deep = finite_decimal and value.as_tuple().exponent < -MAX_P_PLACES
-        try:
-            prob = None if isinstance(value, bool) else Fraction(0 if deep else value)
-        except (TypeError, ValueError, OverflowError):
-            prob = None
-        if prob is None:
-            raise DomainError(f"{what} must be a finite number or text such as 1/2, got {quote(value, reprlib.repr)}")
-        if deep or prob.denominator > MAX_P_DENOMINATOR:
-            raise DomainError(f"{what} must have a denominator of at most 10**80, got one larger")
+        return Fraction(form[0])
+    # Fraction(Decimal) first builds 10**|exponent|.
+    exponent = value.as_tuple().exponent if isinstance(value, Decimal) and value.is_finite() else 0
+    if exponent > MAX_P_PLACES and value:
+        raise DomainError(f"{what} must have an exponent of at most {MAX_P_PLACES}, got {quote(value, reprlib.repr)}")
+    deep = exponent < -MAX_P_PLACES
+    try:
+        fraction = None if isinstance(value, bool) else Fraction(0 if deep else value)
+    except (TypeError, ValueError, OverflowError):
+        fraction = None
+    if fraction is None:
+        raise DomainError(f"{what} must be a finite number or text such as 1/2, got {quote(value, reprlib.repr)}")
+    if deep or fraction.denominator > MAX_P_DENOMINATOR:
+        raise DomainError(f"{what} must have a denominator of at most 10**80, got one larger")
+    return fraction
+
+
+def as_probability(value: Any, what: str = "p") -> Fraction:
+    """``value`` read by :func:`as_fraction`, which must be within [0, 1]; anything else is a DomainError.
+
+    A Decimal out of range is refused before it is read.
+    """
+    outside = f"{what} must be within [0, 1], got {{}}"
+    if isinstance(value, Decimal) and value.is_finite() and not 0 <= value <= 1:
+        raise DomainError(outside.format(quote(value)))
+    prob = as_fraction(value, what)
     if not 0 <= prob <= 1:
         raise DomainError(outside.format(quote(value)))
     return prob

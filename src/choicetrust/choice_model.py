@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from ._pipeline import ChoiceEpisode, Record, ValidatedEpisode, as_int, setfield, validate_episode
+from ._pipeline import ChoiceEpisode, Record, ValidatedEpisode, as_fraction, as_int, setfield, validate_episode
 from .errors import DimensionError, DomainError, UnknownObjectError, quote
 
 __all__ = [
@@ -57,7 +57,8 @@ class ConstraintRow(Record):
     """One linear restriction `coefficients . attributes  <relation>  bound`.
 
     Coefficients and the bound are held as exact rationals so that
-    feasibility never depends on float rounding.
+    feasibility never depends on float rounding. Each is read by
+    :func:`~choicetrust._pipeline.as_fraction`, which bounds its size.
     """
 
     __slots__ = ("coefficients", "relation", "bound")
@@ -67,8 +68,8 @@ class ConstraintRow(Record):
         if rel is None:
             raise DomainError(f"relation must be one of {RELATIONS}, got {quote(relation)}")
         setfield(self, "relation", rel)
-        setfield(self, "coefficients", tuple(Fraction(c) for c in coefficients))
-        setfield(self, "bound", Fraction(bound))
+        setfield(self, "coefficients", tuple([as_fraction(c, "constraint coefficient") for c in coefficients]))
+        setfield(self, "bound", as_fraction(bound, "constraint bound"))
 
     def satisfied_by(self, vector: AttributeVector) -> bool:
         """Evaluate this row against one attribute vector."""

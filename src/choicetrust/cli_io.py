@@ -638,6 +638,19 @@ def _plain_score(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**args, episodes=positionals[0], reviews=positionals[1]) if len(positionals) == 2 else None
 
 
+def _parse(argv: Sequence[str] | None) -> Any:
+    """`_build_parser`'s arguments of `argv`. Help and the version, after which argparse exits 0, are written by
+    `_write`, so that a write that fails is an error as a report's is; argparse would drop its own write's error."""
+    text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(text):
+            return _build_parser().parse_args(argv)
+    except SystemExit as stop:
+        if stop.code == 0:
+            _write((text.getvalue(),), None)
+        raise
+
+
 def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write `chunks` in order to the file `out`, or to stdout, each as it comes.
 
@@ -662,21 +675,20 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
         sys.stdout.flush()
     except OSError:
         # Whatever is still buffered would fail again when the interpreter
-        # flushes stdout at exit, so stdout now leads to the null device.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        # flushes stdout at exit, so stdout now leads to the null device. A
+        # stream with no descriptor (`main` run in-process) is left as it is,
+        # and the write's own error goes on to `main`.
+        with contextlib.suppress(OSError):
+            descriptor = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, descriptor)
+            os.close(devnull)
         raise
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        try:
-            args = _plain_score(sys.argv[1:] if argv is None else argv) or _build_parser().parse_args(argv)
-        except SystemExit as stop:
-            if stop.code == 0:  # argparse wrote help or the version to stdout: a write that fails is an error here too
-                _write((), None)
-            raise
+        args = _plain_score(sys.argv[1:] if argv is None else argv) or _parse(argv)
         code = EXIT_OK
         if args.command == "score":
             p = as_probability(args.p, "--p")

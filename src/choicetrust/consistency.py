@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from ._pipeline import Record
+from ._pipeline import Record, as_int
 from .errors import DomainError, IncompleteTableError, quote, render_set
 from .pattern_runs import RunCount
 
@@ -153,7 +153,7 @@ def _as_numeric(slot: RunCount | int) -> int:
         if slot.is_epsilon:
             raise DomainError("both periods must carry an actual run, not the empty run")
         return slot.numeric
-    return int(slot)
+    return as_int(slot, "run count")
 
 
 def classify_lemma2(pair: tuple[RunCount | int, RunCount | int], n: int | None = None) -> str:
@@ -161,9 +161,12 @@ def classify_lemma2(pair: tuple[RunCount | int, RunCount | int], n: int | None =
 
     (k, k+1) means the object kept its standing while the comparison set
     grew, which is the strong form; (k+1, k) is the weak mirror; anything
-    else is neither. Requires actual runs in both periods.
+    else is neither. Requires actual runs in both periods; a plain count
+    and ``n`` must be integers.
     """
     first, second = (_as_numeric(s) for s in pair)
+    if n is not None:
+        n = as_int(n, "n")
     if first < 1 or second < 1:
         raise DomainError("run counts must be positive")
     if n is not None and (first > n - 1 or second > n - 1):

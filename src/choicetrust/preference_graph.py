@@ -3,7 +3,8 @@
 Each validated episode induces an n-by-n binary relation: entry (i, j) is 1
 when object i survived to a strictly later stage than object j. The matrix
 flattens row-major into a 0/1 pattern vector; several periods concatenate
-into one joint vector, which is the object the run scanner works on.
+into one joint vector, which is the object the run scanner works on. One
+builder makes both: a matrix's own vector is the one-period joint vector.
 
 A matrix is a tuple of n rows, each a tuple of n ints in {0, 1}; every
 consumer reads those rows directly. Scoring builds none of these: it writes
@@ -16,7 +17,7 @@ against.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._pipeline import Record, setfield
 from .choice_model import ValidatedEpisode
@@ -32,6 +33,14 @@ __all__ = [
 ]
 
 
+def _zero_one(entries: Iterable, what: str) -> tuple[int, ...]:
+    """``entries`` as ints; each must equal 0 or 1 before it is converted, so 0.9, 1.5 and "1" are refused."""
+    try:
+        return tuple(map((0, 1).index, entries))
+    except ValueError:
+        raise ShapeError(f"{what} must be 0 or 1") from None
+
+
 class PreferenceMatrix(Record):
     """Binary strict-preference relation over a fixed catalog order."""
 
@@ -41,12 +50,11 @@ class PreferenceMatrix(Record):
         n = len(order)
         if len(bits) != n or any(len(row) != n for row in bits):
             raise ShapeError(f"expected a {n}x{n} matrix: {n} rows of {n} entries each")
-        if any(b not in (0, 1) for row in bits for b in row):
-            raise ShapeError("matrix entries must be 0 or 1")
+        bits = tuple(_zero_one(row, "matrix entries") for row in bits)
         if any(bits[i][i] for i in range(n)):
             raise ShapeError("matrix diagonal must be zero")
         setfield(self, "order", tuple(order))
-        setfield(self, "bits", tuple(tuple(int(b) for b in row) for row in bits))
+        setfield(self, "bits", bits)
 
     @property
     def n(self) -> int:
@@ -63,9 +71,7 @@ class PatternVector(Record):
     __slots__ = ("bits", "n", "periods")
 
     def __init__(self, bits: tuple[int, ...], n: int, periods: int) -> None:
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ShapeError("pattern bits must be 0 or 1")
+        bits = _zero_one(bits, "pattern bits")
         if len(bits) != periods * n * n:
             raise ShapeError(
                 f"pattern of length {len(bits)} does not match "
@@ -99,31 +105,22 @@ def outdegrees(matrix: PreferenceMatrix) -> tuple[int, ...]:
 
 
 def flatten(matrix: PreferenceMatrix) -> PatternVector:
-    """Row-major flattening of a single matrix."""
-    return PatternVector(
-        bits=tuple(b for row in matrix.bits for b in row),
-        n=matrix.n,
-        periods=1,
-    )
-
-
-def _require_same_shape(matrices: Sequence[PreferenceMatrix]) -> None:
-    if not matrices:
-        raise ShapeError("need at least one matrix")
-    first = matrices[0]
-    for m in matrices[1:]:
-        if m.order != first.order:
-            raise ShapeError(
-                f"matrices disagree on catalog order: {first.order} vs {m.order}"
-            )
+    """Row-major flattening of a single matrix: its one-period joint vector."""
+    return concat_patterns((matrix,))
 
 
 def concat_patterns(matrices: Sequence[PreferenceMatrix]) -> PatternVector:
     """Concatenate per-period flattenings into one joint pattern vector.
 
     This joint form keeps every pairwise comparison of every period; it is
-    the input the run scanner expects.
+    the input the run scanner expects. Every matrix must share the first's
+    catalog order.
     """
-    _require_same_shape(matrices)
+    if not matrices:
+        raise ShapeError("need at least one matrix")
+    order = matrices[0].order
+    for m in matrices[1:]:
+        if m.order != order:
+            raise ShapeError(f"matrices disagree on catalog order: {order} vs {m.order}")
     bits = tuple(b for m in matrices for row in m.bits for b in row)
-    return PatternVector(bits=bits, n=matrices[0].n, periods=len(matrices))
+    return PatternVector(bits=bits, n=len(order), periods=len(matrices))

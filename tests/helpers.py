@@ -1,5 +1,6 @@
 """Shared constructors for episodes and matrices, and the environment of child interpreters, used across the test suite."""
 
+import json
 import random
 from pathlib import Path
 
@@ -70,3 +71,20 @@ def random_staged_episode(rng: random.Random, ids, period=1, reviewer="r") -> Va
 def random_matrix(rng: random.Random, n: int) -> PreferenceMatrix:
     bits = [[rng.randint(0, 1) if i != j else 0 for j in range(n)] for i in range(n)]
     return PreferenceMatrix(order=tuple(f"o{i}" for i in range(n)), bits=bits)
+
+
+def many_reviewers(directory: Path, count: int = 40) -> tuple[Path, Path]:
+    """Episode and review files of `count` two-period reviewers; one review names an absent object."""
+    catalog = ["a", "b", "c", "d"]
+    lines, reviews = [], [{"reviewer_id": "r0", "object": "zz", "rating": 3}]
+    for k in range(count):
+        for period in (1, 2):
+            order = catalog[k % 4:] + catalog[: k % 4] if period == 1 else catalog[::-1]
+            lines.append(json.dumps({"reviewer_id": f"r{k}", "period": period, "catalog": catalog,
+                                     "wishlist": order[:3], "cart": order[:2], "final": order[:1]}))
+        reviews.append({"reviewer_id": f"r{k}", "object": catalog[k % 4], "rating": 1 + k % 5})
+    episodes = directory / "episodes.jsonl"
+    episodes.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    reviews_path = directory / "reviews.json"
+    reviews_path.write_text(json.dumps(reviews), encoding="utf-8")
+    return episodes, reviews_path

@@ -1,4 +1,6 @@
 import random
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -176,3 +178,36 @@ def test_stage_rank_total_on_random_episodes():
 def test_period_must_be_positive():
     with pytest.raises(DomainError):
         ChoiceEpisode("r", 0, ("M",), ("M",), ("M",), ("M",))
+
+
+# A coefficient or bound that is not a number of bounded size, and the start of its DomainError. An exponent of
+# 10**7 would take seconds to build as a Fraction, so each must be refused before one is built.
+_BAD_CONSTRAINT_NUMBERS = {
+    "text": ("x", "constraint {} must be a decimal such as 0.25"),
+    "nan": (float("nan"), "constraint {} must be a finite number"),
+    "infinity": (float("inf"), "constraint {} must be a finite number"),
+    "decimal nan": (Decimal("NaN"), "constraint {} must be a finite number"),
+    "bool": (True, "constraint {} must be a finite number"),
+    "tiny text": ("1e-1000000", "constraint {} must be a decimal such as 0.25"),
+    "huge text": ("1e10000000", "constraint {} must be a decimal such as 0.25"),
+    "tiny decimal": (Decimal("1E-10000000"), "constraint {} must have a denominator of at most 10\\*\\*80"),
+    "huge decimal": (Decimal("1E+10000000"), "constraint {} must have an exponent of at most 320"),
+    "tiny float": (5e-324, "constraint {} must have a denominator of at most 10\\*\\*80"),
+}
+
+
+@pytest.mark.parametrize("value, message", _BAD_CONSTRAINT_NUMBERS.values(), ids=_BAD_CONSTRAINT_NUMBERS)
+def test_constraint_row_refuses_a_number_out_of_bounds_at_once(value, message):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=message.format("coefficient")):
+        ConstraintRow((1, value), "<=", 3)
+    with pytest.raises(DomainError, match=message.format("bound")):
+        ConstraintRow((1,), "<=", value)
+    assert time.perf_counter() - start < 1
+
+
+def test_constraint_row_reads_each_number_exactly():
+    row = ConstraintRow((1, "1/3", Decimal("0.25"), 0.5, Decimal("0E+1000"), " -2e3 "), "<=", "1e-40")
+    assert row.coefficients == (1, Fraction(1, 3), Fraction(1, 4), Fraction(1, 2), 0, -2000)
+    assert row.bound == Fraction(1, 10**40)
+    assert all(type(c) is Fraction for c in row.coefficients + (row.bound,))

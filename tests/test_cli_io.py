@@ -48,7 +48,7 @@ from choicetrust.cli_io import (
     load_reviews,
     main,
 )
-from helpers import child_env
+from helpers import child_env, many_reviewers
 
 FIXTURES = Path(__file__).parent / "fixtures"
 EPISODES = "episodes_canonical.jsonl"
@@ -1311,30 +1311,13 @@ def test_score_runs_without_numpy(fixtures_dir, tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == expected
 
 
-def _many_reviewers(tmp_path, count=40):
-    """Episode and review files of `count` two-period reviewers; one review names an absent object."""
-    catalog = ["a", "b", "c", "d"]
-    lines, reviews = [], [{"reviewer_id": "r0", "object": "zz", "rating": 3}]
-    for k in range(count):
-        for period in (1, 2):
-            order = catalog[k % 4:] + catalog[: k % 4] if period == 1 else catalog[::-1]
-            lines.append(json.dumps({"reviewer_id": f"r{k}", "period": period, "catalog": catalog,
-                                     "wishlist": order[:3], "cart": order[:2], "final": order[:1]}))
-        reviews.append({"reviewer_id": f"r{k}", "object": catalog[k % 4], "rating": 1 + k % 5})
-    episodes = tmp_path / "episodes.jsonl"
-    episodes.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    reviews_path = tmp_path / "reviews.json"
-    reviews_path.write_text(json.dumps(reviews), encoding="utf-8")
-    return episodes, reviews_path
-
-
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("command", ["one section", "many sections", "tau"])
 def test_a_closed_stdout_is_a_one_line_error(fixtures_dir, tmp_path, command, unbuffered):
     if command == "one section":
         argv = ["score", str(fixtures_dir / EPISODES), str(fixtures_dir / REVIEWS)]
     elif command == "many sections":
-        argv = ["score", *map(str, _many_reviewers(tmp_path, 400))]
+        argv = ["score", *map(str, many_reviewers(tmp_path, 400))]
     else:
         argv = ["tau", "4", "2"]
     env = child_env(PYTHONUNBUFFERED="1") if unbuffered else child_env()
@@ -1356,14 +1339,17 @@ def test_a_closed_stdout_is_a_one_line_error(fixtures_dir, tmp_path, command, un
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("argv", [["--version"], ["--help"], ["score", "--help"]], ids=" ".join)
-def test_help_or_the_version_on_a_full_stdout_is_a_one_line_error(argv):
+def test_help_or_the_version_on_a_full_stdout_is_a_one_line_error(argv, unbuffered):
+    # Unbuffered, argparse's own write would fail at once, and argparse would drop its error.
+    env = child_env(PYTHONUNBUFFERED="1") if unbuffered else child_env()
     with open("/dev/full", "wb") as full:
         child = subprocess.run(
             [sys.executable, "-m", "choicetrust.cli_io", *argv],
             stdout=full,
             stderr=subprocess.PIPE,
-            env=child_env(),
+            env=env,
             timeout=60,
         )
     error = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
@@ -1372,7 +1358,7 @@ def test_help_or_the_version_on_a_full_stdout_is_a_one_line_error(argv):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_score_writes_the_same_bytes_to_stdout_and_to_out(tmp_path, fmt):
-    argv = ["score", *map(str, _many_reviewers(tmp_path)), "--format", fmt]
+    argv = ["score", *map(str, many_reviewers(tmp_path)), "--format", fmt]
     out = tmp_path / f"report.{fmt}"
     assert main([*argv, "--out", str(out)]) == EXIT_PARTIAL
     child = subprocess.run(
@@ -1451,7 +1437,7 @@ def test_a_runs_cyclic_garbage_does_not_grow_with_its_input(tmp_path):
     sizes = []
     for count in (200, 800):
         (tmp_path / str(count)).mkdir()
-        episodes, reviews = _many_reviewers(tmp_path / str(count), count)
+        episodes, reviews = many_reviewers(tmp_path / str(count), count)
         # One rejected record of each kind per ten reviewers: an error must leave no cycle behind either.
         junk = ["{", '{"reviewer_id": 1}', '{"reviewer_id": "r0", "period": 1, "catalog": ["a"], "wishlist": ["b"], '
                 '"cart": [], "final": []}', '{"reviewer_id": "r1", "period": 2, "catalog": ["a"], "wishlist": ["a"], '

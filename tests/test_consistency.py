@@ -185,3 +185,19 @@ def test_classify_lemma2_rejects_epsilon_and_bounds():
         classify_lemma2((EPSILON, RunCount(1)))
     with pytest.raises(DomainError):
         classify_lemma2((5, 6), n=4)
+
+
+@pytest.mark.parametrize("pair", [(1.7, 2.2), ("2", "3"), (True, 2), (2, 2.5)], ids=repr)
+def test_classify_lemma2_refuses_a_count_that_is_not_an_integer(pair):
+    with pytest.raises(DomainError, match="run count must be an integer"):
+        classify_lemma2(pair)
+
+
+@pytest.mark.parametrize("n", [4.5, "4", True], ids=repr)
+def test_classify_lemma2_refuses_an_n_that_is_not_an_integer(n):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        classify_lemma2((1, 2), n=n)
+
+
+def test_classify_lemma2_takes_an_integral_count_as_its_int():
+    assert classify_lemma2((2.0, 3), n=4.0) == Lemma2Class.STRONG

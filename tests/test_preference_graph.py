@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -134,6 +135,23 @@ def test_pattern_vector_rejects_bad_shape():
         PatternVector(bits=(0, 1, 0), n=2, periods=1)
     with pytest.raises(ShapeError):
         PatternVector(bits=(0, 2, 0, 0), n=2, periods=1)
+
+
+@pytest.mark.parametrize("entry", [1.5, 0.9, "1", "0", None, float("nan")], ids=repr)
+def test_matrix_and_vector_refuse_an_entry_that_is_not_0_or_1(entry):
+    with pytest.raises(ShapeError, match="pattern bits must be 0 or 1"):
+        PatternVector((entry, 0, 0, 0), 2, 1)
+    with pytest.raises(ShapeError, match="matrix entries must be 0 or 1"):
+        PreferenceMatrix(order=("a", "b"), bits=[[0, entry], [0, 0]])
+
+
+def test_matrix_and_vector_take_an_entry_equal_to_0_or_1_as_an_int():
+    entries = (False, 1.0, True, Fraction(0))
+    vector = PatternVector(entries, 2, 1)
+    matrix = PreferenceMatrix(order=("a", "b"), bits=[entries[:2], entries[2:]])
+    assert vector.bits == (0, 1, 1, 0) and matrix.bits == ((0, 1), (1, 0))
+    assert all(type(b) is int for b in vector.bits + matrix.bits[0] + matrix.bits[1])
+    assert flatten(matrix) == vector
 
 
 @pytest.mark.parametrize(
